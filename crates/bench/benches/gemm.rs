@@ -7,8 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm, igemm_wx, matmul, matmul_serial, parallel, set_gemm_kernel,
-    GemmKernel, PackedCodes, SimdLevel, Tensor,
+    gemm, gemm_serial, igemm, igemm_conv, igemm_wx, matmul, matmul_serial, parallel,
+    set_gemm_kernel, Conv2dSpec, GemmKernel, PackedCodes, SimdLevel, Tensor,
 };
 use rand::{Rng, SeedableRng};
 
@@ -136,8 +136,11 @@ fn bench_thread_scaling(c: &mut Criterion) {
 /// float GEMM on the same conv-shaped product, all pinned to one thread —
 /// the configuration the deployment benchmarks run in. `int_wx` is the
 /// weights-times-columns orientation the inference engine uses (inner loop
-/// streams pixels); `int_rows` is the row-major orientation, kept to show
-/// why the engine does not use it for conv.
+/// streams pixels) timed on a column matrix built before timing starts;
+/// `int_conv` times what the engine actually runs at the same shape —
+/// [`igemm_conv`] on the `[8, 28, 28]` image, lowering included; `int_rows`
+/// is the row-major orientation, kept to show why the engine does not use
+/// it for conv.
 fn bench_igemm_vs_float(c: &mut Criterion) {
     // LeNet conv-like shape: W[f, c·k·k] × cols[c·k·k, oh·ow].
     let (out, k, pix) = (16usize, 200usize, 576usize);
@@ -154,6 +157,10 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
             rows[p * k + kk] = cols[kk * pix + p];
         }
     }
+    // The same product as a conv: 8 channels × 5×5 taps = 200 = k, and a
+    // 28×28 image without padding gives 24×24 = 576 = pix output pixels.
+    let (in_c, side, spec) = (8usize, 28usize, Conv2dSpec::new(5, 1, 0));
+    let image: Vec<i32> = (0..in_c * side * side).map(|_| rng.gen_range(0..16)).collect();
     let mut out_i = vec![0i32; out * pix];
     let mut out_f = vec![0.0f32; out * pix];
     let mut group = c.benchmark_group("igemm_conv_shape");
@@ -162,6 +169,14 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
             parallel::with_num_threads(1, || {
                 out_i.fill(0);
                 igemm_wx(out, k, pix, &packed, &cols, &mut out_i);
+            })
+        })
+    });
+    group.bench_function("int_conv", |bch| {
+        bch.iter(|| {
+            parallel::with_num_threads(1, || {
+                out_i.fill(0);
+                igemm_conv(&image, in_c, (side, side), spec, &packed, &mut out_i);
             })
         })
     });

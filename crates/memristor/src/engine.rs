@@ -350,8 +350,7 @@ impl IntEngine {
         // Multiply into per-example channel-major `[out_dim, pix]`
         // accumulators (pix = 1 for FC, where the layouts coincide). Conv
         // runs in the weights-times-columns orientation so the inner loop
-        // streams whole pixel rows and the zero-skip fires on sparse
-        // clustered weights; FC folds the whole batch into one `igemm`
+        // streams whole pixel rows; FC folds the whole batch into one `igemm`
         // with `M = batch` (its `[batch, out_dim]` row-major output is
         // exactly the concatenated per-example layout).
         let (pix, out_dim, acc) = match syn.kind {
@@ -362,9 +361,8 @@ impl IntEngine {
                 let in_len = shape.len();
                 let mut acc = scratch::take_i32(batch * out_c * pix);
                 for b in 0..batch {
-                    // igemm_conv lowers each example with whichever loop
-                    // order is faster for the active kernel and SIMD level
-                    // (im2row + dot kernel, or im2col + zero-skipping axpy).
+                    // igemm_conv lowers each example in the loop order the
+                    // active SIMD level runs fastest (see its docs).
                     igemm_conv(
                         &cur[b * in_len..(b + 1) * in_len],
                         in_c,

@@ -6,12 +6,9 @@
 //! the synaptic products need no floating point at all. [`PackedCodes`]
 //! stores a layer's code matrix transposed once into the `[in, out]` layout
 //! the inner loop streams through, and [`igemm`] runs the same cache-blocked
-//! loop nest as the `f32` [`crate::gemm`] — including the zero-skip variant:
-//! quantized ReLU activations make the spike-count operand mostly zero, and
-//! skipping `a[i,k] == 0` terms is *exactly* result-preserving here (integer
-//! adds of zero, no `-0.0` caveat). Kernel selection honours the shared
-//! process-wide [`crate::GemmKernel`] setting and the per-shape `Auto`
-//! cache in [`crate::linalg`].
+//! loop nest as the `f32` [`crate::gemm`]. The integer kernels are always
+//! dense: a zero term costs less to compute than to test, so the `f32`
+//! GEMM's [`crate::GemmKernel`] zero-skip policy does not apply here.
 //!
 //! [`im2row_i32`] lowers an integer image to the row-per-output-pixel
 //! matrix `igemm` consumes, folding the zero padding into the lowering so
@@ -19,10 +16,10 @@
 //!
 //! # SIMD fast path
 //!
-//! When the resolved kernel is dense and [`crate::simd_level`] is above
-//! scalar, the micro-kernels in [`crate::simd`] take over; integer
-//! accumulation is associative, so every route below is bit-identical to
-//! the scalar loop (`tests/simd_bit_identity.rs` property-tests this).
+//! When [`crate::simd_level`] is above scalar, the micro-kernels in
+//! [`crate::simd`] take over; integer accumulation is associative, so every
+//! route below is bit-identical to the scalar loop
+//! (`tests/simd_bit_identity.rs` property-tests this).
 //!
 //! - **AVX2, counts fit `i16`** (the steady state — spike counts are
 //!   ≤ 255): [`igemm_wx`] packs adjacent `k`-rows of the count matrix into
@@ -36,13 +33,14 @@
 //!   [`igemm`] widens its row-major count operand into the same kernel at
 //!   every SIMD level.
 //!
-//! [`igemm_conv`] picks the conv lowering automatically: `im2col` + the
-//! axpy orientation on AVX2 (and for scalar or skip-zeros kernels, which
-//! want the zero-skipping row loop), `im2row` + the dot kernel on SSE2
-//! when the image fits `i16`.
+//! [`igemm_conv`] picks the conv lowering from the SIMD level: on AVX2 it
+//! writes the pair operand straight from a zero-padded copy of the image
+//! (no column matrix); on SSE2 it lowers to `i16` pixel rows for the dot
+//! kernel; the scalar route (the test oracle) and counts past `i16` go
+//! through [`im2col_i32`] and the exact axpy loops.
 
 use crate::conv::Conv2dSpec;
-use crate::linalg::{resolve_kernel_cached_i32, resolve_kernel_cached_i8, GemmKernel, BLOCK};
+use crate::linalg::BLOCK;
 use crate::parallel;
 use crate::scratch;
 use crate::simd::{self, SimdLevel};
@@ -159,8 +157,7 @@ fn widen_i16(src: &[i32], dst: &mut [i16]) {
 /// Mirrors the `f32` `gemm_band` loop nest; per-element accumulation order
 /// is ascending `k`, so banding cannot change results (and integer adds are
 /// associative regardless).
-fn igemm_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[i32], b: &[i8], c: &mut [i32]) {
-    let skip = kernel == GemmKernel::SkipZeros;
+fn igemm_band(mb: usize, k: usize, n: usize, a: &[i32], b: &[i8], c: &mut [i32]) {
     for i0 in (0..mb).step_by(BLOCK) {
         let i_end = (i0 + BLOCK).min(mb);
         for k0 in (0..k).step_by(BLOCK) {
@@ -170,9 +167,6 @@ fn igemm_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[i32], b: &
                 for i in i0..i_end {
                     for kk in k0..k_end {
                         let aik = a[i * k + kk];
-                        if skip && aik == 0 {
-                            continue;
-                        }
                         let brow = &b[kk * n + j0..kk * n + j_end];
                         let crow = &mut c[i * n + j0..i * n + j_end];
                         for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
@@ -188,11 +182,9 @@ fn igemm_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[i32], b: &
 /// Integer GEMM: `c[m×n] += a[m×k] · b` with `i32` accumulation.
 ///
 /// `a` holds spike counts (row-major `[m, k]`), `b` the packed weight codes.
-/// The caller zero-initializes `c` for a pure product. Kernel selection
-/// follows the process-wide [`crate::GemmKernel`] setting; `Auto` samples
-/// `a` for zeros with the decision cached per `(m, k, n)` shape. Large
-/// products split across the [`crate::parallel`] workers by output row —
-/// integer accumulation makes banding trivially exact.
+/// The caller zero-initializes `c` for a pure product. Large products split
+/// across the [`crate::parallel`] workers by output row — integer
+/// accumulation makes banding trivially exact.
 ///
 /// # Panics
 ///
@@ -204,16 +196,8 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i32], b: &PackedCodes, c: &mut [
     assert_eq!(c.len(), m * n, "output slice length mismatch");
 
     let level = simd::simd_level();
-    let kernel = resolve_kernel_cached_i32(m, k, n, a, level);
-    if qsnc_telemetry::enabled() {
-        qsnc_telemetry::counter_add("tensor.igemm.calls", 1);
-        let name = match kernel {
-            GemmKernel::SkipZeros => "tensor.igemm.kernel.skip_zeros",
-            _ => "tensor.igemm.kernel.dense",
-        };
-        qsnc_telemetry::counter_add(name, 1);
-    }
-    if kernel != GemmKernel::SkipZeros && level != SimdLevel::Scalar && fits_i16(a) {
+    count_call();
+    if level != SimdLevel::Scalar && fits_i16(a) {
         // SIMD dot path: counts widened per call, codes pre-widened at pack
         // time; the shared dot kernel streams code rows register-tiled.
         let mut a16 = scratch::take_i16(m * k);
@@ -239,11 +223,11 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i32], b: &PackedCodes, c: &mut [
         return;
     }
     if m < 2 || m * k * n < 32 * 1024 || parallel::num_threads() == 1 {
-        igemm_band(kernel, m, k, n, a, &b.data, c);
+        igemm_band(m, k, n, a, &b.data, c);
         return;
     }
     parallel::par_bands_mut(c, m, n, |row0, rows, c_band| {
-        igemm_band(kernel, rows, k, n, &a[row0 * k..(row0 + rows) * k], &b.data, c_band);
+        igemm_band(rows, k, n, &a[row0 * k..(row0 + rows) * k], &b.data, c_band);
     });
 }
 
@@ -254,7 +238,6 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i32], b: &PackedCodes, c: &mut [
 /// `fb · k` scalar loads against `fb · k · pix` streamed MACs.
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot loop call free of struct plumbing
 fn igemm_wx_band(
-    kernel: GemmKernel,
     f0: usize,
     fb: usize,
     out_dim: usize,
@@ -264,7 +247,6 @@ fn igemm_wx_band(
     x: &[i32],
     c: &mut [i32],
 ) {
-    let skip = kernel == GemmKernel::SkipZeros;
     // Tile pixels and taps so the x tile (BLOCK² · 4 B = 16 KiB) stays in
     // L1 while every output channel of the band reuses it; without the
     // tiling each channel would stream the whole column matrix from memory.
@@ -276,9 +258,6 @@ fn igemm_wx_band(
                 let crow = &mut c[f * pix + p0..f * pix + p_end];
                 for kk in k0..k_end {
                     let wk = w[kk * out_dim + f0 + f] as i32;
-                    if skip && wk == 0 {
-                        continue;
-                    }
                     let xrow = &x[kk * pix + p0..kk * pix + p_end];
                     for (cv, &xv) in crow.iter_mut().zip(xrow.iter()) {
                         *cv += wk * xv;
@@ -295,14 +274,10 @@ fn igemm_wx_band(
 /// This is the conv fast path's orientation — the inner loop streams a whole
 /// pixel row (`pix` is `oh·ow`, typically hundreds), instead of the handful
 /// of output channels [`igemm`]'s row-major orientation would give it, and
-/// the output lands channel-major like the spiking pipeline's signals. The
-/// zero-skip here elides whole `pix`-length passes for zero weight codes,
-/// which clustered weights make common. Accumulation is exact integer
-/// arithmetic, so banding and skipping are result-preserving.
-///
-/// Kernel selection samples the **weight** operand (under `Auto`, cached per
-/// shape); large products split across the [`crate::parallel`] workers by
-/// output channel.
+/// the output lands channel-major like the spiking pipeline's signals.
+/// Accumulation is exact integer arithmetic, so banding is
+/// result-preserving; large products split across the [`crate::parallel`]
+/// workers by output channel.
 ///
 /// # Panics
 ///
@@ -312,18 +287,28 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
     assert_eq!(out_dim, w.out_dim, "igemm_wx output dim disagrees with packed codes");
     assert_eq!(x.len(), k * pix, "column matrix length mismatch");
     assert_eq!(c.len(), out_dim * pix, "output slice length mismatch");
+    count_call();
+    wx_product(simd::simd_level(), pix, w, x, c);
+}
 
-    let level = simd::simd_level();
-    let kernel = resolve_kernel_cached_i8(out_dim, k, pix, &w.data, level);
+/// Counts one integer GEMM entry-point call (`tensor.igemm.calls`).
+fn count_call() {
     if qsnc_telemetry::enabled() {
         qsnc_telemetry::counter_add("tensor.igemm.calls", 1);
-        let name = match kernel {
-            GemmKernel::SkipZeros => "tensor.igemm.kernel.skip_zeros",
-            _ => "tensor.igemm.kernel.dense",
-        };
-        qsnc_telemetry::counter_add(name, 1);
     }
-    if kernel != GemmKernel::SkipZeros && level == SimdLevel::Avx2 {
+}
+
+/// True when a weights-times-pixels product is too small to be worth
+/// splitting across the [`crate::parallel`] workers.
+fn serial_wx(out_dim: usize, k: usize, pix: usize) -> bool {
+    out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1
+}
+
+/// The body of [`igemm_wx`] at an already resolved SIMD `level`, on a
+/// `[k, pix]` column matrix whose geometry the caller checked.
+fn wx_product(level: SimdLevel, pix: usize, w: &PackedCodes, x: &[i32], c: &mut [i32]) {
+    let (out_dim, k) = (w.out_dim, w.in_dim);
+    if level == SimdLevel::Avx2 {
         // AVX2 axpy paths: both consume the `[k, pix]` layout over
         // contiguous pixel strips — no transpose. When the counts fit
         // `i16` (the steady state — spike counts are ≤ 255), adjacent `k`
@@ -332,32 +317,18 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
         // `pmaddwd` kernel runs 16 MACs per multiply against the weight
         // pair panel built at pack time. Wider counts take the exact
         // `vpmulld` body instead.
-        let serial = out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1;
-        let kp = k.div_ceil(2);
-        let mut xpk = scratch::take_i32(kp * pix);
+        let mut xpk = scratch::take_i32(k.div_ceil(2) * pix);
         // The i16 range check is fused into the packing pass — one read of
         // the counts instead of a scan followed by a pack.
-        if simd::pack_wx_pairs(level, k, pix, x, &mut xpk) {
-            if serial {
-                simd::wx_axpy_packed(level, out_dim, kp, pix, &w.pairs16, &xpk, c);
-            } else {
-                parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-                    simd::wx_axpy_packed(
-                        level,
-                        fb,
-                        kp,
-                        pix,
-                        &w.pairs16[f0 * kp..(f0 + fb) * kp],
-                        &xpk,
-                        c_band,
-                    );
-                });
-            }
-            scratch::put_i32(xpk);
-            return;
+        let packed = simd::pack_wx_pairs(level, k, pix, x, &mut xpk);
+        if packed {
+            axpy_pairs(level, pix, w, &xpk, c);
         }
         scratch::put_i32(xpk);
-        if serial {
+        if packed {
+            return;
+        }
+        if serial_wx(out_dim, k, pix) {
             simd::wx_axpy(level, out_dim, k, pix, &w.rows16, x, c);
             return;
         }
@@ -366,7 +337,7 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
         });
         return;
     }
-    if kernel != GemmKernel::SkipZeros && level != SimdLevel::Scalar && fits_i16(x) {
+    if level != SimdLevel::Scalar && fits_i16(x) {
         // SSE2 dot path (no packed 32-bit multiply below AVX2): transpose
         // the column matrix once into i16 pixel rows (O(k·pix) moves
         // against O(out·k·pix) MACs), then run the same dot kernel as
@@ -383,19 +354,34 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
         scratch::put_i16(xr16);
         return;
     }
-    if out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1 {
-        igemm_wx_band(kernel, 0, out_dim, out_dim, k, pix, &w.data, x, c);
+    if serial_wx(out_dim, k, pix) {
+        igemm_wx_band(0, out_dim, out_dim, k, pix, &w.data, x, c);
         return;
     }
     parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-        igemm_wx_band(kernel, f0, fb, out_dim, k, pix, &w.data, x, c_band);
+        igemm_wx_band(f0, fb, out_dim, k, pix, &w.data, x, c_band);
+    });
+}
+
+/// `c[out×pix] += W · xpk` with `xpk` the pair-packed `[ceil(k/2), pix]`
+/// count operand: the `pmaddwd` axpy kernel, banded across the
+/// [`crate::parallel`] workers by output channel when the product is large.
+fn axpy_pairs(level: SimdLevel, pix: usize, w: &PackedCodes, xpk: &[i32], c: &mut [i32]) {
+    let (out_dim, k) = (w.out_dim, w.in_dim);
+    let kp = k.div_ceil(2);
+    if serial_wx(out_dim, k, pix) {
+        simd::wx_axpy_packed(level, out_dim, kp, pix, &w.pairs16, xpk, c);
+        return;
+    }
+    parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
+        simd::wx_axpy_packed(level, fb, kp, pix, &w.pairs16[f0 * kp..(f0 + fb) * kp], xpk, c_band);
     });
 }
 
 /// Shared SIMD tail of [`igemm_wx`] and [`igemm_conv`]: `c[out×pix] +=
 /// W · xr16ᵀ` where `xr16` holds one widened `i16` row per output pixel.
 fn wx_dot(level: SimdLevel, out_dim: usize, k: usize, pix: usize, w16: &[i16], xr16: &[i16], c: &mut [i32]) {
-    if out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1 {
+    if serial_wx(out_dim, k, pix) {
         simd::dot_tiles(level, k, xr16, pix, w16, out_dim, c, pix);
         return;
     }
@@ -523,17 +509,97 @@ fn im2row_with<T: Copy + Default>(
     }
 }
 
-/// Integer convolution via the faster of the two lowerings:
-/// `c[out×oh·ow] += W · lower(src)` for one `[in_c, h, w]` image.
+/// Lowers one `[c, h, w]` count image straight into the pair-packed
+/// operand [`simd::wx_axpy_packed`] consumes, with no column matrix in
+/// between: word `kkp·pix + p` holds filter taps `2·kkp` and `2·kkp + 1`
+/// (tap order `(ic, ky, kx)`, as in [`im2col_i32`]) at output pixel `p` in
+/// its low and high 16 bits, the high half zero for the odd last tap.
 ///
-/// The two lowerings compute the same product in different loop orders:
-/// `im2col` feeds the axpy orientation ([`igemm_wx`]) — the AVX2 strip
-/// kernel's native layout, and the one whose zero-skip elides whole pixel
-/// rows per zero weight code; `im2row` feeds the SSE2 dot kernel, whose
-/// register tiles want one contiguous `i16` row per output pixel. This
-/// routine picks per call — axpy on AVX2, for skip-zeros, and for scalar;
-/// the dot lowering on SSE2 when the image fits `i16` — so callers always
-/// get the better loop order without choosing a lowering themselves.
+/// The counts are first copied once into a zero-padded `i16` plane, so
+/// every tap is a fixed offset from the pixel's window origin and a
+/// stride-1 output row of one pair is two contiguous reads of that plane.
+/// Returns `false`, leaving `xpk` unspecified, when a count does not fit
+/// `i16`; the caller then takes an exact wider route.
+fn lower_conv_pairs(
+    src: &[i32],
+    c: usize,
+    (h, w): (usize, usize),
+    spec: Conv2dSpec,
+    xpk: &mut [i32],
+) -> bool {
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding);
+    let ow = spec.output_size(w);
+    let pix = spec.output_size(h) * ow;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let ckk = c * k * k;
+    let mut plane = scratch::take_i16(c * hp * wp);
+    let mut wide = false;
+    for (row, srow) in src.chunks_exact(w.max(1)).enumerate() {
+        let at = ((row / h) * hp + row % h + pad) * wp + pad;
+        for (d, &v) in plane[at..at + w].iter_mut().zip(srow) {
+            *d = v as i16;
+            wide |= v != v as i16 as i32;
+        }
+    }
+    if !wide {
+        // Offset of tap `r` from a pixel's window origin in the plane.
+        let tap = |r: usize| ((r / (k * k)) * hp + (r / k) % k) * wp + r % k;
+        for (kkp, dst) in xpk[..ckk.div_ceil(2) * pix].chunks_exact_mut(pix).enumerate() {
+            let lo = tap(2 * kkp);
+            let hi = (2 * kkp + 1 < ckk).then(|| tap(2 * kkp + 1));
+            for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
+                let origin = oy * stride * wp;
+                if stride == 1 {
+                    let b = hi.map(|hi| &plane[origin + hi..origin + hi + ow]);
+                    pair_row(&plane[origin + lo..origin + lo + ow], b, drow);
+                    continue;
+                }
+                for (ox, d) in drow.iter_mut().enumerate() {
+                    let at = origin + ox * stride;
+                    *d = pair(plane[at + lo], hi.map_or(0, |hi| plane[at + hi]));
+                }
+            }
+        }
+    }
+    scratch::put_i16(plane);
+    !wide
+}
+
+/// Two `i16` values packed into one `pmaddwd` operand word, `lo` in the low
+/// half.
+fn pair(lo: i16, hi: i16) -> i32 {
+    (lo as u16 as u32 | (hi as u16 as u32) << 16) as i32
+}
+
+/// `dst[i] = pair(lo[i], hi[i])` over equal-length rows, the high halves
+/// zero when `hi` is `None` — plain zips the compiler vectorizes.
+fn pair_row(lo: &[i16], hi: Option<&[i16]>, dst: &mut [i32]) {
+    match hi {
+        Some(hi) => {
+            for ((d, &a), &b) in dst.iter_mut().zip(lo).zip(hi) {
+                *d = pair(a, b);
+            }
+        }
+        None => {
+            for (d, &a) in dst.iter_mut().zip(lo) {
+                *d = pair(a, 0);
+            }
+        }
+    }
+}
+
+/// Integer convolution: `c[out×oh·ow] += W · lower(src)` for one
+/// `[in_c, h, w]` image, with the lowering chosen from the SIMD level.
+///
+/// Every route computes the same exact integer product:
+///
+/// - **AVX2, counts fit `i16`**: one pass writes the `pmaddwd` pair operand
+///   straight from a zero-padded copy of the image and the packed axpy
+///   kernel runs on it — no `i32` column matrix is built.
+/// - **SSE2, counts fit `i16`**: `im2row` into `i16` pixel rows feeding the
+///   register-tiled dot kernel (SSE2 has no packed 32-bit multiply).
+/// - **Scalar, or counts past `i16`**: [`im2col_i32`] and the exact axpy
+///   loops of [`igemm_wx`] — the scalar route is the test oracle.
 ///
 /// # Panics
 ///
@@ -554,40 +620,34 @@ pub fn igemm_conv(
     assert_eq!(c.len(), w.out_dim * pix, "igemm_conv output length mismatch");
 
     let level = simd::simd_level();
-    let kernel = resolve_kernel_cached_i8(w.out_dim, ckk, pix, &w.data, level);
-    if level == SimdLevel::Avx2 || kernel == GemmKernel::SkipZeros || level == SimdLevel::Scalar {
-        // axpy lowering: on AVX2 `igemm_wx` runs the strip axpy kernel
-        // straight off the im2col layout (the fastest path); the skip-zeros
-        // and scalar kernels also live in this orientation.
-        let mut cols = scratch::take_i32(ckk * pix);
-        im2col_i32(src, in_c, (h, wd), spec, &mut cols);
-        igemm_wx(w.out_dim, ckk, pix, w, &cols, c);
-        scratch::put_i32(cols);
-        return;
-    }
-    if fits_i16(src) {
+    count_call();
+    if level == SimdLevel::Avx2 {
+        let mut xpk = scratch::take_i32(ckk.div_ceil(2) * pix);
+        let lowered = lower_conv_pairs(src, in_c, (h, wd), spec, &mut xpk);
+        if lowered {
+            axpy_pairs(level, pix, w, &xpk, c);
+        }
+        scratch::put_i32(xpk);
+        if lowered {
+            return;
+        }
+    } else if level != SimdLevel::Scalar && fits_i16(src) {
         let mut rows16 = scratch::take_i16(pix * ckk);
         im2row_i16(src, in_c, (h, wd), spec, &mut rows16);
-        if qsnc_telemetry::enabled() {
-            qsnc_telemetry::counter_add("tensor.igemm.calls", 1);
-            qsnc_telemetry::counter_add("tensor.igemm.kernel.dense", 1);
-        }
         wx_dot(level, w.out_dim, ckk, pix, &w.rows16, &rows16, c);
         scratch::put_i16(rows16);
         return;
     }
-    // SSE2 with counts past i16: the dot kernel cannot widen, fall back to
-    // the axpy orientation (which re-resolves and runs its scalar bands).
     let mut cols = scratch::take_i32(ckk * pix);
     im2col_i32(src, in_c, (h, wd), spec, &mut cols);
-    igemm_wx(w.out_dim, ckk, pix, w, &cols, c);
+    wx_product(level, pix, w, &cols, c);
     scratch::put_i32(cols);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::{reset_gemm_kernel_for_tests, set_gemm_kernel, KERNEL_TEST_LOCK};
+    use crate::linalg::{reset_gemm_kernel_for_tests, set_gemm_kernel, GemmKernel, KERNEL_TEST_LOCK};
 
     fn naive(m: usize, k: usize, n: usize, a: &[i32], codes: &[i32]) -> Vec<i32> {
         // codes in [out, in] = [n, k] layout, matching try_pack's input.
@@ -624,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_skipzeros_agree_exactly() {
+    fn band_is_exact_on_sparse_counts() {
         let mut seed = 11u64;
         let (m, k, n) = (40, 50, 60);
         let a: Vec<i32> = (0..m * k)
@@ -632,11 +692,9 @@ mod tests {
             .collect();
         let codes: Vec<i32> = (0..n * k).map(|_| (pseudo(&mut seed) % 5) as i32 - 2).collect();
         let packed = PackedCodes::try_pack(&codes, n, k).unwrap();
-        let mut dense = vec![0i32; m * n];
-        let mut skip = vec![0i32; m * n];
-        igemm_band(GemmKernel::Dense, m, k, n, &a, &packed.data, &mut dense);
-        igemm_band(GemmKernel::SkipZeros, m, k, n, &a, &packed.data, &mut skip);
-        assert_eq!(dense, skip);
+        let mut c = vec![0i32; m * n];
+        igemm_band(m, k, n, &a, &packed.data, &mut c);
+        assert_eq!(c, naive(m, k, n, &a, &codes));
     }
 
     #[test]
@@ -728,31 +786,29 @@ mod tests {
     }
 
     #[test]
-    fn igemm_wx_dense_skipzeros_and_parallel_agree() {
+    fn igemm_wx_sparse_codes_serial_and_parallel_agree() {
         let mut seed = 19u64;
         let (out, k, pix) = (16, 50, 128);
         let x: Vec<i32> = (0..k * pix).map(|_| (pseudo(&mut seed) % 16) as i32).collect();
-        // Mostly-zero codes: exercise the skip branch for real.
+        // Mostly-zero codes, as clustered weights often are.
         let codes: Vec<i32> = (0..out * k)
             .map(|i| if i % 4 != 0 { 0 } else { (pseudo(&mut seed) % 9) as i32 - 4 })
             .collect();
         let packed = PackedCodes::try_pack(&codes, out, k).unwrap();
-        let mut dense = vec![0i32; out * pix];
-        let mut skip = vec![0i32; out * pix];
-        let guard = KERNEL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_gemm_kernel(GemmKernel::Dense);
-        crate::parallel::with_num_threads(1, || igemm_wx(out, k, pix, &packed, &x, &mut dense));
-        set_gemm_kernel(GemmKernel::SkipZeros);
-        crate::parallel::with_num_threads(1, || igemm_wx(out, k, pix, &packed, &x, &mut skip));
-        reset_gemm_kernel_for_tests();
-        drop(guard);
-        assert_eq!(dense, skip);
+        let mut serial = vec![0i32; out * pix];
+        crate::parallel::with_num_threads(1, || igemm_wx(out, k, pix, &packed, &x, &mut serial));
+        for f in 0..out {
+            for p in 0..pix {
+                let expect: i32 = (0..k).map(|kk| codes[f * k + kk] * x[kk * pix + p]).sum();
+                assert_eq!(serial[f * pix + p], expect, "f={f} p={p}");
+            }
+        }
         for threads in [2, 3, 8] {
             let mut par = vec![0i32; out * pix];
             crate::parallel::with_num_threads(threads, || {
                 igemm_wx(out, k, pix, &packed, &x, &mut par)
             });
-            assert_eq!(par, dense, "threads={threads}");
+            assert_eq!(par, serial, "threads={threads}");
         }
     }
 
@@ -776,13 +832,53 @@ mod tests {
     }
 
     #[test]
-    fn kernel_setting_respected() {
+    fn lowered_pairs_match_packed_im2col() {
+        for &(c, h, w, k, stride, pad) in &[
+            (1, 3, 3, 2, 1, 0),
+            (2, 5, 4, 3, 1, 1),
+            (3, 6, 7, 3, 2, 2),
+            (1, 28, 28, 5, 1, 2),
+            (3, 14, 14, 5, 1, 0),
+        ] {
+            let spec = Conv2dSpec::new(k, stride, pad);
+            let mut seed = 9u64;
+            let src: Vec<i32> =
+                (0..c * h * w).map(|_| (pseudo(&mut seed) % 256) as i32).collect();
+            let (ckk, pix) = (c * k * k, spec.output_size(h) * spec.output_size(w));
+            let mut cols = vec![0i32; ckk * pix];
+            im2col_i32(&src, c, (h, w), spec, &mut cols);
+            let mut expect = vec![0i32; ckk.div_ceil(2) * pix];
+            assert!(simd::pack_wx_pairs(SimdLevel::Scalar, ckk, pix, &cols, &mut expect));
+            let mut got = vec![0i32; expect.len()];
+            assert!(lower_conv_pairs(&src, c, (h, w), spec, &mut got));
+            assert_eq!(got, expect, "c={c} h={h} w={w} k={k} s={stride} pad={pad}");
+        }
+        let mut got = vec![0i32; 2];
+        let wide = [7, i16::MAX as i32 + 1];
+        assert!(!lower_conv_pairs(&wide, 1, (1, 2), Conv2dSpec::new(1, 1, 0), &mut got));
+    }
+
+    #[test]
+    fn integer_kernels_ignore_gemm_kernel_setting() {
+        // The f32 kernel policy must not reach the integer entry points:
+        // every setting gives the same exact products.
+        let mut seed = 23u64;
+        let (m, k, n) = (128, 32, 100);
+        let a: Vec<i32> = (0..m * k)
+            .map(|i| if i % 2 == 0 { 0 } else { (pseudo(&mut seed) % 16) as i32 })
+            .collect();
+        let codes: Vec<i32> = (0..n * k).map(|_| (pseudo(&mut seed) % 17) as i32 - 8).collect();
+        let packed = PackedCodes::try_pack(&codes, n, k).unwrap();
+        let expect = naive(m, k, n, &a, &codes);
         let _guard = KERNEL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_gemm_kernel(GemmKernel::SkipZeros);
-        let packed = PackedCodes::try_pack(&[1, 1], 1, 2).unwrap();
-        let mut c = vec![0i32];
-        igemm(1, 2, 1, &[0, 5], &packed, &mut c);
-        assert_eq!(c, vec![5]);
+        for kernel in [GemmKernel::Auto, GemmKernel::Dense, GemmKernel::SkipZeros] {
+            set_gemm_kernel(kernel);
+            for threads in [1, 3] {
+                let mut c = vec![0i32; m * n];
+                crate::parallel::with_num_threads(threads, || igemm(m, k, n, &a, &packed, &mut c));
+                assert_eq!(c, expect, "{kernel:?} threads={threads}");
+            }
+        }
         reset_gemm_kernel_for_tests();
     }
 }

@@ -28,8 +28,8 @@ pub(crate) const BLOCK: usize = 64;
 /// threads; below this the spawn/join overhead outweighs the work.
 const GEMM_PAR_MIN_FLOPS: usize = 32 * 1024;
 
-/// Inner-loop strategy for [`gemm`], set process-wide with
-/// [`set_gemm_kernel`].
+/// Inner-loop strategy for the `f32` [`gemm`], set process-wide with
+/// [`set_gemm_kernel`]. The integer kernels always run dense.
 ///
 /// The quantized networks this simulator runs produce activation matrices
 /// that are often mostly zero (ReLU outputs under low-bit quantization), so
@@ -59,7 +59,7 @@ static GEMM_KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
 /// Sentinel meaning "no [`set_gemm_kernel`] call yet".
 const KERNEL_UNSET: u8 = u8::MAX;
 
-/// Serializes tests (here and in [`mod@crate::igemm`]) that mutate the
+/// Serializes tests that mutate the
 /// process-wide kernel override, and lets them restore the unset sentinel —
 /// [`set_gemm_kernel`] can only store concrete kernels, but tests must put
 /// the env-deferral state back so the rest of the suite sees whatever
@@ -90,9 +90,10 @@ fn env_kernel() -> GemmKernel {
     })
 }
 
-/// Sets the process-wide [`GemmKernel`] used by [`gemm`], [`matmul`],
-/// [`gemm_bt`] and [`mod@crate::igemm`], overriding any `QSNC_GEMM_KERNEL`
-/// environment default.
+/// Sets the process-wide [`GemmKernel`] used by the `f32` [`gemm`],
+/// [`matmul`] and [`gemm_bt`], overriding any `QSNC_GEMM_KERNEL`
+/// environment default. The integer kernels in [`mod@crate::igemm`] are
+/// always dense and ignore it.
 pub fn set_gemm_kernel(kernel: GemmKernel) {
     let v = match kernel {
         GemmKernel::Auto => 0,
@@ -117,7 +118,7 @@ pub fn gemm_kernel() -> GemmKernel {
 
 /// `Auto` heuristic: sample up to 512 evenly strided entries of `a` and
 /// report whether at least 30% of them are zero.
-fn mostly_zero_impl<T: Copy + PartialEq>(a: &[T], zero: T) -> bool {
+fn mostly_zero(a: &[f32]) -> bool {
     if a.is_empty() {
         return false;
     }
@@ -127,16 +128,12 @@ fn mostly_zero_impl<T: Copy + PartialEq>(a: &[T], zero: T) -> bool {
     let mut i = 0;
     while i < a.len() {
         seen += 1;
-        if a[i] == zero {
+        if a[i] == 0.0 {
             zeros += 1;
         }
         i += step;
     }
     zeros * 10 >= seen * 3
-}
-
-fn mostly_zero(a: &[f32]) -> bool {
-    mostly_zero_impl(a, 0.0f32)
 }
 
 /// Slots in the per-shape `Auto` decision cache. Collisions just force a
@@ -154,14 +151,13 @@ const AUTO_RESAMPLE_PERIOD: u64 = 255;
 /// merely resamples, it cannot corrupt a decision.
 static AUTO_CACHE: [AtomicU64; AUTO_SLOTS] = [const { AtomicU64::new(0) }; AUTO_SLOTS];
 
-/// FNV-1a over the product shape; `tag` separates the f32/i32/i8 call
-/// families and `level` the active SIMD tier, so no two (shape, family,
-/// ISA) combinations ever share a cache entry — a `QSNC_SIMD` override
-/// mid-process (tests mutate it) resolves against fresh slots instead of a
-/// stale decision made under another instruction set.
-fn shape_hash(m: usize, k: usize, n: usize, tag: u8, level: SimdLevel) -> u64 {
+/// FNV-1a over the product shape and the active SIMD tier, so no two
+/// (shape, ISA) combinations ever share a cache entry — a `QSNC_SIMD`
+/// override mid-process (tests mutate it) resolves against fresh slots
+/// instead of a stale decision made under another instruction set.
+fn shape_hash(m: usize, k: usize, n: usize, level: SimdLevel) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [m as u64, k as u64, n as u64, tag as u64, level as u64] {
+    for v in [m as u64, k as u64, n as u64, level as u64] {
         h ^= v;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -198,7 +194,7 @@ fn auto_cached(hash: u64, sample: impl FnOnce() -> bool) -> GemmKernel {
 /// every call.
 fn resolve_kernel(m: usize, k: usize, n: usize, a: &[f32], level: SimdLevel) -> GemmKernel {
     let kernel = match gemm_kernel() {
-        GemmKernel::Auto => auto_cached(shape_hash(m, k, n, 0, level), || mostly_zero(a)),
+        GemmKernel::Auto => auto_cached(shape_hash(m, k, n, level), || mostly_zero(a)),
         k => k,
     };
     if qsnc_telemetry::enabled() {
@@ -210,41 +206,6 @@ fn resolve_kernel(m: usize, k: usize, n: usize, a: &[f32], level: SimdLevel) -> 
         qsnc_telemetry::counter_add(name, 1);
     }
     kernel
-}
-
-/// Kernel resolution for the integer GEMM in [`mod@crate::igemm`]: same
-/// process-wide setting, same per-shape `Auto` cache (tagged separately).
-pub(crate) fn resolve_kernel_cached_i32(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i32],
-    level: SimdLevel,
-) -> GemmKernel {
-    match gemm_kernel() {
-        GemmKernel::Auto => {
-            auto_cached(shape_hash(m, k, n, 1, level), || mostly_zero_impl(a, 0i32))
-        }
-        k => k,
-    }
-}
-
-/// Kernel resolution for [`crate::igemm::igemm_wx`], where the skippable
-/// operand is the packed `i8` weight codes (clustered weights are often
-/// sparse). Separate cache tag from the `f32` and `i32` families.
-pub(crate) fn resolve_kernel_cached_i8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    level: SimdLevel,
-) -> GemmKernel {
-    match gemm_kernel() {
-        GemmKernel::Auto => {
-            auto_cached(shape_hash(m, k, n, 2, level), || mostly_zero_impl(a, 0i8))
-        }
-        k => k,
-    }
 }
 
 /// Blocked GEMM over one row band: `c[mb×n] += a[mb×k] · b[k×n]`.
@@ -765,7 +726,7 @@ mod tests {
     #[test]
     fn auto_cache_reuses_decision_until_period_expires() {
         // A shape no other test uses, so this slot is ours alone.
-        let hash = shape_hash(911, 913, 917, 0, SimdLevel::Scalar);
+        let hash = shape_hash(911, 913, 917, SimdLevel::Scalar);
         let mut samples = 0u32;
         let k1 = auto_cached(hash, || {
             samples += 1;
@@ -792,7 +753,7 @@ mod tests {
         assert_eq!(samples, 2);
         // A different shape (even one colliding into the same slot) always
         // resamples on first sight: its tag cannot match the stored one.
-        let other = shape_hash(1911, 1913, 1917, 0, SimdLevel::Scalar);
+        let other = shape_hash(1911, 1913, 1917, SimdLevel::Scalar);
         assert_ne!(other, hash);
         let mut hit = false;
         auto_cached(other, || {
@@ -809,22 +770,19 @@ mod tests {
         // under another instruction set.
         let shapes = [(2911, 2913, 2917), (77, 401, 93)];
         for &(m, k, n) in &shapes {
-            for tag in 0..3u8 {
-                let per_level: Vec<u64> =
-                    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
-                        .iter()
-                        .map(|&l| shape_hash(m, k, n, tag, l))
-                        .collect();
-                assert_ne!(per_level[0], per_level[1], "m={m} tag={tag}");
-                assert_ne!(per_level[1], per_level[2], "m={m} tag={tag}");
-                assert_ne!(per_level[0], per_level[2], "m={m} tag={tag}");
-            }
+            let per_level: Vec<u64> = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+                .iter()
+                .map(|&l| shape_hash(m, k, n, l))
+                .collect();
+            assert_ne!(per_level[0], per_level[1], "m={m}");
+            assert_ne!(per_level[1], per_level[2], "m={m}");
+            assert_ne!(per_level[0], per_level[2], "m={m}");
         }
         // End to end: cache a decision under Scalar, then resolve the same
         // shape under another level — the cached Scalar decision must not be
         // served (the closure runs again for the new key).
-        let scalar_hash = shape_hash(2911, 2913, 2917, 0, SimdLevel::Scalar);
-        let avx_hash = shape_hash(2911, 2913, 2917, 0, SimdLevel::Avx2);
+        let scalar_hash = shape_hash(2911, 2913, 2917, SimdLevel::Scalar);
+        let avx_hash = shape_hash(2911, 2913, 2917, SimdLevel::Avx2);
         let mut samples = 0u32;
         assert_eq!(
             auto_cached(scalar_hash, || {

@@ -195,6 +195,23 @@ proptest! {
             simd::with_simd_level(level, || igemm(m, k, n, &a, &packed, &mut c));
             prop_assert_eq!(&c, &oracle, "i16 fallback diverged at {:?}", level);
         }
+
+        // The same counts as an `[k, 3, 3]` image under a 1×1 conv with
+        // padding 1: the conv lowerings must detect the wide counts too.
+        let spec = Conv2dSpec::new(1, 1, 1);
+        let img: Vec<i32> = (0..k * 9).map(|i| a[i % a.len()]).collect();
+        let pix = spec.output_size(3) * spec.output_size(3);
+        let mut conv_oracle = vec![0i32; n * pix];
+        simd::with_simd_level(SimdLevel::Scalar, || {
+            igemm_conv(&img, k, (3, 3), spec, &packed, &mut conv_oracle)
+        });
+        for level in hw_levels() {
+            let mut c = vec![0i32; n * pix];
+            simd::with_simd_level(level, || {
+                igemm_conv(&img, k, (3, 3), spec, &packed, &mut c)
+            });
+            prop_assert_eq!(&c, &conv_oracle, "conv i16 fallback diverged at {:?}", level);
+        }
     }
 
     #[test]
@@ -264,33 +281,46 @@ proptest! {
     }
 }
 
-/// Deterministic spot check that the AVX2/SSE2 conv path really is the
-/// im2row lowering of the same arithmetic: an asymmetric LeNet-like shape,
-/// accumulation into a non-zero output (the GEMMs add into `c`).
+/// Deterministic spot check that every SIMD conv route computes the same
+/// arithmetic as the scalar im2col oracle, accumulating into a non-zero
+/// output (the GEMMs add into `c`). The geometries are the served LeNet's
+/// two conv layers — large enough to reach the AVX2 kernel's 16-pixel
+/// strips, which the small proptest planes never do — plus a stride-2 case
+/// for the strided gather of the fused lowering.
 #[test]
 fn conv_simd_accumulates_like_scalar() {
-    let (in_c, h, w, out_c) = (3usize, 12usize, 10usize, 16usize);
-    let spec = Conv2dSpec::new(5, 1, 2);
-    let pix = spec.output_size(h) * spec.output_size(w);
-    let ckk = in_c * spec.kernel * spec.kernel;
+    // (in_c, h, w, out_c, kernel, stride, padding)
+    let geometries = [
+        (1usize, 28usize, 28usize, 3usize, 5usize, 1usize, 2usize),
+        (3, 14, 14, 8, 5, 1, 0),
+        (3, 17, 12, 16, 5, 2, 2),
+    ];
+    for (in_c, h, w, out_c, kernel, stride, padding) in geometries {
+        let spec = Conv2dSpec::new(kernel, stride, padding);
+        let pix = spec.output_size(h) * spec.output_size(w);
+        let ckk = in_c * kernel * kernel;
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let src = counts(in_c * h * w, &mut rng);
-    let wcodes = codes(out_c * ckk, &mut rng);
-    let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let src = counts(in_c * h * w, &mut rng);
+        let wcodes = codes(out_c * ckk, &mut rng);
+        let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
 
-    // Non-zero starting accumulator: both paths must add, not overwrite.
-    let bias: Vec<i32> = (0..out_c * pix).map(|i| (i as i32 % 97) - 48).collect();
+        // Non-zero starting accumulator: both paths must add, not overwrite.
+        let bias: Vec<i32> = (0..out_c * pix).map(|i| (i as i32 % 97) - 48).collect();
 
-    let mut oracle = bias.clone();
-    simd::with_simd_level(SimdLevel::Scalar, || {
-        igemm_conv(&src, in_c, (h, w), spec, &packed, &mut oracle)
-    });
-    for level in hw_levels() {
-        let mut c = bias.clone();
-        simd::with_simd_level(level, || {
-            igemm_conv(&src, in_c, (h, w), spec, &packed, &mut c)
+        let mut oracle = bias.clone();
+        simd::with_simd_level(SimdLevel::Scalar, || {
+            igemm_conv(&src, in_c, (h, w), spec, &packed, &mut oracle)
         });
-        assert_eq!(c, oracle, "accumulating conv diverged at {level:?}");
+        for level in hw_levels() {
+            let mut c = bias.clone();
+            simd::with_simd_level(level, || {
+                igemm_conv(&src, in_c, (h, w), spec, &packed, &mut c)
+            });
+            assert_eq!(
+                c, oracle,
+                "accumulating conv diverged at {level:?} ({in_c}x{h}x{w} k{kernel} s{stride} p{padding})"
+            );
+        }
     }
 }

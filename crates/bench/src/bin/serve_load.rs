@@ -17,10 +17,8 @@
 //! at a fixed total offered rate: the think time scales with the client
 //! count so 16, 64, and 256 connections all offer the same load, and the
 //! only variable is how many concurrent sockets the front end multiplexes.
-//! A flat p99 across that sweep is the event-loop design doing its job.
-//! The same 256-client arm then runs against the threaded front end at its
-//! default connection cap — the pre-event-loop architecture — which must
-//! either refuse the surplus connections or show materially worse tails.
+//! A flat p99 across that sweep, with no connection refused, is the
+//! event-loop design doing its job.
 //!
 //! Three observability phases follow:
 //!
@@ -61,7 +59,7 @@ use qsnc_quant::{
     WeightQuantMethod,
 };
 use qsnc_serve::protocol::{self, Status};
-use qsnc_serve::{FrontEnd, ServeConfig, Server};
+use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{init, TensorRng};
 
 /// Client counts for the classic saturating (no think time) sweep.
@@ -85,8 +83,8 @@ struct Sweep {
     ok: usize,
     busy: usize,
     /// Clients the server turned away (refused at accept, or a dead
-    /// socket before the first reply). Zero everywhere except the
-    /// over-cap threaded-baseline arm.
+    /// socket before the first reply). Counted only by the scale arms,
+    /// which must see zero.
     refused: usize,
     throughput_rps: f64,
     p50_us: f64,
@@ -118,9 +116,12 @@ struct ClientRun {
 /// One closed-loop client: `shots` request/reply round trips. With
 /// `think` set the shots follow an absolute per-client send schedule (one
 /// think period apart, phase-offset by client index) so paced arms offer a
-/// smooth aggregate rate. `tagged` selects protocol v2 frames. `tolerate_refusal` makes an at-accept [`Status::Busy`] (or a
-/// connection the server hung up on) a counted outcome instead of a panic
-/// — the over-cap baseline arm *wants* refusals.
+/// smooth aggregate rate. `tagged` selects protocol v2 frames.
+/// `tolerate_refusal` makes a refusal — a failed connect, an at-accept
+/// [`Status::Busy`], or a connection the server hung up on before its
+/// first reply — a counted outcome instead of a panic, so the scale sweep
+/// can report how many of its clients were turned away. A failure after
+/// the first reply still panics.
 #[allow(clippy::too_many_arguments)]
 fn run_client(
     addr: std::net::SocketAddr,
@@ -177,15 +178,15 @@ fn run_client(
         } else {
             protocol::write_request(&mut stream, &input)
         };
-        if wrote.is_err() && tolerate_refusal {
-            run.refused = run.ok == 0;
+        if wrote.is_err() && tolerate_refusal && run.ok == 0 {
+            run.refused = true;
             break;
         }
         wrote.expect("write");
         let reply = match protocol::read_reply(&mut stream) {
             Ok(r) => r,
-            Err(_) if tolerate_refusal => {
-                run.refused = run.ok == 0;
+            Err(_) if tolerate_refusal && run.ok == 0 => {
+                run.refused = true;
                 break;
             }
             Err(e) => panic!("reply: {e}"),
@@ -274,11 +275,12 @@ fn run_sweep(addr: std::net::SocketAddr, clients: usize, shots: usize) -> Sweep 
 /// the best (lowest-p99) of three repetitions — the same one-sided-noise
 /// argument as [`measured_rps`]: a shared host only ever adds latency, so
 /// the cleanest repetition is the closest estimate of the server itself.
-fn run_scale_arm(addr: std::net::SocketAddr, clients: usize, tolerate_refusal: bool) -> Sweep {
+/// Refused clients are counted, not fatal.
+fn run_scale_arm(addr: std::net::SocketAddr, clients: usize) -> Sweep {
     let think = Duration::from_secs_f64(clients as f64 / SCALE_OFFERED_RPS);
     let shots = (SCALE_TOTAL_SAMPLES / clients).max(8);
     (0..3)
-        .map(|_| run_arm(addr, clients, shots, Some(think), true, tolerate_refusal))
+        .map(|_| run_arm(addr, clients, shots, Some(think), true, true))
         .min_by(|a, b| a.p99_us.total_cmp(&b.p99_us))
         .expect("three repetitions")
 }
@@ -412,28 +414,22 @@ fn main() {
 
     // Phase 0b: the scale sweep. Fixed total offered load over tagged v2
     // frames; the client count is the only variable. The event loop must
-    // hold p99 flat; the threaded baseline at its default cap must refuse
-    // the surplus or pay in tail latency.
+    // hold p99 flat and refuse no one.
     let mut scale_table = Table::new(
         "scale sweep — fixed 640 req/s offered, protocol v2, paced closed-loop clients",
-        &["Front end", "Clients", "Ok", "Busy", "Refused", "Throughput (req/s)", "p50 (µs)", "p99 (µs)"],
+        &["Clients", "Ok", "Busy", "Refused", "Throughput (req/s)", "p50 (µs)", "p99 (µs)"],
     );
-    let scale_server = Server::spawn(
-        Arc::clone(&snn),
-        &[1, 28, 28],
-        "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::EventLoop, ..config.clone() },
-    )
-    .expect("spawn scale server");
+    let scale_server =
+        Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", config.clone())
+            .expect("spawn scale server");
     let mut scale_sweeps = Vec::new();
     // Untimed warm-up so arenas and per-batch tensors are sized before
     // the first measured arm.
     run_arm(scale_server.local_addr(), 16, 10, None, true, false);
     for &clients in &SCALE_CLIENT_COUNTS {
-        let sweep = run_scale_arm(scale_server.local_addr(), clients, false);
+        let sweep = run_scale_arm(scale_server.local_addr(), clients);
         assert_eq!(sweep.refused, 0, "event loop refused paced clients");
         scale_table.row(&[
-            "event-loop".to_string(),
             format!("{}", sweep.clients),
             format!("{}", sweep.ok),
             format!("{}", sweep.busy),
@@ -446,28 +442,6 @@ fn main() {
     }
     scale_server.shutdown();
 
-    // The pre-event-loop architecture at the same top client count, with
-    // its honest default connection cap (every connection costs a thread).
-    let baseline_server = Server::spawn(
-        Arc::clone(&snn),
-        &[1, 28, 28],
-        "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::Threaded, ..config.clone() },
-    )
-    .expect("spawn baseline server");
-    let max_clients = *SCALE_CLIENT_COUNTS.last().expect("non-empty");
-    let baseline = run_scale_arm(baseline_server.local_addr(), max_clients, true);
-    baseline_server.shutdown();
-    scale_table.row(&[
-        "threaded".to_string(),
-        format!("{}", baseline.clients),
-        format!("{}", baseline.ok),
-        format!("{}", baseline.busy),
-        format!("{}", baseline.refused),
-        format!("{:.1}", baseline.throughput_rps),
-        format!("{:.0}", baseline.p50_us),
-        format!("{:.0}", baseline.p99_us),
-    ]);
     let scale_p99_16 = scale_sweeps.first().map_or(0.0, |s| s.p99_us);
     let scale_p99_max = scale_sweeps.last().map_or(0.0, |s| s.p99_us);
 
@@ -565,14 +539,10 @@ fn main() {
         ))
         .note(format!(
             "scale sweep: p99 {scale_p99_16:.0}µs at {} clients vs {scale_p99_max:.0}µs at {} \
-             clients ({:.2}x) at a fixed 640 req/s offered; threaded baseline at {} clients: \
-             {} refused, p99 {:.0}µs",
+             clients ({:.2}x) at a fixed 640 req/s offered",
             SCALE_CLIENT_COUNTS[0],
-            max_clients,
+            SCALE_CLIENT_COUNTS[SCALE_CLIENT_COUNTS.len() - 1],
             if scale_p99_16 > 0.0 { scale_p99_max / scale_p99_16 } else { 0.0 },
-            max_clients,
-            baseline.refused,
-            baseline.p99_us,
         ))
         .note(format!(
             "telemetry overhead ({OVERHEAD_CLIENTS} clients): off {off_rps:.1} req/s vs \
@@ -604,24 +574,14 @@ fn main() {
                 let _ = writeln!(
                     f,
                     "{{\"name\": \"serve_scale_paced/clients_{}\", \"clients\": {}, \
-                     \"cores\": {cores}, \"front_end\": \"event-loop\", \
-                     \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \"ok\": {}, \"busy\": {}, \
+                     \"cores\": {cores}, \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \
+                     \"ok\": {}, \"busy\": {}, \
                      \"refused\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {:.0}, \
                      \"p99_us\": {:.0}}}",
                     s.clients, s.clients, s.ok, s.busy, s.refused, s.throughput_rps, s.p50_us,
                     s.p99_us
                 );
             }
-            let _ = writeln!(
-                f,
-                "{{\"name\": \"serve_threaded_baseline/clients_{}\", \"clients\": {}, \
-                 \"cores\": {cores}, \"front_end\": \"threaded\", \
-                 \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \"ok\": {}, \"busy\": {}, \
-                 \"refused\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {:.0}, \
-                 \"p99_us\": {:.0}}}",
-                baseline.clients, baseline.clients, baseline.ok, baseline.busy, baseline.refused,
-                baseline.throughput_rps, baseline.p50_us, baseline.p99_us
-            );
             let _ = writeln!(
                 f,
                 "{{\"name\": \"serve_telemetry_overhead\", \"cores\": {cores}, \

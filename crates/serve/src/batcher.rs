@@ -12,29 +12,22 @@
 
 use crate::event_loop::LoopShared;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a finished inference result goes. The threaded front end blocks a
-/// connection thread on a per-request channel; the event-loop front end
-/// routes the reply back to the loop that owns the connection via its
-/// completion queue + wakeup pipe.
-pub(crate) enum ReplyRoute {
-    /// Per-request rendezvous with a blocking connection thread.
-    Thread(Sender<WorkerReply>),
-    /// Hand-off to an event loop's completion queue (wakes the loop).
-    Loop {
-        /// The owning loop's shared half.
-        shared: Arc<LoopShared>,
-        /// Connection slot index in that loop.
-        conn: u32,
-        /// Slot generation — a stale completion (connection since closed
-        /// and slot reused) is dropped instead of misdelivered.
-        generation: u32,
-        /// The client's request tag (`None` for a v1 frame).
-        tag: Option<u32>,
-    },
+/// Where a finished inference result goes: back to the event loop that
+/// owns the connection, via its completion queue + wakeup pipe.
+pub(crate) struct ReplyRoute {
+    /// The owning loop's shared half.
+    pub(crate) shared: Arc<LoopShared>,
+    /// Connection slot index in that loop.
+    pub(crate) conn: u32,
+    /// Slot generation — a stale completion (connection since closed and
+    /// slot reused) is dropped instead of misdelivered.
+    pub(crate) generation: u32,
+    /// The client's request tag (`None` for a v1 frame).
+    pub(crate) tag: Option<u32>,
 }
 
 /// One admitted inference request travelling from a front end to a worker.
@@ -46,8 +39,9 @@ pub(crate) struct Request {
     /// never changes which engine serves it. `None` only in batcher unit
     /// tests, which exercise windowing without a compiled network.
     pub(crate) lease: Option<crate::registry::Lease>,
-    /// Where the worker sends the result.
-    pub(crate) route: ReplyRoute,
+    /// Where the worker sends the result. `None` only in batcher unit
+    /// tests, which never reach a worker.
+    pub(crate) route: Option<ReplyRoute>,
     /// When the request was admitted to the queue (serve.latency_us start).
     pub(crate) enqueued: Instant,
     /// Microseconds the front end spent decoding the frame (for the slow
@@ -59,7 +53,7 @@ pub(crate) struct Request {
 }
 
 /// A finished inference result, carrying the worker-side stage timings the
-/// connection thread needs to assemble a complete slow-request trace.
+/// event loop needs to assemble a complete slow-request trace.
 pub(crate) struct WorkerReply {
     /// Index of the largest logit.
     pub(crate) argmax: u32,
@@ -167,19 +161,15 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    fn request(v: f32) -> (Request, mpsc::Receiver<WorkerReply>) {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        (
-            Request {
-                input: vec![v],
-                lease: None,
-                route: ReplyRoute::Thread(reply_tx),
-                enqueued: Instant::now(),
-                decode_us: 0,
-                id: 0,
-            },
-            reply_rx,
-        )
+    fn request(v: f32) -> Request {
+        Request {
+            input: vec![v],
+            lease: None,
+            route: None,
+            enqueued: Instant::now(),
+            decode_us: 0,
+            id: 0,
+        }
     }
 
     #[test]
@@ -188,12 +178,9 @@ mod tests {
         let depth = Arc::new(AtomicUsize::new(0));
         // A generous delay: the flush below must come from the size bound.
         let mut batcher = MicroBatcher::new(rx, 3, Duration::from_secs(30), Arc::clone(&depth));
-        let mut replies = Vec::new();
         for i in 0..5 {
-            let (req, rrx) = request(i as f32);
             depth.fetch_add(1, Ordering::Relaxed);
-            tx.send(req).unwrap();
-            replies.push(rrx);
+            tx.send(request(i as f32)).unwrap();
         }
         let start = Instant::now();
         let batch = batcher.next_batch().expect("batch");
@@ -209,9 +196,8 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel(16);
         let depth = Arc::new(AtomicUsize::new(0));
         let mut batcher = MicroBatcher::new(rx, 8, Duration::from_millis(20), Arc::clone(&depth));
-        let (req, _rrx) = request(7.0);
         depth.fetch_add(1, Ordering::Relaxed);
-        tx.send(req).unwrap();
+        tx.send(request(7.0)).unwrap();
         let batch = batcher.next_batch().expect("batch");
         assert_eq!(batch.len(), 1, "deadline must flush a partial batch");
         // Keep the sender alive to this point so disconnect wasn't the cause.
@@ -223,12 +209,9 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel(16);
         let depth = Arc::new(AtomicUsize::new(0));
         let mut batcher = MicroBatcher::new(rx, 2, Duration::from_millis(5), Arc::clone(&depth));
-        let mut replies = Vec::new();
         for i in 0..3 {
-            let (req, rrx) = request(i as f32);
             depth.fetch_add(1, Ordering::Relaxed);
-            tx.send(req).unwrap();
-            replies.push(rrx);
+            tx.send(request(i as f32)).unwrap();
         }
         drop(tx);
         assert_eq!(batcher.next_batch().expect("first").len(), 2);

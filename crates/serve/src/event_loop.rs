@@ -1,5 +1,5 @@
-//! The epoll readiness front end: a small number of event-loop threads own
-//! every client socket, replacing thread-per-connection blocking I/O.
+//! The epoll readiness front end — the server's only connection handler: a
+//! small number of event-loop threads own every client socket.
 //!
 //! ## Shape
 //!
@@ -25,14 +25,14 @@
 //! [`LoopConfig::max_inflight`] requests may be in flight per connection
 //! and replies return tagged in completion order — out of order is
 //! expected and correct. The per-connection budget answers
-//! [`Status::Busy`] (tagged) when exhausted; the bounded admission queue
-//! answers `Busy` exactly as the threaded front end does; and a
-//! connection whose output buffer passes the high-water mark stops being
-//! *read* (its `EPOLLIN` interest drops) until the client drains replies,
-//! so a slow reader throttles itself through TCP instead of growing
-//! server memory. A v1 (untagged) frame gates parsing until its reply is
-//! written — the reply is only identifiable by arrival order — which
-//! preserves exact PR 4 lockstep semantics on the same port.
+//! [`Status::Busy`] (tagged) when exhausted; a full bounded admission
+//! queue answers `Busy` too; and a connection whose output buffer passes
+//! the high-water mark stops being *read* (its `EPOLLIN` interest drops)
+//! until the client drains replies, so a slow reader throttles itself
+//! through TCP instead of growing server memory. A v1 (untagged) frame
+//! gates parsing until its reply is written — the reply is only
+//! identifiable by arrival order — which preserves exact v1 lockstep
+//! semantics on the same port.
 //!
 //! ## Drain
 //!
@@ -748,12 +748,12 @@ impl EventLoop {
         let req = Request {
             input,
             lease: Some(lease),
-            route: ReplyRoute::Loop {
+            route: Some(ReplyRoute {
                 shared: Arc::clone(&self.shared),
                 conn: idx as u32,
                 generation: conn.generation,
                 tag,
-            },
+            }),
             enqueued,
             decode_us,
             id,

@@ -1,8 +1,8 @@
 //! Stand-in for [`event_loop`](crate::event_loop) on platforms without the
-//! raw-syscall epoll layer (`crate::sys`). [`crate::FrontEnd::resolve`]
-//! never selects the event-loop front end here, so none of this runs — it
-//! only keeps the crate compiling with one code path for the batcher and
-//! workers on every platform.
+//! raw-syscall epoll layer (`crate::sys`). Its [`spawn`] always fails with
+//! [`io::ErrorKind::Unsupported`], so [`crate::Server::spawn`] reports the
+//! platform as unsupported; the rest only keeps the crate compiling with
+//! one code path for the batcher and workers on every platform.
 
 #![allow(dead_code)]
 

@@ -6,29 +6,25 @@
 //! (the epoll front end issues its three syscalls with inline assembly
 //! rather than pulling in `libc`).
 //!
-//! Two front ends share one pipeline (see [`FrontEnd`]):
+//! One front end feeds the pipeline: a small number of epoll readiness
+//! loops own every client socket non-blocking. Protocol v2 frames carry a
+//! request *tag*, so one connection can hold many requests in flight and
+//! take replies out of order ([`protocol::write_request_tagged`]); v1
+//! untagged lockstep frames keep working unchanged on the same port.
+//! Per-connection backpressure: an in-flight budget
+//! ([`ServeConfig::max_inflight_per_conn`]) answers [`Status::Busy`] when
+//! exhausted, and a slow reader's output buffer passing its high-water
+//! mark pauses reads from that client until it drains. The epoll layer
+//! exists on Linux x86-64 and aarch64 only; on any other platform
+//! [`Server::spawn`] fails with [`io::ErrorKind::Unsupported`].
 //!
-//! - **Event loop** (default on Linux x86-64/aarch64) — a small number of
-//!   epoll readiness loops own every client socket non-blocking. Protocol
-//!   v2 frames carry a request *tag*, so one connection can hold many
-//!   requests in flight and take replies out of order
-//!   ([`protocol::write_request_tagged`]); v1 untagged lockstep frames
-//!   keep working unchanged on the same port. Per-connection backpressure:
-//!   an in-flight budget ([`ServeConfig::max_inflight_per_conn`]) answers
-//!   [`Status::Busy`] when exhausted, and a slow reader's output buffer
-//!   passing its high-water mark pauses reads from that client until it
-//!   drains.
-//! - **Threaded** — the PR 4 design, one blocking thread per connection,
-//!   kept as a baseline and portability fallback, now bounded by
-//!   [`ServeConfig::max_conns`] (a thread-per-connection front end cannot
-//!   honestly accept unbounded clients).
+//! One request's journey:
 //!
-//! One request's journey (either front end):
-//!
-//! 1. The front end decodes a length-prefixed binary frame ([`protocol`])
-//!    and admits the request to a **bounded queue**. A full queue answers
-//!    [`Status::Busy`] immediately — explicit backpressure instead of
-//!    unbounded buffering.
+//! 1. The event loop walks a complete length-prefixed binary frame out of
+//!    the connection's read buffer ([`protocol::parse_frame`]), decodes
+//!    its payload, and admits the request to a **bounded queue**. A full
+//!    queue answers [`Status::Busy`] immediately — explicit backpressure
+//!    instead of unbounded buffering.
 //! 2. The **micro-batcher** collects admitted requests into a batch,
 //!    flushing when `max_batch` requests arrived or `max_delay_us` elapsed
 //!    since the first — whichever comes first.
@@ -39,10 +35,9 @@
 //!    serving at a warm batch size performs zero fresh scratch allocations
 //!    (workers are persistent threads, so the `qsnc_tensor::scratch` arena
 //!    stays warm).
-//! 4. The result returns to the front end — a rendezvous channel to the
-//!    blocking connection thread, or the owning event loop's completion
-//!    queue plus a wakeup byte — which encodes the logits + argmax frame,
-//!    echoing the request's tag.
+//! 4. The result returns to the owning event loop's completion queue plus
+//!    a wakeup byte; the loop encodes the logits + argmax frame, echoing
+//!    the request's tag.
 //!
 //! [`Server::shutdown`] drains: accepting stops, no new frames are
 //! admitted, every request already admitted (including tagged in-flight
@@ -70,8 +65,8 @@
 //! fixed-bucket histograms; `serve.latency_us` and the per-stage
 //! `serve.stage.{decode,queue,infer,encode}.us` quantile sketches; the
 //! `serve.rejected` counter; plus `serve.requests` / `serve.batches` /
-//! `serve.connections` / `serve.bad_requests` totals. The event-loop
-//! front end adds `serve.conn.active` / `serve.conn.inflight` histograms,
+//! `serve.connections` / `serve.bad_requests` totals; the
+//! `serve.conn.active` / `serve.conn.inflight` histograms,
 //! `serve.conn.refused` / `serve.conn.rejected` counters, and
 //! `serve.loop.{wakeups,events,completions}` counters with the
 //! `serve.loop.dispatch.us` sketch. Multi-model serving adds the
@@ -89,6 +84,12 @@
 //! `GET /healthz`. See [`mod@admin`].
 
 #![warn(missing_docs)]
+// Without the epoll layer nothing drives the pipeline (`Server::spawn`
+// fails with `Unsupported`), so its parts are dead code there.
+#![cfg_attr(
+    not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))),
+    allow(dead_code)
+)]
 
 pub mod admin;
 mod batcher;
@@ -108,46 +109,19 @@ mod event_loop;
 pub use protocol::{Reply, Status};
 pub use registry::{ModelSpec, ModelStatus, SwapReport};
 
-use batcher::{MicroBatcher, ReplyRoute, Request, WorkerReply, QUEUE_DEPTH_EDGES};
+use batcher::{MicroBatcher, ReplyRoute, Request, WorkerReply};
 use event_loop::{Completion, LoopConfig, LoopShared};
 use qsnc_memristor::SpikingNetwork;
 use qsnc_tensor::Tensor;
-use registry::{Lease, ModelEntry, ModelRegistry, ModelVersion};
+use registry::ModelRegistry;
 use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Whether this build has the raw-syscall epoll layer ([`mod@sys`] exists
-/// only on Linux x86-64/aarch64).
-const EPOLL_SUPPORTED: bool =
-    cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")));
-
-/// Which connection-handling architecture the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Epoll readiness loops with non-blocking sockets and connection
-    /// multiplexing (protocol v2 tags). The default where supported.
-    EventLoop,
-    /// One blocking thread per connection (the original design): simple,
-    /// portable, capped at [`ServeConfig::max_conns`] concurrent clients.
-    Threaded,
-}
-
-impl FrontEnd {
-    /// The front end that will actually run: [`FrontEnd::EventLoop`] falls
-    /// back to [`FrontEnd::Threaded`] on platforms without the epoll layer.
-    pub fn resolve(self) -> FrontEnd {
-        match self {
-            FrontEnd::EventLoop if !EPOLL_SUPPORTED => FrontEnd::Threaded,
-            other => other,
-        }
-    }
-}
 
 /// Serving parameters. `..Default::default()` gives the production knobs;
 /// `from_env` layers the `QSNC_SERVE_*` environment overrides on top.
@@ -164,26 +138,18 @@ pub struct ServeConfig {
     /// Inference worker threads. One is right for single-core deployments;
     /// each worker keeps its own warm scratch arena.
     pub workers: usize,
-    /// Connection-handling architecture (`QSNC_SERVE_FRONT_END`:
-    /// `event-loop` or `threaded`). Resolved through
-    /// [`FrontEnd::resolve`], so requesting the event loop on an
-    /// unsupported platform runs threaded instead of failing.
-    pub front_end: FrontEnd,
     /// Event-loop threads (`QSNC_SERVE_LOOPS`). One loop comfortably
     /// multiplexes hundreds of connections; add loops when accept/IO work
-    /// itself saturates a core. Ignored by the threaded front end.
+    /// itself saturates a core.
     pub loops: usize,
     /// Per-connection in-flight request budget over the multiplexed v2
     /// protocol (`QSNC_SERVE_MAX_INFLIGHT_PER_CONN`); the budget'th + 1
     /// concurrent request on one connection is answered [`Status::Busy`]
-    /// with its tag. Ignored by the threaded front end (which is
-    /// inherently lockstep).
+    /// with its tag.
     pub max_inflight_per_conn: usize,
-    /// Concurrent-connection cap (`QSNC_SERVE_MAX_CONNS`). `None` picks
-    /// the front end's default: 4096 for the event loop, 128 for the
-    /// threaded front end (each connection there costs a blocking thread).
+    /// Concurrent-connection cap (`QSNC_SERVE_MAX_CONNS`, default 4096).
     /// Connections over the cap are refused with [`Status::Busy`].
-    pub max_conns: Option<usize>,
+    pub max_conns: usize,
     /// Bind address for the admin observability endpoint
     /// (`QSNC_SERVE_ADMIN_ADDR`; e.g. `127.0.0.1:0`). `None` — the
     /// default — serves no admin plane at all. When set and telemetry is
@@ -209,13 +175,6 @@ pub struct ServeConfig {
     pub swap_drain_ms: u64,
 }
 
-/// Default connection cap for the event-loop front end.
-const DEFAULT_MAX_CONNS_EVENT_LOOP: usize = 4096;
-
-/// Default connection cap for the threaded front end — every connection
-/// holds a blocking OS thread, so the honest bound is small.
-const DEFAULT_MAX_CONNS_THREADED: usize = 128;
-
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
@@ -223,10 +182,9 @@ impl Default for ServeConfig {
             max_delay_us: 200,
             queue_cap: 64,
             workers: 1,
-            front_end: FrontEnd::EventLoop,
             loops: 1,
             max_inflight_per_conn: 32,
-            max_conns: None,
+            max_conns: 4096,
             admin_addr: None,
             slow_us: None,
             model_quota: None,
@@ -238,7 +196,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Default config with the `QSNC_SERVE_*` environment overrides
     /// applied (invalid values are ignored): `MAX_BATCH`, `MAX_DELAY_US`,
-    /// `FRONT_END`, `LOOPS`, `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`,
+    /// `LOOPS`, `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`,
     /// `ADMIN_ADDR`, `SLOW_US`, `MODEL_QUOTA`, `SWAP_DRAIN_MS`.
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
@@ -248,13 +206,6 @@ impl ServeConfig {
         if let Some(v) = env_parse("QSNC_SERVE_MAX_DELAY_US") {
             config.max_delay_us = v;
         }
-        if let Ok(v) = std::env::var("QSNC_SERVE_FRONT_END") {
-            match v.trim() {
-                "threaded" | "thread" => config.front_end = FrontEnd::Threaded,
-                "event-loop" | "event_loop" | "epoll" => config.front_end = FrontEnd::EventLoop,
-                _ => {}
-            }
-        }
         if let Some(v) = env_parse("QSNC_SERVE_LOOPS") {
             config.loops = 1.max(v as usize);
         }
@@ -262,7 +213,7 @@ impl ServeConfig {
             config.max_inflight_per_conn = 1.max(v as usize);
         }
         if let Some(v) = env_parse("QSNC_SERVE_MAX_CONNS") {
-            config.max_conns = Some(1.max(v as usize));
+            config.max_conns = 1.max(v as usize);
         }
         if let Ok(addr) = std::env::var("QSNC_SERVE_ADMIN_ADDR") {
             let addr = addr.trim();
@@ -298,28 +249,12 @@ fn argmax_slice(v: &[f32]) -> usize {
     best
 }
 
-/// A connection's read half (for the shutdown nudge; `None` if the clone
-/// failed) plus its thread handle.
-type ConnSlot = (Option<TcpStream>, JoinHandle<()>);
-
 /// Process-wide request ids, so flight-recorder traces from concurrent
 /// connections stay distinguishable. Only assigned while telemetry is on.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
 pub(crate) fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The per-front-end half of a running [`Server`].
-enum FrontHandles {
-    Threaded {
-        acceptor: Option<JoinHandle<()>>,
-        conns: Arc<Mutex<Vec<ConnSlot>>>,
-    },
-    EventLoop {
-        loops: Vec<JoinHandle<()>>,
-        shareds: Vec<Arc<LoopShared>>,
-    },
 }
 
 /// A running inference server. Dropping it (or calling
@@ -329,7 +264,8 @@ pub struct Server {
     admin_addr: Option<SocketAddr>,
     running: Arc<AtomicBool>,
     req_tx: Option<SyncSender<Request>>,
-    front: FrontHandles,
+    loops: Vec<JoinHandle<()>>,
+    shareds: Vec<Arc<LoopShared>>,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
@@ -344,7 +280,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind/listen error, if any.
+    /// Returns the bind/listen error, if any, and
+    /// [`io::ErrorKind::Unsupported`] on a platform without the epoll
+    /// layer (anything but Linux x86-64/aarch64).
     ///
     /// # Panics
     ///
@@ -426,7 +364,8 @@ impl Server {
     ///
     /// An empty spec list, a duplicate or malformed model name
     /// ([`ModelSpec::name`]) surfaces as [`io::ErrorKind::InvalidInput`];
-    /// bind/listen errors pass through.
+    /// bind/listen errors pass through; a platform without the epoll layer
+    /// yields [`io::ErrorKind::Unsupported`].
     ///
     /// # Panics
     ///
@@ -560,60 +499,39 @@ impl Server {
             })
             .collect();
 
-        let front = match config.front_end.resolve() {
-            FrontEnd::EventLoop => {
-                let max_conns = config.max_conns.unwrap_or(DEFAULT_MAX_CONNS_EVENT_LOOP);
-                let loop_cfg = LoopConfig {
-                    registry: Arc::clone(&registry),
-                    max_inflight: config.max_inflight_per_conn,
-                    // The cap is per loop; split the budget across loops so
-                    // the process-wide total honors the config.
-                    max_conns: max_conns.div_ceil(config.loops),
-                    slow_us: config.slow_us,
-                };
-                let (loops, shareds) = event_loop::spawn(
-                    listener,
-                    config.loops,
-                    loop_cfg,
-                    Arc::clone(&running),
-                    req_tx.clone(),
-                    Arc::clone(&depth),
-                    Arc::new(AtomicUsize::new(0)),
-                )?;
-                FrontHandles::EventLoop { loops, shareds }
-            }
-            FrontEnd::Threaded => {
-                let conns: Arc<Mutex<Vec<ConnSlot>>> = Arc::new(Mutex::new(Vec::new()));
-                let max_conns = config.max_conns.unwrap_or(DEFAULT_MAX_CONNS_THREADED);
-                let acceptor = {
-                    let running = Arc::clone(&running);
-                    let conns = Arc::clone(&conns);
-                    let req_tx = req_tx.clone();
-                    let depth = Arc::clone(&depth);
-                    let slow_us = config.slow_us;
-                    let registry = Arc::clone(&registry);
-                    std::thread::spawn(move || {
-                        acceptor_loop(
-                            &listener, &running, req_tx, &conns, &registry, &depth, slow_us,
-                            max_conns,
-                        )
-                    })
-                };
-                FrontHandles::Threaded { acceptor: Some(acceptor), conns }
-            }
+        let loop_cfg = LoopConfig {
+            registry: Arc::clone(&registry),
+            max_inflight: config.max_inflight_per_conn,
+            // The cap is per loop; split the budget across loops so the
+            // process-wide total honors the config.
+            max_conns: config.max_conns.div_ceil(config.loops),
+            slow_us: config.slow_us,
         };
-
-        Ok(Server {
+        let loops = event_loop::spawn(
+            listener,
+            config.loops,
+            loop_cfg,
+            Arc::clone(&running),
+            req_tx.clone(),
+            Arc::clone(&depth),
+            Arc::new(AtomicUsize::new(0)),
+        );
+        let mut server = Server {
             addr: local,
             admin_addr,
             running,
             req_tx: Some(req_tx),
-            front,
+            loops: Vec::new(),
+            shareds: Vec::new(),
             batcher: Some(batcher),
             workers,
             admin: admin_handle,
             registry,
-        })
+        };
+        // On failure `server` drops here, joining the batcher, workers and
+        // admin plane already started.
+        (server.loops, server.shareds) = loops?;
+        Ok(server)
     }
 
     /// Loads a `.qsnca` deployment artifact and serves it — the cold-start
@@ -694,46 +612,19 @@ impl Server {
         self.drain();
     }
 
+    /// Idempotent: every handle is taken as it is joined, so the `Drop`
+    /// after [`Server::shutdown`] finds nothing left to do.
     fn drain(&mut self) {
-        match &mut self.front {
-            FrontHandles::Threaded { acceptor, conns } => {
-                let Some(acceptor) = acceptor.take() else { return };
-                self.running.store(false, Ordering::SeqCst);
-                // Unblock the acceptor; refused is fine — it means the
-                // acceptor already exited on a late real connection.
-                let _ = TcpStream::connect(self.addr);
-                let _ = acceptor.join();
-                // Nudge idle connections off their blocking reads; threads
-                // mid request still receive and write their reply first,
-                // because the batcher and workers below outlive the
-                // connection joins.
-                let conns = std::mem::take(&mut *conns.lock().unwrap());
-                for (stream, _) in &conns {
-                    if let Some(s) = stream {
-                        let _ = s.shutdown(Shutdown::Read);
-                    }
-                }
-                for (_, handle) in conns {
-                    let _ = handle.join();
-                }
-            }
-            FrontHandles::EventLoop { loops, shareds } => {
-                if loops.is_empty() {
-                    return;
-                }
-                self.running.store(false, Ordering::SeqCst);
-                // Wake every loop; each stops parsing, answers its
-                // in-flight requests (workers below are still running),
-                // flushes, and exits.
-                for s in shareds.iter() {
-                    s.wake();
-                }
-                for h in loops.drain(..) {
-                    let _ = h.join();
-                }
-                shareds.clear();
-            }
+        self.running.store(false, Ordering::SeqCst);
+        // Wake every loop; each stops parsing, answers its in-flight
+        // requests (workers below are still running), flushes, and exits.
+        for s in &self.shareds {
+            s.wake();
         }
+        for h in self.loops.drain(..) {
+            let _ = h.join();
+        }
+        self.shareds.clear();
         // All producers are gone: the batcher drains the queue, flushes the
         // final partial batch, and hangs up on the workers.
         drop(self.req_tx.take());
@@ -766,288 +657,8 @@ impl std::fmt::Debug for Server {
             .field("addr", &self.addr)
             .field("admin_addr", &self.admin_addr)
             .field("running", &self.running.load(Ordering::Relaxed))
-            .field(
-                "front_end",
-                match &self.front {
-                    FrontHandles::Threaded { .. } => &FrontEnd::Threaded,
-                    FrontHandles::EventLoop { .. } => &FrontEnd::EventLoop,
-                },
-            )
+            .field("loops", &self.loops.len())
             .finish()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn acceptor_loop(
-    listener: &TcpListener,
-    running: &AtomicBool,
-    req_tx: SyncSender<Request>,
-    conns: &Mutex<Vec<ConnSlot>>,
-    registry: &Arc<ModelRegistry>,
-    depth: &Arc<AtomicUsize>,
-    slow_us: Option<u64>,
-    max_conns: usize,
-) {
-    let active = Arc::new(AtomicUsize::new(0));
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if !running.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if !running.load(Ordering::SeqCst) {
-            // The shutdown nudge, or a client racing it.
-            let mut stream = stream;
-            let _ = protocol::write_error_reply(
-                &mut stream,
-                None,
-                Status::ShuttingDown,
-                "server shutting down",
-            );
-            break;
-        }
-        if active.load(Ordering::Relaxed) >= max_conns {
-            // Every connection costs a blocking thread here: refuse past
-            // the cap instead of degrading the whole process.
-            qsnc_telemetry::counter_add("serve.conn.refused", 1);
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = protocol::write_error_reply(
-                &mut stream,
-                None,
-                Status::Busy,
-                "connection limit reached: retry later",
-            );
-            continue;
-        }
-        qsnc_telemetry::counter_add("serve.connections", 1);
-        let _ = stream.set_nodelay(true);
-        // A reply write can only block on a client that stopped reading;
-        // bound it so shutdown can always join this thread.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let read_half = stream.try_clone().ok();
-        let tx = req_tx.clone();
-        let d = Arc::clone(depth);
-        let reg = Arc::clone(registry);
-        active.fetch_add(1, Ordering::Relaxed);
-        let active_thread = Arc::clone(&active);
-        let handle = std::thread::spawn(move || {
-            connection_loop(stream, &reg, &tx, &d, slow_us);
-            active_thread.fetch_sub(1, Ordering::Relaxed);
-        });
-        conns.lock().unwrap().push((read_half, handle));
-    }
-}
-
-fn connection_loop(
-    mut stream: TcpStream,
-    registry: &Arc<ModelRegistry>,
-    req_tx: &SyncSender<Request>,
-    depth: &AtomicUsize,
-    slow_us: Option<u64>,
-) {
-    let mut input: Vec<f32> = Vec::new();
-    loop {
-        // One relaxed atomic load per request: with telemetry off the
-        // untraced read path takes no timestamps at all.
-        let tele = qsnc_telemetry::enabled();
-        // The model the frame being read resolves to, stashed by the
-        // lookup callback mid-read so admission can lease the same engine
-        // snapshot the payload was validated against.
-        let mut resolved: Option<(Arc<ModelEntry>, Arc<ModelVersion>)> = None;
-        let read = {
-            let resolved = &mut resolved;
-            let mut lookup = |model: Option<u32>| -> Option<usize> {
-                let (entry, version) = registry.resolve(model)?;
-                let input_len = version.input_len;
-                *resolved = Some((entry, version));
-                Some(input_len)
-            };
-            if tele {
-                protocol::read_request_routed_traced(&mut stream, &mut lookup, &mut input)
-            } else {
-                protocol::read_request_routed(&mut stream, &mut lookup, &mut input)
-            }
-        };
-        match read {
-            Ok(meta) => {
-                let (entry, version) =
-                    resolved.take().expect("a parsed request always resolved its model");
-                // The quota tier: this model at capacity answers Busy
-                // without touching the shared queue.
-                let Some(lease) = Lease::acquire(&entry, &version) else {
-                    qsnc_telemetry::counter_add(&entry.tele_rejected, 1);
-                    if protocol::write_error_reply(
-                        &mut stream,
-                        meta.tag,
-                        Status::Busy,
-                        "model admission quota reached: retry",
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                };
-                let id = if tele { next_request_id() } else { 0 };
-                let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-                let admitted = Instant::now();
-                let req = Request {
-                    input: std::mem::take(&mut input),
-                    lease: Some(lease),
-                    route: ReplyRoute::Thread(reply_tx),
-                    enqueued: admitted,
-                    decode_us: meta.decode_us,
-                    id,
-                };
-                // Count before sending so the batcher's decrement can never
-                // observe the admission before the gauge does.
-                let occupied = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                match req_tx.try_send(req) {
-                    Ok(()) => {
-                        if tele {
-                            qsnc_telemetry::counter_add("serve.requests", 1);
-                            qsnc_telemetry::counter_add(&entry.tele_requests, 1);
-                            qsnc_telemetry::quantile_observe(
-                                "serve.stage.decode.us",
-                                meta.decode_us as f64,
-                            );
-                            qsnc_telemetry::observe(
-                                "serve.queue.depth",
-                                occupied as f64,
-                                QUEUE_DEPTH_EDGES,
-                            );
-                        }
-                        match reply_rx.recv() {
-                            Ok(reply) => {
-                                let t_encode = tele.then(Instant::now);
-                                if protocol::write_ok_reply(
-                                    &mut stream,
-                                    meta.tag,
-                                    reply.argmax,
-                                    &reply.logits,
-                                )
-                                .is_err()
-                                {
-                                    break;
-                                }
-                                if let Some(t_encode) = t_encode {
-                                    let encode_us = t_encode.elapsed().as_micros() as u64;
-                                    let total_us = admitted.elapsed().as_micros() as u64;
-                                    qsnc_telemetry::quantile_observe(
-                                        "serve.stage.encode.us",
-                                        encode_us as f64,
-                                    );
-                                    qsnc_telemetry::quantile_observe(
-                                        "serve.latency_us",
-                                        total_us as f64,
-                                    );
-                                    if slow_us.is_some_and(|slow| total_us >= slow) {
-                                        qsnc_telemetry::flight_record(
-                                            "serve.slow",
-                                            id,
-                                            &[
-                                                ("decode_us", meta.decode_us),
-                                                ("queue_us", reply.queue_us),
-                                                ("infer_us", reply.infer_us),
-                                                ("encode_us", encode_us),
-                                                ("total_us", total_us),
-                                                ("batch", u64::from(reply.batch)),
-                                            ],
-                                        );
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                // Worker gone before answering (only on
-                                // teardown): tell the client and bail.
-                                let _ = protocol::write_error_reply(
-                                    &mut stream,
-                                    meta.tag,
-                                    Status::ShuttingDown,
-                                    "server draining",
-                                );
-                                break;
-                            }
-                        }
-                    }
-                    Err(TrySendError::Full(req)) => {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        drop(req);
-                        qsnc_telemetry::counter_add("serve.rejected", 1);
-                        if protocol::write_error_reply(
-                            &mut stream,
-                            meta.tag,
-                            Status::Busy,
-                            "request queue full (backpressure): retry",
-                        )
-                        .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(req)) => {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        drop(req);
-                        let _ = protocol::write_error_reply(
-                            &mut stream,
-                            meta.tag,
-                            Status::ShuttingDown,
-                            "server shutting down",
-                        );
-                        break;
-                    }
-                }
-            }
-            Err(protocol::FrameError::Bad(msg)) => {
-                qsnc_telemetry::counter_add("serve.bad_requests", 1);
-                if protocol::write_error_reply(&mut stream, None, Status::BadRequest, &msg)
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Err(protocol::FrameError::UnknownModel { tag, model }) => {
-                // The payload was consumed, so the stream is still framed:
-                // answer the offending tag and keep serving the connection.
-                qsnc_telemetry::counter_add("serve.model.unknown", 1);
-                qsnc_telemetry::counter_add("serve.bad_requests", 1);
-                if protocol::write_error_reply(
-                    &mut stream,
-                    tag,
-                    Status::UnknownModel,
-                    &protocol::FrameError::unknown_model_message(model),
-                )
-                .is_err()
-                {
-                    break;
-                }
-            }
-            Err(protocol::FrameError::TooLarge { tag, declared }) => {
-                // Oversized declaration: reply to the offending tag (so a
-                // multiplexed client sees *which* request died) before
-                // closing the unresynchronizable stream.
-                qsnc_telemetry::counter_add("serve.bad_requests", 1);
-                let _ = protocol::write_error_reply(
-                    &mut stream,
-                    tag,
-                    Status::BadRequest,
-                    &protocol::FrameError::too_large_message(declared),
-                );
-                break;
-            }
-            Err(protocol::FrameError::Fatal(msg)) => {
-                qsnc_telemetry::counter_add("serve.bad_requests", 1);
-                let _ = protocol::write_error_reply(&mut stream, None, Status::BadRequest, &msg);
-                break;
-            }
-            Err(protocol::FrameError::Disconnected) | Err(protocol::FrameError::Io(_)) => break,
-        }
     }
 }
 
@@ -1110,24 +721,19 @@ fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
                 qsnc_telemetry::quantile_observe("serve.stage.queue.us", queue_us as f64);
             }
             let reply = WorkerReply { argmax, logits, queue_us, infer_us, batch: b as u32 };
-            match req.route {
-                // A send error means the client hung up mid-request; the
-                // connection thread already noticed, nothing to do.
-                ReplyRoute::Thread(tx) => {
-                    let _ = tx.send(reply);
-                }
-                // The loop drops the completion itself if the connection
-                // died first (generation mismatch).
-                ReplyRoute::Loop { shared, conn, generation, tag } => shared.complete(Completion {
-                    conn,
-                    generation,
-                    tag,
-                    reply,
-                    enqueued: req.enqueued,
-                    decode_us: req.decode_us,
-                    id: req.id,
-                }),
-            }
+            let ReplyRoute { shared, conn, generation, tag } =
+                req.route.expect("served requests always carry a reply route");
+            // The loop drops the completion itself if the connection died
+            // first (generation mismatch).
+            shared.complete(Completion {
+                conn,
+                generation,
+                tag,
+                reply,
+                enqueued: req.enqueued,
+                decode_us: req.decode_us,
+                id: req.id,
+            });
         }
     }
 }

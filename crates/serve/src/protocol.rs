@@ -73,7 +73,6 @@
 //! request rather than seeing a bare disconnect.
 
 use std::io::{self, Read, Write};
-use std::time::Instant;
 
 /// Frame magic: the bytes `QSNC` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"QSNC");
@@ -157,11 +156,9 @@ pub struct Reply {
     pub message: String,
 }
 
-/// Why reading a request frame failed.
+/// Why a request frame was rejected.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The peer closed the connection (cleanly or mid-frame).
-    Disconnected,
     /// Well-framed but invalid request; the connection can continue.
     Bad(String),
     /// Unframeable input (bad magic, unknown version); the connection
@@ -180,48 +177,21 @@ pub enum FrameError {
         /// The declared payload length.
         declared: u32,
     },
-    /// A v3 frame named a model id the server's registry does not hold.
-    /// The payload was consumed (its length parsed fine), so the stream
-    /// stays framed and the connection survives; the server must send
-    /// `tag` a [`Status::UnknownModel`] reply.
-    UnknownModel {
-        /// Tag of the offending frame.
-        tag: Option<u32>,
-        /// The model id no registered model answers to.
-        model: u32,
-    },
-    /// Transport error.
-    Io(io::Error),
 }
 
 impl FrameError {
-    /// The reply message both front ends send for a [`FrameError::TooLarge`]
+    /// The reply message the server sends for a [`FrameError::TooLarge`]
     /// rejection, kept in one place so v1 and v2 clients see the same text.
     pub fn too_large_message(declared: u32) -> String {
         format!("frame of {declared} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     }
 
-    /// The reply message both front ends send for a
-    /// [`FrameError::UnknownModel`] rejection.
+    /// The message of the tagged [`Status::UnknownModel`] reply the server
+    /// sends for a v3 frame naming a model id no registered model answers
+    /// to.
     pub fn unknown_model_message(model: u32) -> String {
         format!("no model registered under id {model}")
     }
-}
-
-/// Everything the server needs to know about one well-framed request
-/// beyond its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestMeta {
-    /// The client's tag (`None` for a v1 frame). The reply must carry the
-    /// same tag — in a v2 frame when the request was v2 **or v3** (model
-    /// routing never changes the reply wire format).
-    pub tag: Option<u32>,
-    /// The model id a v3 frame routed to (`None` for v1/v2 frames, which
-    /// route to the default model).
-    pub model: Option<u32>,
-    /// Microseconds spent reading + parsing the payload after the header
-    /// arrived (zero on the untraced path).
-    pub decode_us: u64,
 }
 
 /// Outcome of [`parse_frame`] on a byte buffer that may hold a partial
@@ -244,9 +214,9 @@ pub struct FrameView {
     pub consumed: usize,
 }
 
-/// Incremental server-side parser for the non-blocking front end: examines
+/// The server's one request decoder, for every protocol version: examines
 /// the start of `buf` and returns `Ok(None)` when more bytes are needed,
-/// `Ok(Some(view))` when a complete frame (of either version) is present,
+/// `Ok(Some(view))` when a complete v1, v2 or v3 frame is present,
 /// or an error when the stream cannot be resynchronized —
 /// [`FrameError::Fatal`] for bad magic / unknown version,
 /// [`FrameError::TooLarge`] (tag preserved) for an oversized payload
@@ -316,136 +286,6 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<FrameView>, FrameError> {
     }))
 }
 
-fn read_exact_or_disconnect(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(FrameError::Disconnected),
-        Err(e) => Err(FrameError::Io(e)),
-    }
-}
-
-/// Server side (blocking, threaded front end): reads one infer request of
-/// any protocol version against a **single-model** server serving
-/// `input_len`-element examples. A v3 frame naming any model id other than
-/// 0 yields [`FrameError::UnknownModel`]. The decoded example is appended
-/// to `input` (cleared first). Payload bytes stage through the thread's
-/// [`qsnc_tensor::scratch`] arena, so a persistent connection thread reads
-/// allocation-free once warm.
-pub fn read_request(
-    r: &mut impl Read,
-    input_len: usize,
-    input: &mut Vec<f32>,
-) -> Result<RequestMeta, FrameError> {
-    read_request_routed_inner(r, &mut single_model_lookup(input_len), input, false)
-}
-
-/// [`read_request`] plus decode timing: on success `decode_us` holds the
-/// microseconds spent reading and parsing the payload *after* the header
-/// arrived. Header wait is excluded on purpose — on a keep-alive
-/// connection it is idle time between requests, not decode work. The
-/// serving layer feeds the result into the `serve.stage.decode.us`
-/// quantile sketch.
-pub fn read_request_traced(
-    r: &mut impl Read,
-    input_len: usize,
-    input: &mut Vec<f32>,
-) -> Result<RequestMeta, FrameError> {
-    read_request_routed_inner(r, &mut single_model_lookup(input_len), input, true)
-}
-
-/// The lookup a single-model server implies: frames without a model id and
-/// v3 frames naming model 0 resolve to the one model; everything else is
-/// unknown.
-fn single_model_lookup(input_len: usize) -> impl FnMut(Option<u32>) -> Option<usize> {
-    move |model| match model {
-        None | Some(0) => Some(input_len),
-        Some(_) => None,
-    }
-}
-
-/// Server side (blocking, threaded front end), **multi-model**: reads one
-/// infer request of any protocol version, resolving the frame's model id
-/// through `lookup` — called exactly once per frame with `None` for v1/v2
-/// frames (default-model routing) or `Some(id)` for v3 frames, returning
-/// the resolved model's expected `input_len` (or `None` when no model
-/// answers to the id, which yields [`FrameError::UnknownModel`] after the
-/// payload is consumed to keep the stream framed). The callback is where
-/// the serving layer snapshots which engine will run the request.
-pub fn read_request_routed(
-    r: &mut impl Read,
-    lookup: &mut dyn FnMut(Option<u32>) -> Option<usize>,
-    input: &mut Vec<f32>,
-) -> Result<RequestMeta, FrameError> {
-    read_request_routed_inner(r, lookup, input, false)
-}
-
-/// [`read_request_routed`] plus decode timing, as [`read_request_traced`].
-pub fn read_request_routed_traced(
-    r: &mut impl Read,
-    lookup: &mut dyn FnMut(Option<u32>) -> Option<usize>,
-    input: &mut Vec<f32>,
-) -> Result<RequestMeta, FrameError> {
-    read_request_routed_inner(r, lookup, input, true)
-}
-
-fn read_request_routed_inner(
-    r: &mut impl Read,
-    lookup: &mut dyn FnMut(Option<u32>) -> Option<usize>,
-    input: &mut Vec<f32>,
-    timed: bool,
-) -> Result<RequestMeta, FrameError> {
-    let mut header = [0u8; HEADER_BYTES];
-    read_exact_or_disconnect(r, &mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(FrameError::Fatal(format!(
-            "bad magic 0x{magic:08x} (expected 0x{MAGIC:08x})"
-        )));
-    }
-    let version = header[4];
-    let op = header[5];
-    let t0 = timed.then(Instant::now);
-    let (tag, model, len) = match version {
-        VERSION => (None, None, u32::from_le_bytes(header[6..10].try_into().unwrap())),
-        VERSION_V2 => {
-            let tag = u32::from_le_bytes(header[6..10].try_into().unwrap());
-            let mut rest = [0u8; 4];
-            read_exact_or_disconnect(r, &mut rest)?;
-            (Some(tag), None, u32::from_le_bytes(rest))
-        }
-        VERSION_V3 => {
-            let tag = u32::from_le_bytes(header[6..10].try_into().unwrap());
-            let mut rest = [0u8; 8];
-            read_exact_or_disconnect(r, &mut rest)?;
-            let model = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-            (Some(tag), Some(model), u32::from_le_bytes(rest[4..8].try_into().unwrap()))
-        }
-        other => {
-            return Err(FrameError::Fatal(format!(
-                "unsupported protocol version {other} (expected {VERSION}, {VERSION_V2} or {VERSION_V3})"
-            )));
-        }
-    };
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge { tag, declared: len });
-    }
-    let resolved = lookup(model);
-    // From here the payload length is trusted: consume it fully so the
-    // stream stays framed even when the request is rejected (including the
-    // unknown-model case — its connection must survive).
-    let mut payload = qsnc_tensor::scratch::take_u8(len as usize);
-    let read = read_exact_or_disconnect(r, &mut payload);
-    let result = read.and_then(|()| {
-        let Some(input_len) = resolved else {
-            return Err(FrameError::UnknownModel { tag, model: model.unwrap_or(0) });
-        };
-        decode_infer_payload(op, &payload, input_len, input)?;
-        Ok(RequestMeta { tag, model, decode_us: t0.map_or(0, |t| t.elapsed().as_micros() as u64) })
-    });
-    qsnc_tensor::scratch::put_u8(payload);
-    result
-}
-
 /// Validates an infer payload and decodes it into `input` (cleared first).
 /// Returns [`FrameError::Bad`] — frame consumed, connection keeps going —
 /// on an unknown opcode or a payload that does not match the model.
@@ -490,8 +330,8 @@ fn encode_header(out: &mut Vec<u8>, kind: u8, tag: Option<u32>, payload_len: usi
 }
 
 /// Appends a complete [`Status::Ok`] reply frame to `out` — v1 when `tag`
-/// is `None`, v2 carrying `tag` otherwise. The event-loop front end
-/// encodes replies straight into per-connection output buffers with this.
+/// is `None`, v2 carrying `tag` otherwise. The event loop encodes replies
+/// straight into per-connection output buffers with this.
 pub fn encode_ok_reply(out: &mut Vec<u8>, tag: Option<u32>, argmax: u32, logits: &[f32]) {
     encode_header(out, Status::Ok.code(), tag, 8 + 4 * logits.len());
     out.extend_from_slice(&argmax.to_le_bytes());
@@ -584,19 +424,6 @@ pub fn write_request_routed(
     })
 }
 
-/// Server side: writes an [`Status::Ok`] reply with argmax + logits — v1
-/// when `tag` is `None`, v2 otherwise.
-pub fn write_ok_reply(
-    w: &mut impl Write,
-    tag: Option<u32>,
-    argmax: u32,
-    logits: &[f32],
-) -> io::Result<()> {
-    write_encoded(w, header_len(tag) + 8 + 4 * logits.len(), |frame| {
-        encode_ok_reply(frame, tag, argmax, logits)
-    })
-}
-
 /// Server side: writes an error reply carrying `message` — v1 when `tag`
 /// is `None`, v2 otherwise.
 pub fn write_error_reply(
@@ -673,16 +500,27 @@ pub fn read_reply(r: &mut impl Read) -> io::Result<Reply> {
 mod tests {
     use super::*;
 
+    /// Decodes the complete frame at the start of `wire` the way the event
+    /// loop does: [`parse_frame`], then [`decode_infer_payload`] against a
+    /// model expecting `input_len` values.
+    fn decode(wire: &[u8], input_len: usize) -> Result<(FrameView, Vec<f32>), FrameError> {
+        let view = parse_frame(wire)?.expect("complete frame");
+        let payload = &wire[view.payload_start..view.payload_start + view.payload_len];
+        let mut input = Vec::new();
+        decode_infer_payload(view.op, payload, input_len, &mut input)?;
+        Ok((view, input))
+    }
+
     #[test]
     fn request_round_trip() {
         let input = vec![0.0f32, 0.5, -1.25, 3.0];
         let mut wire = Vec::new();
         write_request(&mut wire, &input).unwrap();
         assert_eq!(wire.len(), HEADER_BYTES + 16);
-        let mut decoded = Vec::new();
-        let meta = read_request(&mut wire.as_slice(), 4, &mut decoded).unwrap();
+        let (view, decoded) = decode(&wire, 4).unwrap();
         assert_eq!(decoded, input);
-        assert_eq!(meta.tag, None);
+        assert_eq!(view.tag, None);
+        assert_eq!(view.consumed, wire.len());
     }
 
     #[test]
@@ -691,21 +529,10 @@ mod tests {
         let mut wire = Vec::new();
         write_request_tagged(&mut wire, 0xDEAD_BEEF, &input).unwrap();
         assert_eq!(wire.len(), HEADER_V2_BYTES + 8);
-        let mut decoded = Vec::new();
-        let meta = read_request(&mut wire.as_slice(), 2, &mut decoded).unwrap();
+        let (view, decoded) = decode(&wire, 2).unwrap();
         assert_eq!(decoded, input);
-        assert_eq!(meta.tag, Some(0xDEAD_BEEF));
-    }
-
-    #[test]
-    fn traced_read_reports_decode_time() {
-        let input = vec![1.0f32; 8];
-        let mut wire = Vec::new();
-        write_request(&mut wire, &input).unwrap();
-        let mut decoded = Vec::new();
-        let meta = read_request_traced(&mut wire.as_slice(), 8, &mut decoded).unwrap();
-        assert_eq!(decoded, input);
-        assert!(meta.decode_us < 1_000_000, "decode took {}µs", meta.decode_us);
+        assert_eq!(view.tag, Some(0xDEAD_BEEF));
+        assert_eq!(view.consumed, wire.len());
     }
 
     #[test]
@@ -713,7 +540,7 @@ mod tests {
         let logits = vec![0.25f32, -0.5, 9.0];
         for tag in [None, Some(7u32)] {
             let mut wire = Vec::new();
-            write_ok_reply(&mut wire, tag, 2, &logits).unwrap();
+            encode_ok_reply(&mut wire, tag, 2, &logits);
             let reply = read_reply(&mut wire.as_slice()).unwrap();
             assert_eq!(reply.status, Status::Ok);
             assert_eq!(reply.tag, tag);
@@ -739,11 +566,6 @@ mod tests {
         let mut wire = Vec::new();
         write_request(&mut wire, &[1.0]).unwrap();
         wire[0] ^= 0xff;
-        let mut buf = Vec::new();
-        match read_request(&mut wire.as_slice(), 1, &mut buf) {
-            Err(FrameError::Fatal(msg)) => assert!(msg.contains("magic"), "{msg}"),
-            other => panic!("expected Fatal, got {other:?}"),
-        }
         match parse_frame(&wire) {
             Err(FrameError::Fatal(msg)) => assert!(msg.contains("magic"), "{msg}"),
             other => panic!("expected Fatal, got {other:?}"),
@@ -753,7 +575,8 @@ mod tests {
     #[test]
     fn oversized_declaration_is_rejected_without_reading_payload() {
         // The tag must survive to the error so the server can attribute a
-        // tagged BadRequest reply to the offending v2 request.
+        // tagged BadRequest reply to the offending v2 request. The wire
+        // holds the header only: rejection must not wait for payload bytes.
         for tag in [None, Some(3u32)] {
             let mut wire = Vec::new();
             wire.extend_from_slice(&MAGIC.to_le_bytes());
@@ -763,14 +586,6 @@ mod tests {
                 wire.extend_from_slice(&t.to_le_bytes());
             }
             wire.extend_from_slice(&u32::MAX.to_le_bytes());
-            let mut buf = Vec::new();
-            match read_request(&mut wire.as_slice(), 1, &mut buf) {
-                Err(FrameError::TooLarge { tag: t, declared }) => {
-                    assert_eq!(t, tag);
-                    assert_eq!(declared, u32::MAX);
-                }
-                other => panic!("expected TooLarge, got {other:?}"),
-            }
             match parse_frame(&wire) {
                 Err(FrameError::TooLarge { tag: t, declared }) => {
                     assert_eq!(t, tag);
@@ -822,29 +637,16 @@ mod tests {
     fn wrong_payload_length_is_recoverable() {
         let mut wire = Vec::new();
         write_request(&mut wire, &[1.0, 2.0]).unwrap();
-        // Model expects 3 values: Bad (resyncable), not Fatal.
-        let mut buf = Vec::new();
-        match read_request(&mut wire.as_slice(), 3, &mut buf) {
+        write_request(&mut wire, &[4.0, 5.0, 6.0]).unwrap();
+        // Model expects 3 values: Bad (resyncable), not Fatal — the frame
+        // is consumed whole and the next one decodes.
+        match decode(&wire, 3) {
             Err(FrameError::Bad(msg)) => assert!(msg.contains("expects"), "{msg}"),
             other => panic!("expected Bad, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn disconnect_mid_frame_is_disconnected() {
-        let mut wire = Vec::new();
-        write_request(&mut wire, &[1.0, 2.0]).unwrap();
-        wire.truncate(HEADER_BYTES + 3);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_request(&mut wire.as_slice(), 2, &mut buf),
-            Err(FrameError::Disconnected)
-        ));
-        // And mid-header too.
-        assert!(matches!(
-            read_request(&mut [0x51u8, 0x53].as_slice(), 2, &mut buf),
-            Err(FrameError::Disconnected)
-        ));
+        let first = parse_frame(&wire).unwrap().expect("complete frame");
+        let (_, decoded) = decode(&wire[first.consumed..], 3).unwrap();
+        assert_eq!(decoded, vec![4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -897,11 +699,6 @@ mod tests {
         write_request(&mut wire, &[1.0]).unwrap();
         wire[4] = 9;
         assert!(matches!(parse_frame(&wire), Err(FrameError::Fatal(_))));
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_request(&mut wire.as_slice(), 1, &mut buf),
-            Err(FrameError::Fatal(_))
-        ));
     }
 
     #[test]
@@ -910,51 +707,51 @@ mod tests {
         let mut wire = Vec::new();
         write_request_routed(&mut wire, 11, 2, &input).unwrap();
         assert_eq!(wire.len(), HEADER_V3_BYTES + 12);
-        let mut decoded = Vec::new();
-        let mut seen = Vec::new();
-        let mut lookup = |m: Option<u32>| {
-            seen.push(m);
-            Some(3usize)
-        };
-        let meta = read_request_routed(&mut wire.as_slice(), &mut lookup, &mut decoded).unwrap();
+        let (view, decoded) = decode(&wire, 3).unwrap();
         assert_eq!(decoded, input);
-        assert_eq!(meta.tag, Some(11));
-        assert_eq!(meta.model, Some(2));
-        assert_eq!(seen, vec![Some(2)], "lookup runs exactly once with the frame's model id");
+        assert_eq!(view.version, VERSION_V3);
+        assert_eq!(view.tag, Some(11));
+        assert_eq!(view.model, Some(2));
+        assert_eq!(view.consumed, wire.len());
     }
 
+    /// The server routes by `model.unwrap_or(0)`, so a v3 frame naming
+    /// model 0 must decode to exactly what the same request sent as v2
+    /// decodes to: same tag, same example, same routing key.
     #[test]
     fn model_zero_routes_like_v2_on_a_single_model_reader() {
         let input = vec![1.0f32, 2.0];
-        let mut wire = Vec::new();
-        write_request_routed(&mut wire, 4, 0, &input).unwrap();
-        let mut decoded = Vec::new();
-        let meta = read_request(&mut wire.as_slice(), 2, &mut decoded).unwrap();
-        assert_eq!(decoded, input);
-        assert_eq!(meta.tag, Some(4));
-        assert_eq!(meta.model, Some(0));
+        let mut v3 = Vec::new();
+        write_request_routed(&mut v3, 4, 0, &input).unwrap();
+        let mut v2 = Vec::new();
+        write_request_tagged(&mut v2, 4, &input).unwrap();
+        let (view3, decoded3) = decode(&v3, 2).unwrap();
+        let (view2, decoded2) = decode(&v2, 2).unwrap();
+        assert_eq!(view3.model, Some(0));
+        assert_eq!(view2.model, None);
+        assert_eq!(view3.model.unwrap_or(0), view2.model.unwrap_or(0));
+        assert_eq!(view3.tag, view2.tag);
+        assert_eq!(decoded3, decoded2);
+        assert_eq!(decoded3, input);
     }
 
     #[test]
     fn unknown_model_consumes_frame_and_keeps_stream_framed() {
-        // Two frames back to back: the first names a model nobody serves,
-        // the second is fine. The reader must consume the first payload and
-        // then read the second frame cleanly.
+        // Two frames back to back: the first names a model nobody serves
+        // (with a payload sized for no model), the second is fine. Framing
+        // never depends on the model lookup, so skipping the first frame's
+        // `consumed` bytes lands exactly on the second.
         let mut wire = Vec::new();
         write_request_routed(&mut wire, 1, 7, &[9.0f32; 4]).unwrap();
         write_request_routed(&mut wire, 2, 0, &[1.0f32, 2.0]).unwrap();
-        let mut r = wire.as_slice();
-        let mut decoded = Vec::new();
-        match read_request(&mut r, 2, &mut decoded) {
-            Err(FrameError::UnknownModel { tag, model }) => {
-                assert_eq!(tag, Some(1));
-                assert_eq!(model, 7);
-            }
-            other => panic!("expected UnknownModel, got {other:?}"),
-        }
-        let meta = read_request(&mut r, 2, &mut decoded).unwrap();
-        assert_eq!(meta.tag, Some(2));
+        let first = parse_frame(&wire).unwrap().expect("complete frame");
+        assert_eq!(first.tag, Some(1));
+        assert_eq!(first.model, Some(7));
+        assert_eq!(first.consumed, HEADER_V3_BYTES + 16);
+        let (second, decoded) = decode(&wire[first.consumed..], 2).unwrap();
+        assert_eq!(second.tag, Some(2));
         assert_eq!(decoded, vec![1.0, 2.0]);
+        assert_eq!(first.consumed + second.consumed, wire.len());
     }
 
     #[test]

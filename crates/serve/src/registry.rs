@@ -10,7 +10,7 @@
 //! route to — and never change for the life of the server; a swap replaces
 //! an entry's *engine*, not its id. Each entry holds the current
 //! engine version (`ModelVersion`) behind an `RwLock<Arc<…>>`: readers
-//! (front ends resolving a frame) clone the `Arc` out; a swap write-locks
+//! (event loops resolving a frame) clone the `Arc` out; a swap write-locks
 //! just long enough to replace the pointer.
 //!
 //! ## Admission and the quota tier

@@ -11,8 +11,7 @@
 //! not ours.
 //!
 //! On any other platform the module compiles to nothing and
-//! [`crate::FrontEnd::EventLoop`] falls back to the threaded front end
-//! (see `FrontEnd::resolve`).
+//! [`crate::Server::spawn`] fails with `io::ErrorKind::Unsupported`.
 
 #![allow(clippy::upper_case_acronyms)]
 

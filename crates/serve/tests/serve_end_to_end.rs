@@ -16,7 +16,7 @@ use qsnc_quant::{
     WeightQuantMethod,
 };
 use qsnc_serve::protocol::{self, Status, MAGIC, OP_INFER, VERSION, VERSION_V2};
-use qsnc_serve::{FrontEnd, ServeConfig, Server};
+use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{Tensor, TensorRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -56,13 +56,6 @@ fn reference_logits(snn: &SpikingNetwork, input: &[f32]) -> Vec<f32> {
     snn.infer_reference(&x).as_slice().to_vec()
 }
 
-/// Production defaults, except the front end follows `QSNC_SERVE_FRONT_END`
-/// so CI can run this whole v1 suite against both the event-loop and the
-/// threaded architectures.
-fn base() -> ServeConfig {
-    ServeConfig { front_end: ServeConfig::from_env().front_end, ..ServeConfig::default() }
-}
-
 fn connect(server: &Server) -> TcpStream {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
@@ -83,7 +76,7 @@ fn replies_bit_identical_to_reference_under_concurrency() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..base() },
+        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -140,7 +133,7 @@ fn sequential_singles_are_bit_identical_too() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 100, ..base() },
+        ServeConfig { max_batch: 8, max_delay_us: 100, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = connect(&server);
@@ -164,7 +157,7 @@ fn malformed_frames_get_error_replies_not_panics() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -235,7 +228,7 @@ fn mid_request_disconnect_does_not_kill_the_server() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -276,7 +269,13 @@ fn overload_answers_ok_or_busy_and_recovers() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 2, max_delay_us: 50, queue_cap: 2, workers: 1, ..base() },
+        ServeConfig {
+            max_batch: 2,
+            max_delay_us: 50,
+            queue_cap: 2,
+            workers: 1,
+            ..ServeConfig::default()
+        },
     )
     .expect("spawn");
 
@@ -329,7 +328,7 @@ fn shutdown_drains_and_then_refuses() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
     let addr = server.local_addr();
@@ -365,7 +364,7 @@ fn idle_server_drops_cleanly() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
     let _idle_a = connect(&server);
@@ -376,51 +375,34 @@ fn idle_server_drops_cleanly() {
 
 /// Regression: an oversized declared payload length must produce a
 /// [`Status::BadRequest`] reply attributed to the offending frame — tagged
-/// on a v2 frame, untagged on v1 — followed by an orderly close, on
-/// **both** front ends. Before the fix the rejection was always untagged,
+/// on a v2 frame, untagged on v1 — followed by a real close (EOF), not a
+/// connection left open. Before the fix the rejection was always untagged,
 /// so a multiplexed client could not tell which pipelined request died.
 #[test]
-fn oversized_declaration_replies_before_close_on_both_front_ends() {
-    let snn = served_network(31);
-    let front_ends: &[FrontEnd] = if cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )) {
-        &[FrontEnd::Threaded, FrontEnd::EventLoop]
-    } else {
-        &[FrontEnd::Threaded]
-    };
-    for &front_end in front_ends {
-        let server = Server::spawn(
-            Arc::clone(&snn),
-            &INPUT_DIMS,
-            "127.0.0.1:0",
-            ServeConfig { front_end, ..ServeConfig::default() },
-        )
-        .expect("spawn");
-        for tag in [None, Some(0xCAFE_F00Du32)] {
-            let mut stream = connect(&server);
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&MAGIC.to_le_bytes());
-            frame.push(if tag.is_some() { VERSION_V2 } else { VERSION });
-            frame.push(OP_INFER);
-            if let Some(t) = tag {
-                frame.extend_from_slice(&t.to_le_bytes());
-            }
-            frame.extend_from_slice(&u32::MAX.to_le_bytes());
-            stream.write_all(&frame).expect("oversized header");
-            let reply = protocol::read_reply(&mut stream).expect("reply before close");
-            assert_eq!(reply.status, Status::BadRequest, "{front_end:?} tag {tag:?}");
-            assert_eq!(reply.tag, tag, "{front_end:?}: reply must echo the frame's tag");
-            assert!(reply.message.contains("cap"), "got {:?}", reply.message);
-            // The stream cannot be resynchronized: the server must close.
-            let mut probe = [0u8; 1];
-            assert_eq!(
-                stream.read(&mut probe).unwrap_or(0),
-                0,
-                "{front_end:?} tag {tag:?}: connection must close after the reply"
-            );
+fn oversized_declaration_replies_before_close() {
+    let server =
+        Server::spawn(served_network(31), &INPUT_DIMS, "127.0.0.1:0", ServeConfig::default())
+            .expect("spawn");
+    for tag in [None, Some(0xCAFE_F00Du32)] {
+        let mut stream = connect(&server);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC.to_le_bytes());
+        frame.push(if tag.is_some() { VERSION_V2 } else { VERSION });
+        frame.push(OP_INFER);
+        if let Some(t) = tag {
+            frame.extend_from_slice(&t.to_le_bytes());
         }
-        server.shutdown();
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        stream.write_all(&frame).expect("oversized header");
+        let reply = protocol::read_reply(&mut stream).expect("reply before close");
+        assert_eq!(reply.status, Status::BadRequest, "tag {tag:?}");
+        assert_eq!(reply.tag, tag, "reply must echo the frame's tag");
+        assert!(reply.message.contains("cap"), "got {:?}", reply.message);
+        // The stream cannot be resynchronized: the server must close it. A
+        // read timeout here is a failure — the connection was left open.
+        let mut probe = [0u8; 1];
+        let n = stream.read(&mut probe).expect("EOF, not a read timeout");
+        assert_eq!(n, 0, "tag {tag:?}: connection must close after the reply");
     }
+    server.shutdown();
 }

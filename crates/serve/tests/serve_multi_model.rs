@@ -59,12 +59,6 @@ fn bits(logits: &[f32]) -> Vec<u32> {
     logits.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Production defaults, except the front end follows `QSNC_SERVE_FRONT_END`
-/// so CI runs the suite against both architectures.
-fn base() -> ServeConfig {
-    ServeConfig { front_end: ServeConfig::from_env().front_end, ..ServeConfig::default() }
-}
-
 fn connect(server: &Server) -> TcpStream {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
@@ -97,7 +91,7 @@ fn routed_frames_reach_their_model_and_idless_frames_reach_the_default() {
             ModelSpec::new("canary", Arc::clone(&canary), INPUT_DIMS.to_vec()),
         ],
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -134,7 +128,7 @@ fn unknown_model_id_gets_a_tagged_error_and_the_connection_survives() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&prod), INPUT_DIMS.to_vec())],
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -164,21 +158,21 @@ fn duplicate_and_invalid_registry_names_are_rejected() {
             ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec()),
         ],
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     );
-    let err = dup.err().expect("duplicate names must be rejected");
+    let err = dup.expect_err("duplicate names must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("prod"), "error must name the duplicate: {err}");
 
     let bad = Server::spawn_models(
         vec![ModelSpec::new("no spaces", Arc::clone(&snn), INPUT_DIMS.to_vec())],
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     );
-    assert_eq!(bad.err().expect("bad name").kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(bad.expect_err("bad name").kind(), std::io::ErrorKind::InvalidInput);
 
-    let empty = Server::spawn_models(Vec::new(), "127.0.0.1:0", base());
-    assert_eq!(empty.err().expect("empty registry").kind(), std::io::ErrorKind::InvalidInput);
+    let empty = Server::spawn_models(Vec::new(), "127.0.0.1:0", ServeConfig::default());
+    assert_eq!(empty.expect_err("empty registry").kind(), std::io::ErrorKind::InvalidInput);
 }
 
 #[test]
@@ -189,7 +183,7 @@ fn per_model_quota_answers_busy_and_recovers() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec()).with_quota(1)],
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 300_000, ..base() },
+        ServeConfig { max_batch: 8, max_delay_us: 300_000, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -229,7 +223,7 @@ fn hot_swap_under_load_is_bit_exact_and_drops_nothing() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&engine_a), INPUT_DIMS.to_vec())],
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 200, ..base() },
+        ServeConfig { max_batch: 4, max_delay_us: 200, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -324,15 +318,15 @@ fn swap_rejects_dims_mismatch_and_unknown_model() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec())],
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
-    let err = server.swap_artifact("prod", &flat).err().expect("dims mismatch must fail");
+    let err = server.swap_artifact("prod", &flat).expect_err("dims mismatch must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("dims"), "error must explain the mismatch: {err}");
 
-    let err = server.swap_artifact("nope", &good).err().expect("unknown model must fail");
+    let err = server.swap_artifact("nope", &good).expect_err("unknown model must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
 
     // The failed swaps changed nothing: still version 1, still serving.
@@ -368,7 +362,7 @@ fn admin_lists_models_and_swaps_over_http() {
             ModelSpec::new("canary", Arc::clone(&engine_a), INPUT_DIMS.to_vec()).with_quota(16),
         ],
         "127.0.0.1:0",
-        ServeConfig { admin_addr: Some("127.0.0.1:0".to_string()), ..base() },
+        ServeConfig { admin_addr: Some("127.0.0.1:0".to_string()), ..ServeConfig::default() },
     )
     .expect("spawn");
     let admin = server.admin_local_addr().expect("admin plane enabled");

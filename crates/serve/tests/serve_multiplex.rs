@@ -15,8 +15,7 @@
 //!    every request it admitted before the listener went away.
 //!
 //! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
-//! syscalls), so the whole file is gated; the final test additionally
-//! pins the threaded front end to prove v2 frames work there too.
+//! syscalls), so the whole file is gated.
 
 #![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
@@ -26,7 +25,7 @@ use qsnc_quant::{
     WeightQuantMethod,
 };
 use qsnc_serve::protocol::{self, Status, MAGIC, OP_INFER, VERSION_V2};
-use qsnc_serve::{FrontEnd, ServeConfig, Server};
+use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
 use std::io::Write;
@@ -99,7 +98,6 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
         &INPUT_DIMS,
         "127.0.0.1:0",
         ServeConfig {
-            front_end: FrontEnd::EventLoop,
             workers: 2,
             max_batch: 1,
             max_delay_us: 0,
@@ -152,12 +150,7 @@ fn duplicate_live_tag_is_rejected_then_reusable() {
         "127.0.0.1:0",
         // A wide batch window keeps the first request in flight long
         // enough that the duplicate is deterministically still live.
-        ServeConfig {
-            front_end: FrontEnd::EventLoop,
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -196,7 +189,7 @@ fn v1_and_v2_frames_interleave_on_one_connection() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::EventLoop, ..ServeConfig::default() },
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -244,12 +237,7 @@ fn oversized_tagged_frame_mid_pipeline_errors_and_closes() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            front_end: FrontEnd::EventLoop,
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -301,12 +289,7 @@ fn half_close_with_replies_pending_still_answers_all() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            front_end: FrontEnd::EventLoop,
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -344,7 +327,6 @@ fn inflight_budget_answers_busy_with_the_offending_tag() {
         &INPUT_DIMS,
         "127.0.0.1:0",
         ServeConfig {
-            front_end: FrontEnd::EventLoop,
             max_inflight_per_conn: 2,
             max_batch: 32,
             max_delay_us: 200_000,
@@ -395,12 +377,7 @@ fn drain_answers_every_admitted_tagged_request() {
         "127.0.0.1:0",
         // A long batch window guarantees the requests are still queued
         // when the drain begins.
-        ServeConfig {
-            front_end: FrontEnd::EventLoop,
-            max_batch: 32,
-            max_delay_us: 300_000,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 32, max_delay_us: 300_000, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -432,31 +409,4 @@ fn drain_answers_every_admitted_tagged_request() {
     std::thread::sleep(Duration::from_millis(100));
     server.shutdown();
     reader.join().expect("reader thread");
-}
-
-/// The threaded front end accepts v2 frames too — lockstep rather than
-/// multiplexed, but tags echo back and the answers are bit-identical.
-#[test]
-fn threaded_front_end_serves_tagged_frames_lockstep() {
-    let snn = served_network(71);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::Threaded, ..ServeConfig::default() },
-    )
-    .expect("spawn");
-
-    let mut stream = connect(&server);
-    for shot in 0..3u32 {
-        let input = example(7100 + shot as u64);
-        let expected = reference_logits(&snn, &input);
-        protocol::write_request_tagged(&mut stream, 100 + shot, &input).expect("write");
-        let reply = protocol::read_reply(&mut stream).expect("reply");
-        assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-        assert_eq!(reply.tag, Some(100 + shot));
-        assert_eq!(bits(&reply.logits), bits(&expected), "shot {shot}");
-    }
-    drop(stream);
-    server.shutdown();
 }

@@ -1,8 +1,10 @@
-//! 2-D convolution layer (im2col + GEMM forward, exact adjoint backward).
+//! 2-D convolution layer: [`qsnc_tensor::conv2d`] forward in both modes, and
+//! the column-free gradient kernels [`conv2d_weight_grad`] and
+//! [`conv2d_input_grad`] backward, bit-identical to the batched
+//! im2col/col2im formulation.
 
 use crate::layer::{Layer, LayerDesc, Mode, Param};
-use qsnc_tensor::linalg::gemm;
-use qsnc_tensor::{col2im, im2col, matmul, transpose, Conv2dSpec, Tensor, TensorRng};
+use qsnc_tensor::{conv2d_input_grad, conv2d_weight_grad, Conv2dSpec, Tensor, TensorRng};
 
 /// A 2-D convolution over `[n, c, h, w]` inputs with square kernels.
 ///
@@ -18,9 +20,8 @@ pub struct Conv2d {
     spec: Conv2dSpec,
     in_channels: usize,
     out_channels: usize,
-    // Cached by training-mode forward for backward.
-    cached_cols: Option<Tensor>,
-    cached_input_dims: Option<[usize; 4]>,
+    // The input of the last training-mode forward, for backward.
+    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -50,8 +51,7 @@ impl Conv2d {
             spec,
             in_channels,
             out_channels,
-            cached_cols: None,
-            cached_input_dims: None,
+            cached_input: None,
         }
     }
 
@@ -108,86 +108,35 @@ impl Layer for Conv2d {
             self.in_channels,
             x.dims()[1]
         );
-        if mode == Mode::Eval {
-            // Inference needs no cached columns: use the batch-parallel
-            // per-image lowering, which skips the output reorder entirely.
-            return qsnc_tensor::conv2d(x, &self.weight, Some(&self.bias), self.spec);
-        }
-        let (n, _, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let oh = self.spec.output_size(h);
-        let ow = self.spec.output_size(w);
-        let cols = im2col(x, self.spec);
-        let cols_n = n * oh * ow;
-        let f = self.out_channels;
-        let ckk = cols.dims()[0];
-
-        let mut out = vec![0.0f32; f * cols_n];
-        gemm(f, ckk, cols_n, self.weight.as_slice(), cols.as_slice(), &mut out);
-
-        // Reorder [f, n·oh·ow] → [n, f, oh, ow] with bias.
-        let mut y = vec![0.0f32; n * f * oh * ow];
-        let bias = self.bias.as_slice();
-        for fi in 0..f {
-            for in_ in 0..n {
-                let src = &out[(fi * n + in_) * oh * ow..(fi * n + in_ + 1) * oh * ow];
-                let dst = &mut y[(in_ * f + fi) * oh * ow..(in_ * f + fi + 1) * oh * ow];
-                for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                    *d = s + bias[fi];
-                }
-            }
-        }
-
         if mode == Mode::Train {
-            self.cached_cols = Some(cols);
-            self.cached_input_dims = Some([n, self.in_channels, h, w]);
+            self.cached_input = Some(x.clone());
         }
-        Tensor::from_vec(y, [n, f, oh, ow])
+        qsnc_tensor::conv2d(x, &self.weight, Some(&self.bias), self.spec)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
+        let x = self
+            .cached_input
             .as_ref()
             .expect("conv2d backward called before training-mode forward");
-        let [n, c, h, w] = self.cached_input_dims.expect("missing cached input dims");
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let f = self.out_channels;
-        let oh = self.spec.output_size(h);
-        let ow = self.spec.output_size(w);
+        let (oh, ow) = (self.spec.output_size(h), self.spec.output_size(w));
         assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d grad shape mismatch");
+        let pix = oh * ow;
 
-        // Reorder grad [n, f, oh, ow] → g [f, n·oh·ow] to match column order.
-        let cols_n = n * oh * ow;
-        let mut g = vec![0.0f32; f * cols_n];
+        self.grad_weight += &conv2d_weight_grad(x, grad, self.spec);
+
+        // db: each filter's gradient summed image by image, pixel by pixel —
+        // the row sums of the gradient laid out `[f, n·oh·ow]`.
         let gs = grad.as_slice();
-        for in_ in 0..n {
-            for fi in 0..f {
-                let src = &gs[(in_ * f + fi) * oh * ow..(in_ * f + fi + 1) * oh * ow];
-                let dst = &mut g[(fi * n + in_) * oh * ow..(fi * n + in_ + 1) * oh * ow];
-                dst.copy_from_slice(src);
-            }
-        }
-        let g_t = Tensor::from_vec(g, [f, cols_n]);
-
-        // dW = g × colsᵀ, reshaped to [f, c, k, k].
-        let cols_t = transpose(cols);
-        let dw = matmul(&g_t, &cols_t);
-        self.grad_weight += &dw.into_reshaped(self.weight.dims());
-
-        // db = row sums of g.
-        {
-            let gb = self.grad_bias.as_mut_slice();
-            let gsl = g_t.as_slice();
-            for fi in 0..f {
-                gb[fi] += gsl[fi * cols_n..(fi + 1) * cols_n].iter().sum::<f32>();
-            }
+        for (fi, gb) in self.grad_bias.as_mut_slice().iter_mut().enumerate() {
+            *gb += (0..n)
+                .flat_map(|i| &gs[(i * f + fi) * pix..(i * f + fi + 1) * pix])
+                .sum::<f32>();
         }
 
-        // dx = col2im(Wᵀ × g).
-        let k = self.spec.kernel;
-        let w_mat = self.weight.reshape([f, c * k * k]);
-        let w_t = transpose(&w_mat);
-        let dcols = matmul(&w_t, &g_t);
-        col2im(&dcols, n, c, h, w, self.spec)
+        conv2d_input_grad(grad, &self.weight, (h, w), self.spec)
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {

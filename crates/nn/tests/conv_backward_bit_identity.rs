@@ -1,0 +1,141 @@
+//! `Conv2d`'s training step against the batched column formulation, bit
+//! for bit.
+//!
+//! The layer computes its gradients without a column matrix. This suite
+//! checks that every float still equals the product form it replaced:
+//! `dW = g · im2col(x)ᵀ`, `db` = the row sums of `g`, and
+//! `dx = col2im(Wᵀ · g)`, with `g` the output gradient laid out
+//! `[f, n·oh·ow]`; and that the training-mode forward equals both the
+//! evaluation-mode forward and `W · im2col(x)` plus bias. Each case runs at
+//! every SIMD level and at one and three worker threads.
+
+use qsnc_nn::layers::Conv2d;
+use qsnc_nn::{Layer, Mode};
+use qsnc_tensor::{
+    col2im, detected_simd, im2col, matmul, transpose, with_num_threads, with_simd_level,
+    Conv2dSpec, SimdLevel, Tensor, TensorRng,
+};
+
+/// `(in_channels, out_channels, kernel, stride, padding, input edge)`.
+const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 5] = [
+    (1, 3, 5, 1, 2, 28), // LeNet conv1
+    (3, 8, 5, 1, 0, 14), // LeNet conv2
+    (2, 4, 3, 1, 1, 8),  // 3×3, same padding
+    (3, 4, 3, 2, 1, 9),  // strided 3×3
+    (4, 6, 1, 2, 0, 8),  // 1×1 stride-2 projection
+];
+
+/// Uniform values in `[-1, 1)` with every third entry exactly zero, the
+/// way ReLU and max-pool leave activations and gradients.
+fn sparse_uniform(dims: &[usize], rng: &mut TensorRng) -> Tensor {
+    let mut t = qsnc_tensor::init::uniform(dims, -1.0, 1.0, rng);
+    for v in t.as_mut_slice().iter_mut().step_by(3) {
+        *v = 0.0;
+    }
+    t
+}
+
+/// `[n, f, oh, ow]` → `[f, n·oh·ow]`, the column order of `im2col`.
+fn to_columns(t: &Tensor) -> Tensor {
+    let (n, f, pix) = (t.dims()[0], t.dims()[1], t.dims()[2] * t.dims()[3]);
+    let src = t.as_slice();
+    let mut out = vec![0.0f32; f * n * pix];
+    for i in 0..n {
+        for fi in 0..f {
+            out[(fi * n + i) * pix..(fi * n + i + 1) * pix]
+                .copy_from_slice(&src[(i * f + fi) * pix..(i * f + fi + 1) * pix]);
+        }
+    }
+    Tensor::from_vec(out, [f, n * pix])
+}
+
+fn assert_bits(what: &str, got: &Tensor, want: &Tensor) {
+    assert_eq!(got.dims(), want.dims(), "{what}: shape");
+    for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+    }
+}
+
+/// What one training step of the layer must produce.
+struct Expected {
+    y: Tensor,
+    dw: Tensor,
+    db: Tensor,
+    dx: Tensor,
+}
+
+/// The batched column formulation of the forward and backward passes.
+fn column_oracle(layer: &Conv2d, x: &Tensor, g: &Tensor) -> Expected {
+    let spec = layer.spec();
+    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+    let f = layer.weight().dims()[0];
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let w_mat = layer.weight().reshape([f, c * spec.kernel * spec.kernel]);
+    let cols = im2col(x, spec);
+
+    let y_cols = matmul(&w_mat, &cols);
+    let bias = layer.bias().as_slice();
+    let mut y = vec![0.0f32; n * f * oh * ow];
+    for i in 0..n {
+        for fi in 0..f {
+            for p in 0..oh * ow {
+                y[(i * f + fi) * oh * ow + p] =
+                    y_cols.as_slice()[(fi * n + i) * oh * ow + p] + bias[fi];
+            }
+        }
+    }
+
+    let g_cols = to_columns(g);
+    // The layer accumulates into zeroed gradients: start from zero here too.
+    let mut dw = Tensor::zeros(layer.weight().dims());
+    dw += &matmul(&g_cols, &transpose(&cols)).into_reshaped(layer.weight().dims());
+    let mut db = vec![0.0f32; f];
+    for (fi, v) in db.iter_mut().enumerate() {
+        *v += g_cols.as_slice()[fi * n * oh * ow..(fi + 1) * n * oh * ow].iter().sum::<f32>();
+    }
+    let dx = col2im(&matmul(&transpose(&w_mat), &g_cols), n, c, h, w, spec);
+    Expected { y: Tensor::from_vec(y, [n, f, oh, ow]), dw, db: Tensor::from_slice(&db), dx }
+}
+
+fn levels() -> Vec<SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+        .into_iter()
+        .filter(|&l| l <= detected_simd())
+        .collect()
+}
+
+#[test]
+fn conv_training_step_is_bit_identical_to_the_column_formulation() {
+    for (gi, &(c, f, k, s, p, edge)) in GEOMETRIES.iter().enumerate() {
+        for n in [1, 5] {
+            let mut rng = TensorRng::seed(100 + gi as u64 * 10 + n as u64);
+            let mut layer = Conv2d::new("c", c, f, Conv2dSpec::new(k, s, p), &mut rng);
+            let bias = qsnc_tensor::init::uniform([f], -0.5, 0.5, &mut rng);
+            *layer.params()[1].value = bias;
+            let x = sparse_uniform(&[n, c, edge, edge], &mut rng);
+            let o = layer.spec().output_size(edge);
+            let g = sparse_uniform(&[n, f, o, o], &mut rng);
+            let want = column_oracle(&layer, &x, &g);
+
+            for level in levels() {
+                for threads in [1, 3] {
+                    let case = format!("geometry {gi}, n={n}, {level:?}, {threads} threads");
+                    let (y_train, y_eval, dx) = with_simd_level(level, || {
+                        with_num_threads(threads, || {
+                            layer.zero_grad();
+                            let y_eval = layer.forward(&x, Mode::Eval);
+                            let y_train = layer.forward(&x, Mode::Train);
+                            (y_train, y_eval, layer.backward(&g))
+                        })
+                    });
+                    assert_bits(&format!("{case}: train forward"), &y_train, &want.y);
+                    assert_bits(&format!("{case}: eval forward"), &y_eval, &want.y);
+                    assert_bits(&format!("{case}: dx"), &dx, &want.dx);
+                    let params = layer.params();
+                    assert_bits(&format!("{case}: dW"), params[0].grad, &want.dw);
+                    assert_bits(&format!("{case}: db"), params[1].grad, &want.db);
+                }
+            }
+        }
+    }
+}

@@ -4,6 +4,12 @@
 //! Each test serializes on `qsnc_telemetry::testing::lock()` because the
 //! admin plane reads (and `Server::spawn` may switch) the process-global
 //! telemetry mode.
+//!
+//! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
+//! syscalls); elsewhere `Server::spawn` returns `Unsupported`, so the whole
+//! file is gated.
+
+#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{

@@ -9,6 +9,12 @@
 //! frames, oversized declarations, wrong payload sizes, mid-request
 //! disconnects — must get error replies (or a dropped connection), never
 //! a worker panic.
+//!
+//! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
+//! syscalls); elsewhere `Server::spawn` returns `Unsupported`, so the whole
+//! file is gated.
+
+#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{

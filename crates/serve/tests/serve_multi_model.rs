@@ -6,6 +6,12 @@
 //! every `Ok` reply is bit-identical to exactly one of the two engine
 //! versions, and once the swap returns a fresh connection sees only the
 //! new one.
+//!
+//! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
+//! syscalls); elsewhere `Server::spawn` returns `Unsupported`, so the whole
+//! file is gated.
+
+#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
 use qsnc_memristor::{DeployConfig, Provenance, SpikingNetwork};
 use qsnc_quant::{

@@ -6,6 +6,12 @@
 //! across threads). Serving the same requests with the kernels pinned to
 //! scalar and again at full hardware dispatch must produce bit-identical
 //! logits — the serving-layer restatement of the kernel proptests.
+//!
+//! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
+//! syscalls); elsewhere `Server::spawn` returns `Unsupported`, so the whole
+//! file is gated.
+
+#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{

@@ -1,22 +1,29 @@
-//! Convolution lowering: zero padding, im2col / col2im, and a direct
-//! reference convolution.
+//! Convolution lowering: zero padding, im2col / col2im, the convolution and
+//! its training gradients, and a direct reference convolution.
 //!
-//! Layers in `qsnc-nn` lower convolution to GEMM through [`im2col`]; the
-//! direct [`conv2d_direct`] implementation stays as the oracle the tests
-//! compare against, and as the form the crossbar mapper mirrors (each filter
+//! Layers in `qsnc-nn` run [`conv2d`] forward (each image lowered to columns
+//! and multiplied by the filters) and train through [`conv2d_weight_grad`]
+//! and [`conv2d_input_grad`], which need no batch column matrix and are
+//! bit-identical to the products over one: `g · im2col(x)ᵀ` and
+//! `col2im(Wᵀ · g)`. Those products, [`im2col`] and [`col2im`] stay as the
+//! tests' oracles (the float spiking pipeline also lowers through
+//! [`im2col`]); the direct [`conv2d_direct`] implementation is the oracle
+//! for [`conv2d`], and the form the crossbar mapper mirrors (each filter
 //! becomes one crossbar column over an im2col'd input vector).
 //!
-//! Two paths here parallelize over the [`crate::parallel`] workers:
+//! Three paths here parallelize over the [`crate::parallel`] workers:
 //! [`im2col`] partitions the rows of the column matrix (each row is filled
-//! by exactly one thread), and [`conv2d`] partitions the batch, giving each
-//! worker a contiguous run of images whose columns it lowers and multiplies
-//! directly into that image's slice of the output — which also removes the
-//! `[f, n, ·]` → `[n, f, ·]` reorder pass the batched lowering needed. Both
+//! by exactly one thread), and [`conv2d`] and [`conv2d_input_grad`]
+//! partition the batch, giving each worker a contiguous run of images whose
+//! slice of the output it alone writes — which also spares [`conv2d`] the
+//! `[f, n, ·]` → `[n, f, ·]` reorder pass the batched lowering needed. All
 //! are pure scatters into disjoint output regions, so results do not depend
-//! on the thread count.
+//! on the thread count. [`conv2d_weight_grad`] sums across the batch and
+//! runs serially.
 
 use crate::linalg::gemm_serial;
 use crate::parallel;
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// Spatial geometry of a 2-D convolution or pooling window.
@@ -305,6 +312,150 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSp
         crate::scratch::put_f32(cols);
     });
     Tensor::from_vec(out, [n, f, oh, ow])
+}
+
+/// Weight gradient of [`conv2d`]: `x` `[n, c, h, w]` is the layer input and
+/// `grad` `[n, f, oh, ow]` the gradient of its output; returns `[f, c, k, k]`.
+///
+/// **Bit-identical** to `matmul(g, transpose(im2col(x)))` reshaped, with
+/// `g` the `[f, n·oh·ow]` reorder of `grad`, without either matrix. That
+/// product adds each term to its output in ascending `k`, starting from
+/// `+0.0`, with a separate multiply and add; here `k` runs over the output
+/// pixels, image-major. The direct kernel `simd::conv_weight_grad_image`
+/// advances the same chain one image at a time, reading each window straight
+/// from a zero-padded copy of the image, one `kx` tap per vector lane. The
+/// chains run across the batch, so this kernel is serial and the thread
+/// count cannot touch its result.
+///
+/// # Panics
+///
+/// Panics on rank mismatches or if `grad` disagrees with the geometry.
+pub fn conv2d_weight_grad(x: &Tensor, grad: &Tensor, spec: Conv2dSpec) -> Tensor {
+    assert_eq!(x.shape().rank(), 4, "conv2d_weight_grad input must be [n,c,h,w]");
+    assert_eq!(grad.shape().rank(), 4, "conv2d_weight_grad grad must be [n,f,oh,ow]");
+    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+    let f = grad.dims()[1];
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d_weight_grad grad shape mismatch");
+    let (k, pad) = (spec.kernel, spec.padding);
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let geom = simd::ConvGeom { c, k, hp, wp, oh, ow, stride: spec.stride };
+    let level = simd::simd_level();
+    let (xs, gs) = (x.as_slice(), grad.as_slice());
+
+    let mut dw = vec![0.0f32; f * c * k * k];
+    // One padded image plus the vector tail the last window's load reads;
+    // the border and the tail stay zero, only the interior is rewritten.
+    let mut padded = crate::scratch::take_f32(c * hp * wp + simd::wgrad_lanes(level) - 1);
+    let mut terms = Vec::with_capacity(oh * ow);
+    for img in 0..n {
+        for ic in 0..c {
+            for y in 0..h {
+                let src_off = ((img * c + ic) * h + y) * w;
+                let dst_off = (ic * hp + y + pad) * wp + pad;
+                padded[dst_off..dst_off + w].copy_from_slice(&xs[src_off..src_off + w]);
+            }
+        }
+        let g_img = &gs[img * f * oh * ow..(img + 1) * f * oh * ow];
+        simd::conv_weight_grad_image(level, geom, g_img, &padded, &mut dw, &mut terms);
+    }
+    crate::scratch::put_f32(padded);
+    Tensor::from_vec(dw, [f, c, k, k])
+}
+
+/// Input gradient of [`conv2d`]: `grad` `[n, f, oh, ow]` is the gradient of
+/// the output, `weight` `[f, c, k, k]` the filters and `(h, w)` the input
+/// size; returns `[n, c, h, w]`.
+///
+/// **Bit-identical** to `col2im(matmul(transpose(W), g), …)` with `g` the
+/// `[f, n·oh·ow]` reorder of `grad`, without either batch matrix. Each
+/// image's `[c·k·k, oh·ow]` slice of `Wᵀ·g` comes from the same GEMM (one
+/// ascending-`f` chain from `+0.0` per element), and its tap rows
+/// `r = (ic, ky, kx)` are scatter-added into a zero padded image in
+/// descending order. The batched `col2im` adds the contributions to one
+/// padded element in ascending output-pixel order; within a channel a later
+/// output pixel reaches that element through a smaller `(ky, kx)`, at any
+/// stride, so that order is descending `r`, the order used here. Images are
+/// split across the [`crate::parallel`] workers, each owning its slice of
+/// the result, so the thread count cannot change a bit.
+///
+/// # Panics
+///
+/// Panics on rank or channel mismatches or if `grad` disagrees with the
+/// geometry.
+pub fn conv2d_input_grad(
+    grad: &Tensor,
+    weight: &Tensor,
+    (h, w): (usize, usize),
+    spec: Conv2dSpec,
+) -> Tensor {
+    assert_eq!(grad.shape().rank(), 4, "conv2d_input_grad grad must be [n,f,oh,ow]");
+    assert_eq!(weight.shape().rank(), 4, "conv2d_input_grad weight must be [f,c,k,k]");
+    let (n, f) = (grad.dims()[0], grad.dims()[1]);
+    let (wf, c, k) = (weight.dims()[0], weight.dims()[1], weight.dims()[2]);
+    assert_eq!(f, wf, "conv2d_input_grad filter mismatch: grad {f}, weight {wf}");
+    assert_eq!(k, spec.kernel, "spec kernel disagrees with weight");
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d_input_grad grad shape mismatch");
+    let pad = spec.padding;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let geom = simd::ConvGeom { c, k, hp, wp, oh, ow, stride: spec.stride };
+    let (ckk, pix) = (c * k * k, oh * ow);
+    // Wᵀ `[c·k·k, f]`: each tap's filter weights side by side.
+    let ws = weight.as_slice();
+    let mut wt = vec![0.0f32; ckk * f];
+    for (r, taps) in wt.chunks_exact_mut(f).enumerate() {
+        for (fi, t) in taps.iter_mut().enumerate() {
+            *t = ws[fi * ckk + r];
+        }
+    }
+    let gs = grad.as_slice();
+
+    let mut out = vec![0.0f32; n * c * h * w];
+    parallel::par_bands_mut(&mut out, n, c * h * w, |img0, imgs, chunk| {
+        let mut padded = crate::scratch::take_f32(c * hp * wp);
+        let mut dcols = crate::scratch::take_f32(ckk * pix);
+        for i in 0..imgs {
+            let g_img = &gs[(img0 + i) * f * pix..(img0 + i + 1) * f * pix];
+            dcols.fill(0.0);
+            gemm_serial(ckk, f, pix, &wt, g_img, &mut dcols);
+            scatter_rows_descending(geom, &dcols, &mut padded);
+            let dst_img = &mut chunk[i * c * h * w..(i + 1) * c * h * w];
+            for ic in 0..c {
+                for y in 0..h {
+                    let src_off = (ic * hp + y + pad) * wp + pad;
+                    dst_img[(ic * h + y) * w..(ic * h + y + 1) * w]
+                        .copy_from_slice(&padded[src_off..src_off + w]);
+                }
+            }
+        }
+        crate::scratch::put_f32(dcols);
+        crate::scratch::put_f32(padded);
+    });
+    Tensor::from_vec(out, [n, c, h, w])
+}
+
+/// Scatter-adds one image's `[c·k·k, oh·ow]` column gradient into the
+/// zero-padded image gradient `padded` `[c, hp, wp]`, tap rows in
+/// descending order.
+fn scatter_rows_descending(geom: simd::ConvGeom, dcols: &[f32], padded: &mut [f32]) {
+    let simd::ConvGeom { k, hp, wp, oh, ow, stride: s, .. } = geom;
+    padded.fill(0.0);
+    for (r, row) in dcols.chunks_exact(oh * ow).enumerate().rev() {
+        let (ic, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+        for (oy, src) in row.chunks_exact(ow).enumerate() {
+            let dst = &mut padded[(ic * hp + oy * s + ky) * wp + kx..];
+            if s == 1 {
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
+                    *d += v;
+                }
+            }
+        }
+    }
 }
 
 /// Direct (nested-loop) convolution; reference oracle for [`conv2d`].

@@ -1,6 +1,6 @@
 //! Explicit x86-64 SIMD micro-kernels behind one-time runtime detection.
 //!
-//! Two kernel families live here, both selected through [`simd_level`]:
+//! Three kernel families live here, all selected through [`simd_level`]:
 //!
 //! - **Integer dot tiles** (`dot_tiles`): `i16 × i16 → i32` dot products
 //!   over row-major operand panels, register-blocked four rows at a time and
@@ -15,6 +15,11 @@
 //!   accumulation order identical to the scalar kernel — ascending `k`,
 //!   separate multiply then add, never FMA — so the vectorized product is
 //!   bit-identical to the serial scalar oracle, not merely close.
+//! - **`f32` convolution weight-gradient chains**
+//!   (`conv_weight_grad_image`): one output per chain, advanced pixel by
+//!   pixel in the GEMM's order, with the vector lanes over the `kx` taps of
+//!   one kernel row (8 on AVX2, 4 on SSE2, 1 scalar) and four chains in
+//!   flight — bit-identical at every level for the same reason.
 //!
 //! # Dispatch
 //!
@@ -468,6 +473,181 @@ pub(crate) unsafe fn gemm_tile_f32(
         // SAFETY: forwarded caller contract; SSE2 is baseline on x86-64.
         SimdLevel::Sse2 => x86::gemm_tile_f32_sse2(mb, k, nb, a, lda, b, ldb, c, ldc),
         _ => gemm_tile_f32_scalar(mb, k, nb, a, lda, b, ldb, c, ldc),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 convolution weight-gradient chains
+// ---------------------------------------------------------------------------
+
+/// Taps one weight-gradient chain covers at `level`: consecutive `kx` of
+/// one kernel row, one per vector lane.
+pub(crate) fn wgrad_lanes(level: SimdLevel) -> usize {
+    match level {
+        SimdLevel::Avx2 => 8,
+        SimdLevel::Sse2 => 4,
+        SimdLevel::Scalar => 1,
+    }
+}
+
+/// Geometry of one zero-padded convolution input and its output map.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvGeom {
+    /// Input channels.
+    pub c: usize,
+    /// Square kernel edge.
+    pub k: usize,
+    /// Padded input height.
+    pub hp: usize,
+    /// Padded input width.
+    pub wp: usize,
+    /// Output map height.
+    pub oh: usize,
+    /// Output map width.
+    pub ow: usize,
+    /// Convolution stride.
+    pub stride: usize,
+}
+
+/// One accumulation chain: its window origin `x` in the padded image, its
+/// first output `out`, and how many of its lanes are real taps (the rest
+/// are computed, never stored).
+#[derive(Debug, Clone, Copy, Default)]
+struct WgradChain {
+    x: usize,
+    out: usize,
+    lanes: usize,
+}
+
+/// Adds one image's contribution to a convolution weight gradient:
+/// `dw[fi, ic, ky, kx] += g[fi, p] · x[ic, oy·s + ky, ox·s + kx]` for every
+/// output pixel `p = (oy, ox)` in ascending order, with a separate multiply
+/// and add per term (never FMA).
+///
+/// `g` is the image's `[f, oh·ow]` output gradient, `x` its zero-padded
+/// `[c, hp, wp]` input followed by at least `wgrad_lanes(level) − 1` floats
+/// of slack, `dw` the `[f, c, k, k]` accumulator, and `terms` workspace.
+/// Each output element is one chain loaded from `dw`, advanced pixel by
+/// pixel and stored back, so called image by image this is the
+/// ascending-`k` chain of the product `g · im2col(x)ᵀ`, bit for bit, at
+/// every level. Pixels where `g` is zero are skipped: such a term adds ±0
+/// to a chain that starts at `+0.0` and so is never `−0.0`, which changes
+/// no bit (the argument behind [`crate::GemmKernel::SkipZeros`]). Each
+/// filter's nonzero terms are gathered once and shared by all its chains.
+/// A lane covers one `kx` tap: the vector tiers load the window row with
+/// one unaligned load per term (chunked for kernels wider than a vector)
+/// and advance four chains at once to hide the add latency.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `geom`.
+pub(crate) fn conv_weight_grad_image(
+    level: SimdLevel,
+    geom: ConvGeom,
+    g: &[f32],
+    x: &[f32],
+    dw: &mut [f32],
+    terms: &mut Vec<(f32, usize)>,
+) {
+    let ConvGeom { c, k, hp, wp, oh, ow, stride } = geom;
+    let level = level.min(detected_simd());
+    let lanes = wgrad_lanes(level);
+    let f = dw.len() / (c * k * k);
+    assert_eq!(dw.len(), f * c * k * k, "wgrad output length mismatch");
+    assert_eq!(g.len(), f * oh * ow, "wgrad gradient length mismatch");
+    // The furthest read is lane `lanes − 1` at the last window of the last
+    // row of the last channel: `c·hp·wp − 1 + lanes − 1`.
+    assert!(x.len() + 1 >= c * hp * wp + lanes, "wgrad input lacks lane slack");
+    assert!(
+        (oh - 1) * stride + k <= hp && (ow - 1) * stride + k <= wp,
+        "wgrad window overruns the padded image"
+    );
+
+    for (fi, plane) in g.chunks_exact(oh * ow).enumerate() {
+        terms.clear();
+        for (oy, grow) in plane.chunks_exact(ow).enumerate() {
+            for (ox, &gv) in grow.iter().enumerate() {
+                if gv != 0.0 {
+                    terms.push((gv, (oy * wp + ox) * stride));
+                }
+            }
+        }
+        if terms.is_empty() {
+            continue;
+        }
+        let mut group = [WgradChain::default(); 4];
+        let mut len = 0;
+        for ic in 0..c {
+            for ky in 0..k {
+                for kx0 in (0..k).step_by(lanes) {
+                    group[len] = WgradChain {
+                        x: (ic * hp + ky) * wp + kx0,
+                        out: ((fi * c + ic) * k + ky) * k + kx0,
+                        lanes: lanes.min(k - kx0),
+                    };
+                    len += 1;
+                    if len == 4 {
+                        // SAFETY: the asserts above bound every window row,
+                        // read `lanes` wide from any term's origin, inside
+                        // `x`, for every chain built here; `level` is clamped
+                        // to detection.
+                        unsafe { run_wgrad_group(level, &group, 4, terms, x, dw) };
+                        len = 0;
+                    }
+                }
+            }
+        }
+        if len > 0 {
+            // SAFETY: as above.
+            unsafe { run_wgrad_group(level, &group, len, terms, x, dw) };
+        }
+    }
+}
+
+/// Runs the first `len` chains of `group` over `terms`; the unused slots
+/// repeat chain 0 and are not stored.
+///
+/// # Safety
+///
+/// For each of the first `len` chains and each term `(gv, xo)`, `x` must
+/// hold `wgrad_lanes(level)` floats from `chain.x + xo`, and `level` must
+/// not exceed [`detected_simd`].
+unsafe fn run_wgrad_group(
+    level: SimdLevel,
+    group: &[WgradChain; 4],
+    len: usize,
+    terms: &[(f32, usize)],
+    x: &[f32],
+    dw: &mut [f32],
+) {
+    let mut chains = *group;
+    for slot in &mut chains[len..] {
+        *slot = WgradChain { lanes: 0, ..group[0] };
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: forwarded caller contract (the unused slots repeat chain
+        // 0's reads); dw is bounds-checked inside.
+        SimdLevel::Avx2 => x86::wgrad4_avx2(&chains, terms, x.as_ptr(), dw),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; SSE2 is baseline on x86-64.
+        SimdLevel::Sse2 => x86::wgrad4_sse2(&chains, terms, x.as_ptr(), dw),
+        _ => wgrad4_scalar(&chains, terms, x, dw),
+    }
+}
+
+/// Scalar tier of the weight-gradient chains: one tap per chain.
+fn wgrad4_scalar(chains: &[WgradChain; 4], terms: &[(f32, usize)], x: &[f32], dw: &mut [f32]) {
+    let mut acc = chains.map(|ch| dw[ch.out]);
+    for &(gv, xo) in terms {
+        for (a, ch) in acc.iter_mut().zip(chains) {
+            *a += gv * x[ch.x + xo];
+        }
+    }
+    for (a, ch) in acc.iter().zip(chains) {
+        if ch.lanes > 0 {
+            dw[ch.out] = *a;
+        }
     }
 }
 
@@ -1112,6 +1292,53 @@ mod x86 {
             gemm_tail_cols(mb, k, j, nb, a, lda, b, ldb, c, ldc);
         }
     }
+
+    /// Generates a four-chain weight-gradient kernel for one vector width.
+    macro_rules! wgrad4 {
+        ($name:ident, $feature:literal, $lanes:literal, $load:ident, $store:ident, $set1:ident, $add:ident, $mul:ident) => {
+            /// Four chains of [`super::conv_weight_grad_image`] over the
+            /// same gradient terms, one vector each: lane `l` of chain `j`
+            /// accumulates `gv · x[x_j + xo + l]` for each term `(gv, xo)`.
+            ///
+            /// # Safety
+            ///
+            /// For every chain and term, `x` must be readable a full vector
+            /// wide at `x_j + xo`, and the chain's first `lanes` outputs
+            /// must lie inside `dw`; the CPU must support the feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                chains: &[super::WgradChain; 4],
+                terms: &[(f32, usize)],
+                x: *const f32,
+                dw: &mut [f32],
+            ) {
+                let mut bufs = [[0.0f32; $lanes]; 4];
+                for (buf, ch) in bufs.iter_mut().zip(chains) {
+                    buf[..ch.lanes].copy_from_slice(&dw[ch.out..ch.out + ch.lanes]);
+                }
+                let mut a0 = $load(bufs[0].as_ptr());
+                let mut a1 = $load(bufs[1].as_ptr());
+                let mut a2 = $load(bufs[2].as_ptr());
+                let mut a3 = $load(bufs[3].as_ptr());
+                let [c0, c1, c2, c3] = *chains;
+                for &(gv, xo) in terms {
+                    let gb = $set1(gv);
+                    a0 = $add(a0, $mul(gb, $load(x.add(c0.x + xo))));
+                    a1 = $add(a1, $mul(gb, $load(x.add(c1.x + xo))));
+                    a2 = $add(a2, $mul(gb, $load(x.add(c2.x + xo))));
+                    a3 = $add(a3, $mul(gb, $load(x.add(c3.x + xo))));
+                }
+                for (acc, ch) in [a0, a1, a2, a3].into_iter().zip(chains) {
+                    let mut buf = [0.0f32; $lanes];
+                    $store(buf.as_mut_ptr(), acc);
+                    dw[ch.out..ch.out + ch.lanes].copy_from_slice(&buf[..ch.lanes]);
+                }
+            }
+        };
+    }
+
+    wgrad4!(wgrad4_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps);
+    wgrad4!(wgrad4_sse2, "sse2", 4, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_add_ps, _mm_mul_ps);
 
     /// SSE2 [`super::gemm_tile_f32`]: 4-row × 4-lane register tile.
     ///

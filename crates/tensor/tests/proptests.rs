@@ -2,12 +2,26 @@
 
 use proptest::prelude::*;
 use qsnc_tensor::{
-    col2im, conv2d, conv2d_direct, im2col, matmul, matmul_naive, pad2d, parallel, softmax_rows,
-    transpose, unpad2d, Conv2dSpec, Shape, Tensor,
+    col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_weight_grad, detected_simd, im2col,
+    matmul, matmul_naive, pad2d, parallel, softmax_rows, transpose, unpad2d, with_simd_level,
+    Conv2dSpec, Shape, SimdLevel, Tensor,
 };
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+/// `[n, f, oh, ow]` → `[f, n·oh·ow]`, the column order of [`im2col`].
+fn to_columns(t: &Tensor) -> Tensor {
+    let (n, f, pix) = (t.dims()[0], t.dims()[1], t.dims()[2] * t.dims()[3]);
+    let mut out = vec![0.0f32; f * n * pix];
+    for i in 0..n {
+        for fi in 0..f {
+            out[(fi * n + i) * pix..(fi * n + i + 1) * pix]
+                .copy_from_slice(&t.as_slice()[(i * f + fi) * pix..(i * f + fi + 1) * pix]);
+        }
+    }
+    Tensor::from_vec(out, [f, n * pix])
 }
 
 proptest! {
@@ -143,6 +157,48 @@ proptest! {
         let back = col2im(&y, n, c, hw, hw, spec);
         let rhs: f32 = x.iter().zip(back.iter()).map(|(&a, &b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
+    }
+
+    #[test]
+    fn conv_grad_kernels_match_column_oracles(
+        n in 1usize..3, c in 1usize..4, f in 1usize..5, hw in 1usize..10,
+        k in 1usize..6, stride in 1usize..3, pad in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        // The column-free gradient kernels against the products they
+        // replace, bit for bit: dW = g·im2col(x)ᵀ and dx = col2im(Wᵀ·g).
+        prop_assume!(hw + 2 * pad >= k);
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // A third of the entries exactly zero, as after ReLU and max-pool.
+        let mut sparse = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| if rng.gen_range(0..3) == 0 { 0.0 } else { rng.gen_range(-1.0..1.0) })
+                .collect()
+        };
+        let spec = Conv2dSpec::new(k, stride, pad);
+        let o = spec.output_size(hw);
+        let x = Tensor::from_vec(sparse(n * c * hw * hw), [n, c, hw, hw]);
+        let w = Tensor::from_vec(sparse(f * c * k * k), [f, c, k, k]);
+        let g = Tensor::from_vec(sparse(n * f * o * o), [n, f, o, o]);
+        let g_cols = to_columns(&g);
+        let w_mat = w.reshape([f, c * k * k]);
+        let want_dw = matmul(&g_cols, &transpose(&im2col(&x, spec)));
+        let want_dx = col2im(&matmul(&transpose(&w_mat), &g_cols), n, c, hw, hw, spec);
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            let level = level.min(detected_simd());
+            let (dw, dx) = with_simd_level(level, || {
+                (conv2d_weight_grad(&x, &g, spec), conv2d_input_grad(&g, &w, (hw, hw), spec))
+            });
+            prop_assert_eq!(dw.dims(), w.dims());
+            prop_assert_eq!(dx.dims(), x.dims());
+            for (a, b) in dw.iter().zip(want_dw.iter()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "dW at {:?}: {} vs {}", level, a, b);
+            }
+            for (a, b) in dx.iter().zip(want_dx.iter()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "dx at {:?}: {} vs {}", level, a, b);
+            }
+        }
     }
 
     #[test]

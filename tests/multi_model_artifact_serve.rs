@@ -5,6 +5,14 @@
 //! other noticing. This is the end-to-end contract the CI `artifact` job
 //! enforces on top of the single-model leg in `artifact_serve.rs`.
 
+// The tests that start `qsnc serve` and talk to it over a socket need the
+// event-loop front end, which only exists on Linux x86-64/aarch64; elsewhere
+// they are compiled out, and so are the helpers only they use.
+#![cfg_attr(
+    not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))),
+    allow(dead_code, unused_imports)
+)]
+
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -113,6 +121,7 @@ fn http(addr: SocketAddr, request: &str) -> String {
 }
 
 #[test]
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 fn two_artifacts_one_process_with_admin_hot_swap() {
     let dir = std::env::temp_dir().join(format!("qsnc_multi_artifact_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");

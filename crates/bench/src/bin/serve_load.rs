@@ -473,7 +473,11 @@ fn main() {
         rps
     };
     let off_rps = measure_plain();
-    qsnc_telemetry::set_mode(qsnc_telemetry::TelemetryMode::Record);
+    // Switch recording on, but keep `QSNC_TELEMETRY=json` if that is how the
+    // run was started: the report is then emitted as the JSON document.
+    if !qsnc_telemetry::enabled() {
+        qsnc_telemetry::set_mode(qsnc_telemetry::TelemetryMode::Record);
+    }
     let base_rps = measure_plain();
     let telemetry_pct = (off_rps - base_rps) / off_rps * 100.0;
 

@@ -115,6 +115,15 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// call or if `grad` has the wrong shape.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// Like [`backward`](Layer::backward), but only accumulates parameter
+    /// gradients: ∂loss/∂input is not wanted. A network's first layer is
+    /// run this way, since the gradient with respect to the training
+    /// images is never used. Layers whose input gradient costs a product
+    /// of its own (convolution, fully connected) skip it.
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.backward(grad);
+    }
+
     /// Mutable views of the layer's learnable parameters, if any.
     fn params(&mut self) -> Vec<Param<'_>> {
         Vec::new()

@@ -79,6 +79,33 @@ impl Conv2d {
         assert_eq!(weight.shape(), self.weight.shape(), "weight shape mismatch");
         self.weight = weight;
     }
+
+    /// Adds this step's weight and bias gradients to the accumulators and
+    /// returns the input's spatial size `(h, w)`.
+    fn accumulate_param_grads(&mut self, grad: &Tensor) -> (usize, usize) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("conv2d backward called before training-mode forward");
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let f = self.out_channels;
+        let (oh, ow) = (self.spec.output_size(h), self.spec.output_size(w));
+        assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d grad shape mismatch");
+        let pix = oh * ow;
+
+        self.grad_weight += &conv2d_weight_grad(x, grad, self.spec);
+
+        // db: each filter's gradient summed image by image, pixel by pixel —
+        // the row sums of the gradient laid out `[f, n·oh·ow]`.
+        let gs = grad.as_slice();
+        for (fi, gb) in self.grad_bias.as_mut_slice().iter_mut().enumerate() {
+            *gb += (0..n)
+                .flat_map(|i| &gs[(i * f + fi) * pix..(i * f + fi + 1) * pix])
+                .sum::<f32>();
+        }
+
+        (h, w)
+    }
 }
 
 impl Layer for Conv2d {
@@ -115,28 +142,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("conv2d backward called before training-mode forward");
-        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-        let f = self.out_channels;
-        let (oh, ow) = (self.spec.output_size(h), self.spec.output_size(w));
-        assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d grad shape mismatch");
-        let pix = oh * ow;
+        let hw = self.accumulate_param_grads(grad);
+        conv2d_input_grad(grad, &self.weight, hw, self.spec)
+    }
 
-        self.grad_weight += &conv2d_weight_grad(x, grad, self.spec);
-
-        // db: each filter's gradient summed image by image, pixel by pixel —
-        // the row sums of the gradient laid out `[f, n·oh·ow]`.
-        let gs = grad.as_slice();
-        for (fi, gb) in self.grad_bias.as_mut_slice().iter_mut().enumerate() {
-            *gb += (0..n)
-                .flat_map(|i| &gs[(i * f + fi) * pix..(i * f + fi + 1) * pix])
-                .sum::<f32>();
-        }
-
-        conv2d_input_grad(grad, &self.weight, (h, w), self.spec)
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.accumulate_param_grads(grad);
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {

@@ -69,6 +69,31 @@ impl Linear {
         assert_eq!(weight.shape(), self.weight.shape(), "weight shape mismatch");
         self.weight = weight;
     }
+
+    /// Adds this step's weight and bias gradients to the accumulators.
+    fn accumulate_param_grads(&mut self, grad: &Tensor) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("linear backward called before training-mode forward");
+        let n = x.dims()[0];
+        assert_eq!(grad.dims(), &[n, self.out_features], "linear grad shape mismatch");
+
+        // dW = gradᵀ · x
+        let dw = matmul(&transpose(grad), x);
+        self.grad_weight += &dw;
+
+        // db = column sums of grad.
+        {
+            let gb = self.grad_bias.as_mut_slice();
+            let gs = grad.as_slice();
+            for r in 0..n {
+                for (o, g) in gb.iter_mut().zip(&gs[r * self.out_features..]) {
+                    *o += g;
+                }
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -126,30 +151,13 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("linear backward called before training-mode forward");
-        let n = x.dims()[0];
-        assert_eq!(grad.dims(), &[n, self.out_features], "linear grad shape mismatch");
-
-        // dW = gradᵀ · x
-        let dw = matmul(&transpose(grad), x);
-        self.grad_weight += &dw;
-
-        // db = column sums of grad.
-        {
-            let gb = self.grad_bias.as_mut_slice();
-            let gs = grad.as_slice();
-            for r in 0..n {
-                for (o, g) in gb.iter_mut().zip(&gs[r * self.out_features..]) {
-                    *o += g;
-                }
-            }
-        }
-
+        self.accumulate_param_grads(grad);
         // dx = grad · W
         matmul(grad, &self.weight)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.accumulate_param_grads(grad);
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {

@@ -125,11 +125,13 @@ impl Sequential {
     }
 
     /// Propagates a loss gradient backwards through every layer,
-    /// accumulating parameter gradients.
+    /// accumulating parameter gradients. The first layer runs
+    /// [`Layer::backward_params`]: nothing consumes the gradient with
+    /// respect to the network input, so it is not computed.
     ///
     /// When telemetry is recording, each layer's wall-clock time is tracked
     /// under the span `nn.backward.{index:02}.{name}`.
-    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
+    pub fn backward(&mut self, grad: &Tensor) {
         let mut g = grad.clone();
         let instrument = qsnc_telemetry::enabled();
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
@@ -141,9 +143,12 @@ impl Sequential {
             } else {
                 None
             };
-            g = layer.backward(&g);
+            if i == 0 {
+                layer.backward_params(&g);
+            } else {
+                g = layer.backward(&g);
+            }
         }
-        g
     }
 
     /// Mutable views of every learnable parameter in network order.
@@ -216,8 +221,31 @@ mod tests {
         let x = qsnc_tensor::init::uniform([5, 4], -1.0, 1.0, &mut rng);
         let y = net.forward(&x, Mode::Train);
         assert_eq!(y.dims(), &[5, 3]);
-        let dx = net.backward(&Tensor::ones([5, 3]));
-        assert_eq!(dx.dims(), &[5, 4]);
+        // Each layer's backward returns a gradient shaped like its input.
+        let mut g = Tensor::ones([5, 3]);
+        for (layer, dims) in net.layers.iter_mut().rev().zip([[5, 8], [5, 8], [5, 4]]) {
+            g = layer.backward(&g);
+            assert_eq!(g.dims(), &dims);
+        }
+    }
+
+    #[test]
+    fn backward_params_gradients_match_a_full_backward() {
+        let x = qsnc_tensor::init::uniform([5, 4], -1.0, 1.0, &mut TensorRng::seed(9));
+        let g = Tensor::ones([5, 3]);
+        let mut skipped = tiny_net(&mut TensorRng::seed(4));
+        skipped.forward(&x, Mode::Train);
+        skipped.backward(&g);
+        let mut full = tiny_net(&mut TensorRng::seed(4));
+        full.forward(&x, Mode::Train);
+        let mut dx = g.clone();
+        for layer in full.layers.iter_mut().rev() {
+            dx = layer.backward(&dx);
+        }
+        for (a, b) in skipped.params().iter().zip(full.params().iter()) {
+            let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.grad), bits(b.grad), "{}", a.name);
+        }
     }
 
     #[test]

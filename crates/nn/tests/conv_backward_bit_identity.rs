@@ -6,8 +6,9 @@
 //! `dW = g · im2col(x)ᵀ`, `db` = the row sums of `g`, and
 //! `dx = col2im(Wᵀ · g)`, with `g` the output gradient laid out
 //! `[f, n·oh·ow]`; and that the training-mode forward equals both the
-//! evaluation-mode forward and `W · im2col(x)` plus bias. Each case runs at
-//! every SIMD level and at one and three worker threads.
+//! evaluation-mode forward and `W · im2col(x)` plus bias, and that
+//! `backward_params` (no input gradient) leaves the same `dW` and `db`.
+//! Each case runs at every SIMD level and at one and three worker threads.
 
 use qsnc_nn::layers::Conv2d;
 use qsnc_nn::{Layer, Mode};
@@ -134,6 +135,19 @@ fn conv_training_step_is_bit_identical_to_the_column_formulation() {
                     let params = layer.params();
                     assert_bits(&format!("{case}: dW"), params[0].grad, &want.dw);
                     assert_bits(&format!("{case}: db"), params[1].grad, &want.db);
+
+                    // The first layer of a network skips its input gradient;
+                    // the parameter gradients must not change by a bit.
+                    with_simd_level(level, || {
+                        with_num_threads(threads, || {
+                            layer.zero_grad();
+                            layer.forward(&x, Mode::Train);
+                            layer.backward_params(&g);
+                        })
+                    });
+                    let params = layer.params();
+                    assert_bits(&format!("{case}: params-only dW"), params[0].grad, &want.dw);
+                    assert_bits(&format!("{case}: params-only db"), params[1].grad, &want.db);
                 }
             }
         }

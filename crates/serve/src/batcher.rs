@@ -1,18 +1,20 @@
-//! Dynamic micro-batching over the bounded request queue.
+//! Micro-batching over the bounded request queue.
 //!
-//! The batcher owns the receiving end of the server's bounded request
-//! queue. A batch window opens when the first request arrives and flushes
-//! when either `max_batch` requests have been collected **or**
-//! `max_delay` has elapsed since the window opened — whichever comes
-//! first. Under load the queue always has requests waiting, so batches
-//! fill to `max_batch` with no added latency; at low rates a lone request
-//! waits at most `max_delay` before running alone. This is the standard
-//! throughput/latency trade dynamic batching makes, tuned by the
-//! `QSNC_SERVE_MAX_BATCH` / `QSNC_SERVE_MAX_DELAY_US` knobs.
+//! The workers share one [`MicroBatcher`] behind a mutex and pull their
+//! own batches from it; there is no batcher thread between the queue and
+//! the workers. An idle worker blocks for the first request, then takes
+//! whatever else is already queued without waiting — up to `max_batch`,
+//! and only requests for the same engine version — and runs at once. A
+//! lone request therefore never waits for batch-mates, and under load the
+//! queue refills while the worker infers, so batches grow with the
+//! backlog. A non-zero `max_delay` (`QSNC_SERVE_MAX_DELAY_US`, default 0)
+//! adds an extra wait for stragglers, opened only once the queue has been
+//! drained. While every worker is busy, admitted requests stay in the
+//! bounded queue, which is where the `Busy` backpressure engages.
 
 use crate::event_loop::LoopShared;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,8 +61,8 @@ pub(crate) struct WorkerReply {
     pub(crate) argmax: u32,
     /// The class logits, bit-identical to `infer_reference`.
     pub(crate) logits: Vec<f32>,
-    /// Microseconds the request spent queued + batching before a worker
-    /// picked its batch up (zero when telemetry is off).
+    /// Microseconds the request spent queued (plus any `max_delay` window)
+    /// before a worker took its batch (zero when telemetry is off).
     pub(crate) queue_us: u64,
     /// Microseconds the batched `infer_batch_into` call took; shared by
     /// every request in the batch (zero when telemetry is off).
@@ -99,11 +101,6 @@ impl MicroBatcher {
         MicroBatcher { rx, max_batch, max_delay, depth, carry: None }
     }
 
-    fn pop(&self, req: Request, batch: &mut Vec<Request>) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        batch.push(req);
-    }
-
     /// Whether `req` can run in the same `infer_batch_into` call as the
     /// batch opener: a batch is **version-homogeneous** — one engine
     /// snapshot per batch — so a request for a different model (or a
@@ -117,40 +114,49 @@ impl MicroBatcher {
         }
     }
 
-    /// Blocks for the next batch. Returns `None` once every producer has
-    /// disconnected and the queue is drained — buffered requests are still
-    /// delivered first, which is what makes shutdown drain rather than
-    /// drop.
+    /// Blocks for the next batch: the first request (or the carried one),
+    /// then every request already queued, up to `max_batch`. Waits
+    /// `max_delay` for more only after the queue has run empty. Returns
+    /// `None` once every producer has disconnected and the queue is
+    /// drained — buffered requests are still delivered first, which is
+    /// what makes shutdown drain rather than drop.
     pub(crate) fn next_batch(&mut self) -> Option<Vec<Request>> {
         let mut batch = Vec::with_capacity(self.max_batch);
         match self.carry.take() {
             // A carried request was depth-decremented when first popped.
             Some(req) => batch.push(req),
-            None => match self.rx.recv() {
-                Ok(req) => self.pop(req, &mut batch),
-                Err(_) => return None,
-            },
+            None => {
+                let req = self.rx.recv().ok()?;
+                self.depth.fetch_sub(1, Ordering::Relaxed);
+                batch.push(req);
+            }
         }
-        let deadline = Instant::now() + self.max_delay;
+        let mut deadline = None;
         while batch.len() < self.max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            let req = match self.rx.try_recv() {
+                Ok(req) => req,
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    // The queue is drained: the window, if any, opens now.
+                    let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.max_delay);
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        break;
+                    }
+                    match self.rx.recv_timeout(remaining) {
+                        Ok(req) => req,
+                        Err(_) => break,
+                    }
+                }
+            };
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            if !Self::joins(&batch, &req) {
+                // Different engine version: flush now, start the next
+                // batch from this request.
+                self.carry = Some(req);
                 break;
             }
-            match self.rx.recv_timeout(remaining) {
-                Ok(req) if Self::joins(&batch, &req) => self.pop(req, &mut batch),
-                Ok(req) => {
-                    // Different engine version: flush now, start the next
-                    // batch from this request.
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.carry = Some(req);
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if qsnc_telemetry::enabled() {
-            qsnc_telemetry::observe("serve.batch.size", batch.len() as f64, BATCH_SIZE_EDGES);
+            batch.push(req);
         }
         Some(batch)
     }
@@ -218,5 +224,21 @@ mod tests {
         assert_eq!(batcher.next_batch().expect("drained remainder").len(), 1);
         assert!(batcher.next_batch().is_none(), "drained queue must end the loop");
         assert_eq!(depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn zero_delay_takes_what_is_queued_without_waiting() {
+        let (tx, rx) = mpsc::sync_channel(16);
+        let depth = Arc::new(AtomicUsize::new(0));
+        let mut batcher = MicroBatcher::new(rx, 3, Duration::ZERO, Arc::clone(&depth));
+        for i in 0..5 {
+            depth.fetch_add(1, Ordering::Relaxed);
+            tx.send(request(i as f32)).unwrap();
+        }
+        let batch = batcher.next_batch().expect("batch");
+        assert_eq!(batch.len(), 3, "an idle worker takes every queued request up to max_batch");
+        assert_eq!(depth.load(Ordering::Relaxed), 2);
+        assert_eq!(batch[0].input, vec![0.0]);
+        assert_eq!(batch[2].input, vec![2.0]);
     }
 }

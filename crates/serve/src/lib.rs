@@ -25,10 +25,13 @@
 //!    its payload, and admits the request to a **bounded queue**. A full
 //!    queue answers [`Status::Busy`] immediately — explicit backpressure
 //!    instead of unbounded buffering.
-//! 2. The **micro-batcher** collects admitted requests into a batch,
-//!    flushing when `max_batch` requests arrived or `max_delay_us` elapsed
-//!    since the first — whichever comes first.
-//! 3. A **worker** packs the batch into a `[B, …]` tensor and drives
+//! 2. An idle **worker** takes its own batch from that queue: it blocks for
+//!    the first request, then takes whatever else is already queued — up
+//!    to `max_batch`, without waiting — and runs at once. The workers share
+//!    one micro-batcher behind a mutex; there is no batcher thread and no
+//!    hand-off between queue and worker. `max_delay_us` (default 0) adds
+//!    an optional wait for stragglers after the queue has been drained.
+//! 3. The worker packs the batch into a `[B, …]` tensor and drives
 //!    [`SpikingNetwork::infer_batch_into`]: every reply is bit-identical
 //!    to `SpikingNetwork::infer_reference` — at any `QSNC_SIMD` level the
 //!    integer kernels dispatch to (`qsnc_tensor::simd`) — and steady-state
@@ -42,8 +45,8 @@
 //! [`Server::shutdown`] drains: accepting stops, no new frames are
 //! admitted, every request already admitted (including tagged in-flight
 //! pipelines) is batched, inferred, answered, and flushed, and only then
-//! do the batcher and workers exit (the admin listener, when enabled,
-//! goes down last so `/metrics` stays scrapeable through the drain).
+//! do the workers exit (the admin listener, when enabled, goes down last
+//! so `/metrics` stays scrapeable through the drain).
 //!
 //! ## Multi-model serving and hot swap
 //!
@@ -109,7 +112,7 @@ mod event_loop;
 pub use protocol::{Reply, Status};
 pub use registry::{ModelSpec, ModelStatus, SwapReport};
 
-use batcher::{MicroBatcher, ReplyRoute, Request, WorkerReply};
+use batcher::{MicroBatcher, ReplyRoute, Request, WorkerReply, BATCH_SIZE_EDGES};
 use event_loop::{Completion, LoopConfig, LoopShared};
 use qsnc_memristor::SpikingNetwork;
 use qsnc_tensor::Tensor;
@@ -118,7 +121,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,8 +132,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Largest batch a worker runs at once (`QSNC_SERVE_MAX_BATCH`).
     pub max_batch: usize,
-    /// Longest a lone request waits for batch-mates, in microseconds
-    /// (`QSNC_SERVE_MAX_DELAY_US`).
+    /// Extra wait for batch-mates, in microseconds, after a worker has
+    /// taken everything already queued (`QSNC_SERVE_MAX_DELAY_US`). The
+    /// default 0 never waits: a lone request runs alone at once.
     pub max_delay_us: u64,
     /// Bounded request-queue capacity; a full queue replies
     /// [`Status::Busy`].
@@ -179,7 +183,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_delay_us: 200,
+            max_delay_us: 0,
             queue_cap: 64,
             workers: 1,
             loops: 1,
@@ -266,7 +270,6 @@ pub struct Server {
     req_tx: Option<SyncSender<Request>>,
     loops: Vec<JoinHandle<()>>,
     shareds: Vec<Arc<LoopShared>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
     registry: Arc<ModelRegistry>,
@@ -469,33 +472,21 @@ impl Server {
         };
         let depth = Arc::new(AtomicUsize::new(0));
         let (req_tx, req_rx) = mpsc::sync_channel::<Request>(config.queue_cap);
-        // Rendezvous hand-off to the workers: the batcher blocks until one
-        // is free, which is what lets the bounded request queue fill and
-        // the Busy backpressure engage under overload.
-        let (work_tx, work_rx) = mpsc::sync_channel::<Vec<Request>>(0);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
-        let mut micro = MicroBatcher::new(
+        // The workers pull their batches straight from the bounded queue.
+        // While every worker is busy the queue fills, and a full queue is
+        // what answers Busy under overload.
+        let batcher = Arc::new(Mutex::new(MicroBatcher::new(
             req_rx,
             config.max_batch,
             Duration::from_micros(config.max_delay_us),
             Arc::clone(&depth),
-        );
-        let batcher = std::thread::spawn(move || {
-            while let Some(batch) = micro.next_batch() {
-                qsnc_telemetry::counter_add("serve.batches", 1);
-                if work_tx.send(batch).is_err() {
-                    break;
-                }
-            }
-            // work_tx drops here: workers drain their queue and exit.
-        });
+        )));
 
         let workers = (0..config.workers)
             .map(|_| {
-                let rx = Arc::clone(&work_rx);
+                let batcher = Arc::clone(&batcher);
                 let max_batch = config.max_batch;
-                std::thread::spawn(move || worker_loop(max_batch, &rx))
+                std::thread::spawn(move || worker_loop(max_batch, &batcher))
             })
             .collect();
 
@@ -523,13 +514,12 @@ impl Server {
             req_tx: Some(req_tx),
             loops: Vec::new(),
             shareds: Vec::new(),
-            batcher: Some(batcher),
             workers,
             admin: admin_handle,
             registry,
         };
-        // On failure `server` drops here, joining the batcher, workers and
-        // admin plane already started.
+        // On failure `server` drops here, joining the workers and admin
+        // plane already started.
         (server.loops, server.shareds) = loops?;
         Ok(server)
     }
@@ -625,12 +615,9 @@ impl Server {
             let _ = h.join();
         }
         self.shareds.clear();
-        // All producers are gone: the batcher drains the queue, flushes the
-        // final partial batch, and hangs up on the workers.
+        // All producers are gone: the workers drain the queue, run the
+        // final partial batch, and exit.
         drop(self.req_tx.take());
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -662,32 +649,39 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
+fn worker_loop(max_batch: usize, batcher: &Mutex<MicroBatcher>) {
     // One cached input tensor per (input shape, batch size): after each
     // combination has been seen once, packing + inference allocate
     // nothing. Keyed by shape because different models can differ in dims.
     let mut tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>> = HashMap::new();
     let mut out: Vec<f32> = Vec::new();
     loop {
-        let batch = match work_rx.lock() {
-            Ok(rx) => rx.recv(),
+        // The lock is held only while the batch is taken, never while it
+        // runs, so an idle sibling can take the next one meanwhile.
+        let batch = match batcher.lock() {
+            Ok(mut batcher) => batcher.next_batch(),
             Err(_) => break, // a sibling worker panicked
         };
-        let Ok(batch) = batch else { break };
+        let Some(batch) = batch else { break };
         let b = batch.len();
         debug_assert!(b >= 1 && b <= max_batch, "batcher produced batch of {b}");
-        // The batcher keeps batches version-homogeneous, so the opener's
-        // lease names the engine for the whole batch.
+        let tele = qsnc_telemetry::enabled();
+        // Queue time ends when the worker has taken the batch: everything
+        // between admission and here (the queue wait, plus the optional
+        // window when `max_delay_us` is set) is the queue stage from the
+        // request's point of view.
+        let picked_up = tele.then(Instant::now);
+        if tele {
+            qsnc_telemetry::counter_add("serve.batches", 1);
+            qsnc_telemetry::observe("serve.batch.size", b as f64, BATCH_SIZE_EDGES);
+        }
+        // Batches are version-homogeneous, so the opener's lease names the
+        // engine for the whole batch.
         let (entry, version) = {
             let lease = batch[0].lease.as_ref().expect("served requests always carry a lease");
             (Arc::clone(lease.entry()), Arc::clone(lease.version()))
         };
         let input_len = version.input_len;
-        let tele = qsnc_telemetry::enabled();
-        // Queue time ends when the worker takes the batch over: everything
-        // between admission and here (queue wait + batch forming) is the
-        // queue stage from the request's point of view.
-        let picked_up = tele.then(Instant::now);
         if !tensors.contains_key(&version.input_dims) {
             tensors
                 .insert(version.input_dims.clone(), (0..=max_batch).map(|_| None).collect());

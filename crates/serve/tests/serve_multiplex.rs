@@ -138,6 +138,52 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
     server.shutdown();
 }
 
+/// Two workers share one micro-batcher and pull their own batches from the
+/// queue: with the default window and room for eight per batch, a deep
+/// pipeline on one connection is split between them in batches of whatever
+/// was queued when each went idle. Every tag must still get exactly one
+/// reply, bit-identical to the reference.
+#[test]
+fn two_workers_pulling_batches_answer_every_tag_once() {
+    let snn = served_network(47);
+    let server = Server::spawn(
+        Arc::clone(&snn),
+        &INPUT_DIMS,
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            max_batch: 8,
+            max_inflight_per_conn: 64,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn");
+
+    const SHOTS: u32 = 64;
+    let inputs: Vec<Vec<f32>> = (0..SHOTS).map(|i| example(4700 + i as u64)).collect();
+    let mut stream = connect(&server);
+    for (tag, input) in inputs.iter().enumerate() {
+        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
+    }
+
+    let mut seen: HashMap<u32, protocol::Reply> = HashMap::new();
+    for _ in 0..SHOTS {
+        let reply = protocol::read_reply(&mut stream).expect("reply");
+        assert_eq!(reply.status, Status::Ok, "tag {:?}: {}", reply.tag, reply.message);
+        let tag = reply.tag.expect("v2 requests must get tagged replies");
+        assert!(tag < SHOTS, "unknown tag {tag}");
+        assert!(seen.insert(tag, reply).is_none(), "tag {tag} answered twice");
+    }
+    for (tag, input) in inputs.iter().enumerate() {
+        let expected = reference_logits(&snn, input);
+        assert_eq!(bits(&seen[&(tag as u32)].logits), bits(&expected), "tag {tag}");
+    }
+    // Nothing beyond the one reply per tag may follow.
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    assert!(read_until_eof(&mut stream).is_empty(), "extra replies after every tag was answered");
+    server.shutdown();
+}
+
 /// A tag may not be live twice on one connection: the second use is
 /// answered [`Status::BadRequest`] (carrying the tag), the first still
 /// completes, and once it has replied the tag is free for reuse.

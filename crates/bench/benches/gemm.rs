@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm, igemm_conv, igemm_wx, matmul, matmul_serial, parallel,
+    gemm, gemm_serial, igemm_conv, igemm_wx, matmul, matmul_serial, parallel,
     set_gemm_kernel, Conv2dSpec, GemmKernel, PackedCodes, SimdLevel, Tensor,
 };
 use rand::{Rng, SeedableRng};
@@ -138,9 +138,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
 /// weights-times-columns orientation the inference engine uses (inner loop
 /// streams pixels) timed on a column matrix built before timing starts;
 /// `int_conv` times what the engine actually runs at the same shape —
-/// [`igemm_conv`] on the `[8, 28, 28]` image, lowering included; `int_rows`
-/// is the row-major orientation, kept to show why the engine does not use
-/// it for conv.
+/// [`igemm_conv`] on the `[8, 28, 28]` image, lowering included.
 fn bench_igemm_vs_float(c: &mut Criterion) {
     // LeNet conv-like shape: W[f, c·k·k] × cols[c·k·k, oh·ow].
     let (out, k, pix) = (16usize, 200usize, 576usize);
@@ -150,13 +148,6 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
     let packed = PackedCodes::try_pack(&codes, out, k).expect("codes fit i8");
     let cols_f: Vec<f32> = cols.iter().map(|&v| v as f32).collect();
     let codes_f: Vec<f32> = codes.iter().map(|&v| v as f32).collect();
-    // Row-major variant consumes the counts as [pix, k] rows.
-    let mut rows = vec![0i32; pix * k];
-    for kk in 0..k {
-        for p in 0..pix {
-            rows[p * k + kk] = cols[kk * pix + p];
-        }
-    }
     // The same product as a conv: 8 channels × 5×5 taps = 200 = k, and a
     // 28×28 image without padding gives 24×24 = 576 = pix output pixels.
     let (in_c, side, spec) = (8usize, 28usize, Conv2dSpec::new(5, 1, 0));
@@ -177,14 +168,6 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
             parallel::with_num_threads(1, || {
                 out_i.fill(0);
                 igemm_conv(&image, in_c, (side, side), spec, &packed, &mut out_i);
-            })
-        })
-    });
-    group.bench_function("int_rows", |bch| {
-        bch.iter(|| {
-            parallel::with_num_threads(1, || {
-                out_i.fill(0);
-                igemm(pix, k, out, &rows, &packed, &mut out_i);
             })
         })
     });

@@ -60,7 +60,7 @@ fn main() {
         )
     });
 
-    // Batched path: what a warm qsnc-serve worker runs per micro-batch.
+    // Batched path: what a warm qsnc-serve event loop runs per batch.
     const BATCH: usize = 8;
     let xs = init::uniform([BATCH, 1, 28, 28], 0.0, 1.0, &mut rng);
     let (batch_takes, batch_allocs) = parallel::with_num_threads(1, || {

@@ -1,6 +1,6 @@
 //! Cold-start benchmark for the versioned `.qsnca` deployment artifact.
 //!
-//! The artifact exists so serve workers can reach first-inference without
+//! The artifact exists so a serving process can reach first-inference without
 //! touching the training stack: no topology rebuild, no checkpoint parse,
 //! no weight re-clustering, no crossbar compile. This bench measures that
 //! claim directly on the paper's flagship deployment (4-bit LeNet):

@@ -396,7 +396,7 @@ fn main() {
     );
     let mut sweeps = Vec::new();
     for &clients in &CLIENT_COUNTS {
-        // A short untimed warm-up so worker scratch arenas and per-batch
+        // A short untimed warm-up so loop scratch arenas and per-batch
         // tensors are sized before the measured window.
         run_sweep(addr, clients, shots.div_ceil(10).max(5));
         let sweep = run_sweep(addr, clients, shots);
@@ -537,9 +537,8 @@ fn main() {
         .table(scale_table)
         .table(sketch_table)
         .note(format!(
-            "config: max_batch={}, max_delay_us={}, queue_cap={}, workers={}, {} shots/client, \
-             {cores} cores detected",
-            config.max_batch, config.max_delay_us, config.queue_cap, config.workers, shots
+            "config: max_batch={}, loops={}, {} shots/client, {cores} cores detected",
+            config.max_batch, config.loops, shots
         ))
         .note(format!(
             "scale sweep: p99 {scale_p99_16:.0}µs at {} clients vs {scale_p99_max:.0}µs at {} \

@@ -46,7 +46,7 @@ pub fn deploy_to_snc_reliable(
 /// carries the compiled integer fast path (packed codes, scales,
 /// precomputed IFC threshold tables), the crossbar tile map, and a
 /// provenance record tying it back to the checkpoint digest and
-/// quantization config it was built from. Serve workers reload it with
+/// quantization config it was built from. A serving process reloads it with
 /// [`qsnc_memristor::load_artifact`] (or
 /// `qsnc_serve::Server::spawn_from_artifact`) without touching the
 /// training stack.

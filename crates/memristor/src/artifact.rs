@@ -1,7 +1,7 @@
 //! Versioned on-disk compiled-model artifacts (`.qsnca`).
 //!
 //! `qsnc deploy` freezes a compiled [`SpikingNetwork`]'s integer fast path
-//! into a self-contained binary artifact; serve workers load it straight
+//! into a self-contained binary artifact; a serving process loads it straight
 //! back into an engine without touching the training stack (no clustering,
 //! no threshold search — the tables ship precomputed). This is the paper's
 //! deployment story made literal: quantization decisions are made offline
@@ -856,7 +856,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<LoadedArtifact, ArtifactError> {
 }
 
 /// Loads a `.qsnca` artifact from disk: one `read` into an arena, then
-/// [`decode_artifact`]. This is the serve workers' cold-start path — no
+/// [`decode_artifact`]. This is the serving process's cold-start path — no
 /// training stack, no clustering, no threshold search.
 ///
 /// # Errors

@@ -675,7 +675,7 @@ impl SpikingNetwork {
     /// buffers — and a warm fixed-batch-size call performs **zero heap
     /// allocations**. Without a fast path the examples fall back to
     /// [`Self::infer`] one at a time. Returns `true` when the fast path
-    /// ran. This is the entry point the `qsnc-serve` micro-batcher drives.
+    /// ran. This is the entry point the `qsnc-serve` event loops drive.
     pub fn infer_batch_into(&self, xs: &Tensor, out: &mut Vec<f32>) -> bool {
         let batch = xs.dims()[0];
         if batch == 0 {

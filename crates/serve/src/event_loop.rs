@@ -1,5 +1,6 @@
-//! The epoll readiness front end — the server's only connection handler: a
-//! small number of event-loop threads own every client socket.
+//! The epoll readiness front end — the server's only connection handler
+//! and its only inference thread: a small number of event-loop threads own
+//! every client socket and run the requests they decode.
 //!
 //! ## Shape
 //!
@@ -14,22 +15,33 @@
 //!   walks complete frames out of it (v1 and v2 interleave freely), and
 //!   replies are encoded into a per-connection output buffer that flushes
 //!   as far as `EAGAIN` allows, finishing under `EPOLLOUT`;
-//! - its **wakeup pipe** — workers finish a batch, push completions onto
-//!   the owning loop's queue ([`LoopShared::complete`]) and write one byte
-//!   to wake it;
+//! - its **wakeup pipe** — loop 0 hands an accepted connection over, or
+//!   [`crate::Server::drain`] asks for shutdown, and writes one byte;
 //! - (loop 0) the **listener**.
+//!
+//! ## Run to completion
+//!
+//! A decoded frame is admitted onto the loop's pending list, grouped by
+//! the engine version its [`Lease`] pins. A group runs as one
+//! `infer_batch_into` call as soon as `max_batch` requests are pending;
+//! every partial group runs once the round has nothing left to parse. Each
+//! reply is encoded straight from the engine's output into the
+//! connection's buffer and flushed before the next batch runs. A dispatch
+//! round ends only when nothing is pending, so no admitted request
+//! survives an `epoll_wait`: v1 lockstep, drain and hot-swap leases need
+//! no queue and no second thread.
 //!
 //! ## Multiplexing and backpressure
 //!
 //! A v2 frame carries a client-chosen tag; up to
 //! [`LoopConfig::max_inflight`] requests may be in flight per connection
-//! and replies return tagged in completion order — out of order is
-//! expected and correct. The per-connection budget answers
-//! [`Status::Busy`] (tagged) when exhausted; a full bounded admission
-//! queue answers `Busy` too; and a connection whose output buffer passes
-//! the high-water mark stops being *read* (its `EPOLLIN` interest drops)
-//! until the client drains replies, so a slow reader throttles itself
-//! through TCP instead of growing server memory. A v1 (untagged) frame
+//! and replies return tagged in batch order — an error reply overtakes
+//! pending work, and out of order is expected and correct. The
+//! per-connection budget answers [`Status::Busy`] (tagged) when exhausted,
+//! and a connection whose output buffer passes the high-water mark stops
+//! being *read* (its `EPOLLIN` interest drops) until the client drains
+//! replies, so a slow reader throttles itself through TCP instead of
+//! growing server memory. A v1 (untagged) frame
 //! gates parsing until its reply is written — the reply is only
 //! identifiable by arrival order — which preserves exact v1 lockstep
 //! semantics on the same port.
@@ -37,18 +49,17 @@
 //! ## Drain
 //!
 //! Shutdown flips `running`, wakes every loop, and each loop: deregisters
-//! the listener, stops parsing new frames, answers everything already
-//! admitted (workers keep running until the loops exit), flushes every
-//! output buffer, then closes its connections and returns. Unparsed bytes
-//! buffered behind the drain point are dropped — those requests were
-//! never admitted. A client that stopped reading cannot stall the drain
+//! the listener, stops parsing new frames, flushes every output buffer
+//! (every admitted request was answered in the round that admitted it),
+//! then closes its connections and returns. Unparsed bytes buffered
+//! behind the drain point are dropped — those requests were never
+//! admitted. A client that stopped reading cannot stall the drain
 //! past [`DRAIN_FLUSH_LIMIT`].
 //!
 //! Telemetry lands under `serve.conn.*` (connection-scoped gauges and
 //! counters) and `serve.loop.*` (loop-scoped counters and the dispatch
 //! sketch); see docs/telemetry.md.
 
-use crate::batcher::{Request, ReplyRoute, WorkerReply, QUEUE_DEPTH_EDGES};
 use crate::protocol::{self, FrameError, Status};
 use crate::registry::{Lease, ModelEntry, ModelRegistry, ModelVersion};
 use crate::sys::{
@@ -58,9 +69,10 @@ use crate::sys::{
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, OwnedFd};
+use qsnc_tensor::Tensor;
+use std::collections::HashMap;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,6 +108,12 @@ const CONN_ACTIVE_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 /// Histogram edges for the `serve.conn.inflight` gauge.
 const CONN_INFLIGHT_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
+/// Histogram edges for `serve.batch.size`.
+const BATCH_SIZE_EDGES: &[f64] = &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+
+/// Histogram edges for `serve.queue.depth`.
+const QUEUE_DEPTH_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+
 /// Front-end parameters resolved by [`crate::Server::spawn`].
 #[derive(Clone)]
 pub(crate) struct LoopConfig {
@@ -110,13 +128,14 @@ pub(crate) struct LoopConfig {
     pub(crate) max_conns: usize,
     /// Slow-trace threshold in microseconds (`None` disables capture).
     pub(crate) slow_us: Option<u64>,
+    /// Largest batch one engine call runs; a version group this full runs
+    /// at once.
+    pub(crate) max_batch: usize,
 }
 
-/// The half of an event loop that other threads touch: workers push
-/// completions here, loop 0 pushes handed-off connections, and
-/// [`crate::Server::drain`] wakes the loop.
+/// The half of an event loop that other threads touch: loop 0 pushes
+/// handed-off connections, and [`crate::Server::drain`] wakes the loop.
 pub(crate) struct LoopShared {
-    completions: Mutex<Vec<Completion>>,
     inbound: Mutex<Vec<TcpStream>>,
     wake_tx: UnixStream,
 }
@@ -128,14 +147,6 @@ impl LoopShared {
         let _ = (&self.wake_tx).write(&[1u8]);
     }
 
-    /// Queues a finished reply for the owning loop and wakes it.
-    pub(crate) fn complete(&self, completion: Completion) {
-        if let Ok(mut q) = self.completions.lock() {
-            q.push(completion);
-        }
-        self.wake();
-    }
-
     fn push_inbound(&self, stream: TcpStream) {
         if let Ok(mut q) = self.inbound.lock() {
             q.push(stream);
@@ -144,24 +155,41 @@ impl LoopShared {
     }
 }
 
-/// A finished inference travelling from a worker back to the loop that
-/// owns the connection.
-pub(crate) struct Completion {
-    /// Connection slot index on the owning loop.
-    pub(crate) conn: u32,
+/// An admitted request waiting for its batch. Its decoded input sits in
+/// the owning [`Group`]'s `inputs`, at the same index.
+struct Pending {
+    /// Connection slot index on this loop.
+    conn: u32,
     /// Slot generation at admission time; a mismatch means the connection
     /// died first and the reply is dropped.
-    pub(crate) generation: u32,
+    generation: u32,
     /// The client's request tag (`None` for v1 frames).
-    pub(crate) tag: Option<u32>,
-    /// The inference result plus worker-side stage timings.
-    pub(crate) reply: WorkerReply,
+    tag: Option<u32>,
+    /// Holds the model's quota slot and pins the engine version until the
+    /// reply is encoded.
+    lease: Lease,
     /// Admission timestamp (`serve.latency_us` start).
-    pub(crate) enqueued: Instant,
+    admitted: Instant,
     /// Front-end decode time for the slow trace.
-    pub(crate) decode_us: u64,
+    decode_us: u64,
     /// Process-wide request id for the slow trace.
-    pub(crate) id: u64,
+    id: u64,
+}
+
+/// The requests admitted against one engine version since its last batch
+/// ran. An empty group is free for any version; groups are reused so their
+/// buffers keep their capacity.
+#[derive(Default)]
+struct Group {
+    reqs: Vec<Pending>,
+    /// Decoded inputs, `input_len` floats per request, in `reqs` order.
+    inputs: Vec<f32>,
+}
+
+impl Group {
+    fn serves(&self, version: &Arc<ModelVersion>) -> bool {
+        self.reqs.first().is_some_and(|r| Arc::ptr_eq(r.lease.version(), version))
+    }
 }
 
 /// One connection's state machine.
@@ -196,6 +224,28 @@ impl Conn {
         self.out.len() - self.wpos
     }
 
+    /// Pushes pending output as far as `EAGAIN` allows. Returns false if
+    /// the transport failed hard.
+    fn flush(&mut self) -> bool {
+        while self.wpos < self.out.len() {
+            match self.stream.write(&self.out[self.wpos..]) {
+                Ok(0) => return false,
+                Ok(n) => self.wpos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        if self.wpos == self.out.len() {
+            self.out.clear();
+            self.wpos = 0;
+        } else if self.wpos >= OUT_COMPACT {
+            self.out.drain(..self.wpos);
+            self.wpos = 0;
+        }
+        true
+    }
+
     fn cookie(&self, idx: usize) -> u64 {
         (u64::from(self.generation) << 32) | idx as u64
     }
@@ -211,16 +261,26 @@ struct EventLoop {
     peers: Vec<Arc<LoopShared>>,
     listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
-    /// Slot generations (bumped on free so stale completions miss).
+    /// Slot generations (bumped on free so a dead connection's pending
+    /// replies miss).
     gens: Vec<u32>,
     free: Vec<u32>,
-    /// Admitted-but-unanswered requests across this loop's connections.
-    inflight: usize,
+    /// Admitted requests not yet run, one group per engine version.
+    groups: Vec<Group>,
+    /// Connections a batch answered or a full batch stopped mid-parse:
+    /// each is settled again before the round ends.
+    dirty: Vec<usize>,
+    /// Reused decode target for one frame's payload.
+    decoded: Vec<f32>,
+    /// One cached input tensor per (input dims, batch size): once each
+    /// combination has run, packing and inference allocate nothing. Keyed
+    /// by dims because models can differ in them.
+    tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>>,
+    /// The engine's output for the batch being answered.
+    logits: Vec<f32>,
     next_rr: usize,
     cfg: LoopConfig,
     running: Arc<AtomicBool>,
-    req_tx: SyncSender<Request>,
-    depth: Arc<AtomicUsize>,
     /// Process-wide active-connection gauge (shared across loops).
     active: Arc<AtomicUsize>,
     draining: Option<Instant>,
@@ -236,8 +296,6 @@ pub(crate) fn spawn(
     loops: usize,
     cfg: LoopConfig,
     running: Arc<AtomicBool>,
-    req_tx: SyncSender<Request>,
-    depth: Arc<AtomicUsize>,
     active: Arc<AtomicUsize>,
 ) -> io::Result<SpawnedLoops> {
     listener.set_nonblocking(true)?;
@@ -247,11 +305,7 @@ pub(crate) fn spawn(
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        shareds.push(Arc::new(LoopShared {
-            completions: Mutex::new(Vec::new()),
-            inbound: Mutex::new(Vec::new()),
-            wake_tx,
-        }));
+        shareds.push(Arc::new(LoopShared { inbound: Mutex::new(Vec::new()), wake_tx }));
         wake_rxs.push(wake_rx);
     }
     let mut handles = Vec::with_capacity(loops);
@@ -275,12 +329,14 @@ pub(crate) fn spawn(
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            inflight: 0,
+            groups: Vec::new(),
+            dirty: Vec::new(),
+            decoded: Vec::new(),
+            tensors: HashMap::new(),
+            logits: Vec::new(),
             next_rr: 0,
             cfg: cfg.clone(),
             running: Arc::clone(&running),
-            req_tx: req_tx.clone(),
-            depth: Arc::clone(&depth),
             active: Arc::clone(&active),
             draining: None,
         };
@@ -323,7 +379,7 @@ impl EventLoop {
                 }
             }
             self.adopt_inbound();
-            self.process_completions();
+            self.run_to_completion();
             if self.draining.is_none() && !self.running.load(Ordering::SeqCst) {
                 self.begin_drain();
             }
@@ -445,10 +501,8 @@ impl EventLoop {
     }
 
     fn drop_conn(&mut self, idx: usize, conn: Conn) {
-        // Requests this connection still has in flight will complete and
-        // be discarded by the generation check; account for them now so
-        // the drain criterion cannot wedge on a dead client.
-        self.inflight -= conn.inflight();
+        // Requests this connection still has pending run with their batch;
+        // the generation check discards their replies.
         let _ = epoll_ctl(self.ep.as_raw_fd(), EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx as u32);
@@ -469,7 +523,7 @@ impl EventLoop {
         }
         let mut alive = bits & EPOLLERR == 0;
         if alive && bits & EPOLLOUT != 0 {
-            alive = self.flush(&mut conn);
+            alive = conn.flush();
         }
         if alive && bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0 {
             alive = self.fill(&mut conn);
@@ -487,17 +541,22 @@ impl EventLoop {
     ///
     /// The cycle must live here, after every kind of progress, because
     /// nothing external re-triggers parsing of bytes already pulled into
-    /// `rbuf`: a reply landing (lifting the v1 lockstep gate) or a flush
-    /// draining the output buffer below its high-water mark can each make
-    /// previously-gated buffered frames parseable with no further epoll
-    /// event coming.
+    /// `rbuf`: a reply landing (lifting the v1 lockstep gate), a flush
+    /// draining the output buffer below its high-water mark, or a full
+    /// batch having run can each make previously-gated buffered frames
+    /// parseable with no further epoll event coming.
     fn settle(&mut self, idx: usize, mut conn: Conn, mut alive: bool) {
         while alive {
             let unparsed = conn.rbuf.len() - conn.rpos;
             if unparsed > 0 && !self.parse_gated(&conn) {
-                self.parse(idx, &mut conn);
+                if self.batch_full() {
+                    // Resume once the full batch has run.
+                    self.dirty.push(idx);
+                } else {
+                    self.parse(idx, &mut conn);
+                }
             }
-            alive = self.flush(&mut conn);
+            alive = conn.flush();
             if conn.rbuf.len() - conn.rpos == unparsed {
                 break; // no parsing progress: partial frame or gated
             }
@@ -601,7 +660,7 @@ impl EventLoop {
         let tele = qsnc_telemetry::enabled();
         let mut hit_need_more = false;
         loop {
-            if self.parse_gated(conn) {
+            if self.parse_gated(conn) || self.batch_full() {
                 break;
             }
             let t0 = tele.then(Instant::now);
@@ -626,18 +685,20 @@ impl EventLoop {
                         conn.rpos += view.consumed;
                         continue;
                     };
-                    let input_len = version.input_len;
                     let start = conn.rpos + view.payload_start;
                     let payload = &conn.rbuf[start..start + view.payload_len];
-                    let mut input = Vec::with_capacity(input_len);
-                    let decoded =
-                        protocol::decode_infer_payload(view.op, payload, input_len, &mut input);
+                    let decoded = protocol::decode_infer_payload(
+                        view.op,
+                        payload,
+                        version.input_len,
+                        &mut self.decoded,
+                    );
                     conn.rpos += view.consumed;
                     match decoded {
                         Ok(()) => {
                             let decode_us =
                                 t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-                            self.admit(idx, conn, view.tag, input, decode_us, entry, version, tele);
+                            self.admit(idx, conn, view.tag, decode_us, entry, version, tele);
                         }
                         Err(FrameError::Bad(msg)) => {
                             qsnc_telemetry::counter_add("serve.bad_requests", 1);
@@ -693,13 +754,14 @@ impl EventLoop {
         }
     }
 
+    /// Admits one decoded request (its input in `self.decoded`) onto the
+    /// pending group for its engine version, or answers why not.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
         idx: usize,
         conn: &mut Conn,
         tag: Option<u32>,
-        input: Vec<f32>,
         decode_us: u64,
         entry: Arc<ModelEntry>,
         version: Arc<ModelVersion>,
@@ -728,8 +790,7 @@ impl EventLoop {
             );
             return;
         }
-        // The quota tier: this model at capacity answers Busy without
-        // touching the shared queue.
+        // The quota tier: this model at capacity answers Busy.
         let Some(lease) = Lease::acquire(&entry, &version) else {
             qsnc_telemetry::counter_add(&entry.tele_rejected, 1);
             protocol::encode_error_reply(
@@ -740,91 +801,169 @@ impl EventLoop {
             );
             return;
         };
-        let id = if tele { crate::next_request_id() } else { 0 };
-        let enqueued = Instant::now();
-        // Count before sending so the batcher's decrement can never
-        // observe the admission before the gauge does.
-        let occupied = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        let req = Request {
-            input,
-            lease: Some(lease),
-            route: Some(ReplyRoute {
-                shared: Arc::clone(&self.shared),
-                conn: idx as u32,
-                generation: conn.generation,
-                tag,
-            }),
-            enqueued,
-            decode_us,
-            id,
-        };
-        match self.req_tx.try_send(req) {
-            Ok(()) => {
-                self.inflight += 1;
-                match tag {
-                    Some(t) => conn.tags.push(t),
-                    None => conn.untagged += 1,
+        let g = match self.groups.iter().position(|g| g.serves(&version)) {
+            Some(g) => g,
+            None => match self.groups.iter().position(|g| g.reqs.is_empty()) {
+                Some(g) => g,
+                None => {
+                    self.groups.push(Group::default());
+                    self.groups.len() - 1
                 }
-                if tele {
-                    qsnc_telemetry::counter_add("serve.requests", 1);
-                    qsnc_telemetry::counter_add(&entry.tele_requests, 1);
-                    qsnc_telemetry::quantile_observe("serve.stage.decode.us", decode_us as f64);
-                    qsnc_telemetry::observe("serve.queue.depth", occupied as f64, QUEUE_DEPTH_EDGES);
-                    qsnc_telemetry::observe(
-                        "serve.conn.inflight",
-                        conn.inflight() as f64,
-                        CONN_INFLIGHT_EDGES,
+            },
+        };
+        let group = &mut self.groups[g];
+        group.inputs.extend_from_slice(&self.decoded);
+        group.reqs.push(Pending {
+            conn: idx as u32,
+            generation: conn.generation,
+            tag,
+            lease,
+            admitted: Instant::now(),
+            decode_us,
+            id: if tele { crate::next_request_id() } else { 0 },
+        });
+        match tag {
+            Some(t) => conn.tags.push(t),
+            None => conn.untagged += 1,
+        }
+        if tele {
+            let pending: usize = self.groups.iter().map(|g| g.reqs.len()).sum();
+            qsnc_telemetry::counter_add("serve.requests", 1);
+            qsnc_telemetry::counter_add(&entry.tele_requests, 1);
+            qsnc_telemetry::quantile_observe("serve.stage.decode.us", decode_us as f64);
+            qsnc_telemetry::observe("serve.queue.depth", pending as f64, QUEUE_DEPTH_EDGES);
+            qsnc_telemetry::observe(
+                "serve.conn.inflight",
+                conn.inflight() as f64,
+                CONN_INFLIGHT_EDGES,
+            );
+        }
+    }
+
+    // ---- inference -----------------------------------------------------
+
+    /// The version group holding `max_batch` requests, if any: parsing
+    /// pauses until it has run.
+    fn full_group(&self) -> Option<usize> {
+        self.groups.iter().position(|g| g.reqs.len() >= self.cfg.max_batch)
+    }
+
+    fn batch_full(&self) -> bool {
+        self.full_group().is_some()
+    }
+
+    /// Finishes the dispatch round: runs each full batch as soon as it
+    /// fills, settles every connection a batch answered or a full batch
+    /// paused, and runs the partial batches once nothing else can parse.
+    /// Returns with nothing pending.
+    fn run_to_completion(&mut self) {
+        loop {
+            if let Some(g) = self.full_group() {
+                self.run_batch(g);
+            } else if let Some(idx) = self.dirty.pop() {
+                if let Some(conn) = self.conns[idx].take() {
+                    self.settle(idx, conn, true);
+                }
+            } else if let Some(g) = self.groups.iter().position(|g| !g.reqs.is_empty()) {
+                self.run_batch(g);
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Runs group `g` as one engine call, encodes every reply straight from
+    /// the engine's output into its connection's buffer, flushes each
+    /// answered connection once and marks it for settling.
+    fn run_batch(&mut self, g: usize) {
+        let group = &mut self.groups[g];
+        let b = group.reqs.len();
+        let tele = qsnc_telemetry::enabled();
+        let started = tele.then(Instant::now);
+        if tele {
+            qsnc_telemetry::counter_add("serve.batches", 1);
+            qsnc_telemetry::observe("serve.batch.size", b as f64, BATCH_SIZE_EDGES);
+        }
+        let (entry, version) = {
+            let lease = &group.reqs[0].lease;
+            (Arc::clone(lease.entry()), Arc::clone(lease.version()))
+        };
+        let cache = self
+            .tensors
+            .entry(version.input_dims.clone())
+            .or_insert_with(|| (0..=self.cfg.max_batch).map(|_| None).collect());
+        let xs = cache[b].get_or_insert_with(|| {
+            let mut dims = vec![b];
+            dims.extend_from_slice(&version.input_dims);
+            Tensor::from_vec(vec![0.0; b * version.input_len], dims)
+        });
+        xs.as_mut_slice().copy_from_slice(&group.inputs);
+        group.inputs.clear();
+        let t_infer = tele.then(Instant::now);
+        version.network.infer_batch_into(xs, &mut self.logits);
+        // The batched engine call is shared: infer_us is recorded once per
+        // batch in the sketch but attached to every request's trace.
+        let infer_us = t_infer.map_or(0, |t| t.elapsed().as_micros() as u64);
+        if tele {
+            qsnc_telemetry::quantile_observe("serve.stage.infer.us", infer_us as f64);
+            qsnc_telemetry::quantile_observe(&entry.tele_infer_us, infer_us as f64);
+        }
+        let stride = self.logits.len() / b;
+        let answered = self.dirty.len();
+        // Each request's lease drops as its reply is encoded.
+        for (i, req) in group.reqs.drain(..).enumerate() {
+            let idx = req.conn as usize;
+            let Some(conn) = self.conns[idx].as_mut().filter(|c| c.generation == req.generation)
+            else {
+                continue; // the connection died first; drop the reply
+            };
+            match req.tag {
+                Some(t) => {
+                    if let Some(p) = conn.tags.iter().position(|&x| x == t) {
+                        conn.tags.swap_remove(p);
+                    }
+                }
+                None => conn.untagged -= 1,
+            }
+            let logits = &self.logits[i * stride..(i + 1) * stride];
+            let t_encode = tele.then(Instant::now);
+            protocol::encode_ok_reply(&mut conn.out, req.tag, argmax(logits) as u32, logits);
+            if let (Some(t_encode), Some(started)) = (t_encode, started) {
+                let queue_us = started.saturating_duration_since(req.admitted).as_micros() as u64;
+                let encode_us = t_encode.elapsed().as_micros() as u64;
+                let total_us = req.admitted.elapsed().as_micros() as u64;
+                qsnc_telemetry::quantile_observe("serve.stage.queue.us", queue_us as f64);
+                qsnc_telemetry::quantile_observe("serve.stage.encode.us", encode_us as f64);
+                qsnc_telemetry::quantile_observe("serve.latency_us", total_us as f64);
+                if self.cfg.slow_us.is_some_and(|slow| total_us >= slow) {
+                    qsnc_telemetry::flight_record(
+                        "serve.slow",
+                        req.id,
+                        &[
+                            ("decode_us", req.decode_us),
+                            ("queue_us", queue_us),
+                            ("infer_us", infer_us),
+                            ("encode_us", encode_us),
+                            ("total_us", total_us),
+                            ("batch", b as u64),
+                        ],
                     );
                 }
             }
-            Err(TrySendError::Full(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                qsnc_telemetry::counter_add("serve.rejected", 1);
-                protocol::encode_error_reply(
-                    &mut conn.out,
-                    tag,
-                    Status::Busy,
-                    "request queue full (backpressure): retry",
-                );
+            if self.dirty.last() != Some(&idx) {
+                self.dirty.push(idx);
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                protocol::encode_error_reply(
-                    &mut conn.out,
-                    tag,
-                    Status::ShuttingDown,
-                    "server shutting down",
-                );
-                conn.closing = true;
+        }
+        // Replies leave before the next batch runs. A failed write shows
+        // again when the connection is settled, which drops it.
+        for &idx in &self.dirty[answered..] {
+            if let Some(conn) = self.conns[idx].as_mut() {
+                conn.flush();
             }
         }
     }
 
-    // ---- write path ----------------------------------------------------
-
-    /// Pushes pending output as far as `EAGAIN` allows. Returns false if
-    /// the transport failed hard.
-    fn flush(&mut self, conn: &mut Conn) -> bool {
-        while conn.wpos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.wpos..]) {
-                Ok(0) => return false,
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if conn.wpos == conn.out.len() {
-            conn.out.clear();
-            conn.wpos = 0;
-        } else if conn.wpos >= OUT_COMPACT {
-            conn.out.drain(..conn.wpos);
-            conn.wpos = 0;
-        }
-        true
-    }
-
-    // ---- completions ---------------------------------------------------
+    // ---- wakeups -------------------------------------------------------
 
     fn drain_wake_pipe(&mut self) {
         let mut buf = [0u8; 64];
@@ -837,70 +976,6 @@ impl EventLoop {
             }
         }
     }
-
-    fn process_completions(&mut self) {
-        let mut batch = match self.shared.completions.lock() {
-            Ok(mut q) => std::mem::take(&mut *q),
-            Err(_) => return, // a worker panicked mid-push; nothing to do
-        };
-        if batch.is_empty() {
-            return;
-        }
-        let tele = qsnc_telemetry::enabled();
-        qsnc_telemetry::counter_add("serve.loop.completions", batch.len() as u64);
-        for c in batch.drain(..) {
-            let idx = c.conn as usize;
-            let Some(slot) = self.conns.get_mut(idx) else { continue };
-            let Some(mut conn) = slot.take() else { continue };
-            if conn.generation != c.generation {
-                *slot = Some(conn); // connection died; drop the reply
-                continue;
-            }
-            match c.tag {
-                Some(t) => {
-                    if let Some(p) = conn.tags.iter().position(|&x| x == t) {
-                        conn.tags.swap_remove(p);
-                    }
-                }
-                None => conn.untagged = conn.untagged.saturating_sub(1),
-            }
-            self.inflight -= 1;
-            let t_encode = tele.then(Instant::now);
-            protocol::encode_ok_reply(&mut conn.out, c.tag, c.reply.argmax, &c.reply.logits);
-            if let Some(t_encode) = t_encode {
-                let encode_us = t_encode.elapsed().as_micros() as u64;
-                let total_us = c.enqueued.elapsed().as_micros() as u64;
-                qsnc_telemetry::quantile_observe("serve.stage.encode.us", encode_us as f64);
-                qsnc_telemetry::quantile_observe("serve.latency_us", total_us as f64);
-                if self.cfg.slow_us.is_some_and(|slow| total_us >= slow) {
-                    qsnc_telemetry::flight_record(
-                        "serve.slow",
-                        c.id,
-                        &[
-                            ("decode_us", c.decode_us),
-                            ("queue_us", c.reply.queue_us),
-                            ("infer_us", c.reply.infer_us),
-                            ("encode_us", encode_us),
-                            ("total_us", total_us),
-                            ("batch", u64::from(c.reply.batch)),
-                        ],
-                    );
-                }
-            }
-            // settle flushes the reply out and — because an answered v1
-            // request lifts the lockstep gate — re-parses frames that were
-            // buffered behind it.
-            self.settle(idx, conn, true);
-        }
-        // Hand the emptied buffer back so the completion queue reuses its
-        // capacity instead of reallocating every batch.
-        if let Ok(mut q) = self.shared.completions.lock() {
-            if q.is_empty() {
-                *q = batch;
-            }
-        }
-    }
-
     // ---- drain ---------------------------------------------------------
 
     fn begin_drain(&mut self) {
@@ -917,18 +992,13 @@ impl EventLoop {
         }
     }
 
-    /// True once everything admitted is answered and flushed (or the flush
-    /// grace period expired). Closes all remaining connections on success.
+    /// True once every reply is flushed (or the flush grace period
+    /// expired). Closes all remaining connections on success.
     fn try_finish_drain(&mut self) -> bool {
         let deadline_passed = self
             .draining
             .is_some_and(|t| t.elapsed() > DRAIN_FLUSH_LIMIT);
-        let owed = self.inflight > 0
-            || self
-                .conns
-                .iter()
-                .flatten()
-                .any(|c| c.out_pending() > 0);
+        let owed = self.conns.iter().flatten().any(|c| c.out_pending() > 0);
         if owed && !deadline_passed {
             return false;
         }
@@ -939,4 +1009,17 @@ impl EventLoop {
         }
         true
     }
+}
+
+/// Same tie-breaking as `Tensor::argmax` (lowest index wins).
+fn argmax(v: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &x) in v.iter().enumerate() {
+        if x > best_v {
+            best_v = x;
+            best = i;
+        }
+    }
+    best
 }

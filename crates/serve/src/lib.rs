@@ -18,35 +18,35 @@
 //! exists on Linux x86-64 and aarch64 only; on any other platform
 //! [`Server::spawn`] fails with [`io::ErrorKind::Unsupported`].
 //!
-//! One request's journey:
+//! One request's journey, all on the event loop that owns its connection:
 //!
-//! 1. The event loop walks a complete length-prefixed binary frame out of
-//!    the connection's read buffer ([`protocol::parse_frame`]), decodes
-//!    its payload, and admits the request to a **bounded queue**. A full
-//!    queue answers [`Status::Busy`] immediately — explicit backpressure
-//!    instead of unbounded buffering.
-//! 2. An idle **worker** takes its own batch from that queue: it blocks for
-//!    the first request, then takes whatever else is already queued — up
-//!    to `max_batch`, without waiting — and runs at once. The workers share
-//!    one micro-batcher behind a mutex; there is no batcher thread and no
-//!    hand-off between queue and worker. `max_delay_us` (default 0) adds
-//!    an optional wait for stragglers after the queue has been drained.
-//! 3. The worker packs the batch into a `[B, …]` tensor and drives
+//! 1. The loop walks a complete length-prefixed binary frame out of the
+//!    connection's read buffer ([`protocol::parse_frame`]), decodes its
+//!    payload, and admits the request onto its pending list, grouped by
+//!    the engine version it leased.
+//! 2. A version's group runs as soon as `max_batch` requests are pending;
+//!    every partial group runs at the end of the dispatch round. There is
+//!    no batch window: a lone request runs alone at once, and under load
+//!    the frames that arrived during one batch form the next.
+//! 3. The loop packs the group into a `[B, …]` tensor and drives
 //!    [`SpikingNetwork::infer_batch_into`]: every reply is bit-identical
 //!    to `SpikingNetwork::infer_reference` — at any `QSNC_SIMD` level the
 //!    integer kernels dispatch to (`qsnc_tensor::simd`) — and steady-state
 //!    serving at a warm batch size performs zero fresh scratch allocations
-//!    (workers are persistent threads, so the `qsnc_tensor::scratch` arena
+//!    (loops are persistent threads, so the `qsnc_tensor::scratch` arena
 //!    stays warm).
-//! 4. The result returns to the owning event loop's completion queue plus
-//!    a wakeup byte; the loop encodes the logits + argmax frame, echoing
-//!    the request's tag.
+//! 4. Each reply is encoded straight from the engine's output into the
+//!    connection's buffer, echoing the request's tag, and flushed before
+//!    the next batch runs.
+//!
+//! No admitted request outlives the dispatch round that admitted it, so a
+//! served process runs [`ServeConfig::loops`] threads (plus the admin
+//! listener when enabled) and nothing else.
 //!
 //! [`Server::shutdown`] drains: accepting stops, no new frames are
-//! admitted, every request already admitted (including tagged in-flight
-//! pipelines) is batched, inferred, answered, and flushed, and only then
-//! do the workers exit (the admin listener, when enabled, goes down last
-//! so `/metrics` stays scrapeable through the drain).
+//! admitted, every reply already encoded is flushed, and only then do the
+//! loops exit (the admin listener, when enabled, goes down last so
+//! `/metrics` stays scrapeable through the drain).
 //!
 //! ## Multi-model serving and hot swap
 //!
@@ -66,12 +66,12 @@
 //! Telemetry (enable with `QSNC_TELEMETRY`) records under the frozen
 //! `serve.*` taxonomy: `serve.queue.depth` and `serve.batch.size`
 //! fixed-bucket histograms; `serve.latency_us` and the per-stage
-//! `serve.stage.{decode,queue,infer,encode}.us` quantile sketches; the
-//! `serve.rejected` counter; plus `serve.requests` / `serve.batches` /
+//! `serve.stage.{decode,queue,infer,encode}.us` quantile sketches; plus
+//! `serve.requests` / `serve.batches` /
 //! `serve.connections` / `serve.bad_requests` totals; the
 //! `serve.conn.active` / `serve.conn.inflight` histograms,
 //! `serve.conn.refused` / `serve.conn.rejected` counters, and
-//! `serve.loop.{wakeups,events,completions}` counters with the
+//! `serve.loop.{wakeups,events}` counters with the
 //! `serve.loop.dispatch.us` sketch. Multi-model serving adds the
 //! per-model `serve.model.{name}.requests` / `.rejected` / `.swaps`
 //! counters, the `serve.model.{name}.infer.us` sketch, and the
@@ -95,7 +95,6 @@
 )]
 
 pub mod admin;
-mod batcher;
 pub mod protocol;
 pub mod registry;
 
@@ -112,39 +111,28 @@ mod event_loop;
 pub use protocol::{Reply, Status};
 pub use registry::{ModelSpec, ModelStatus, SwapReport};
 
-use batcher::{MicroBatcher, ReplyRoute, Request, WorkerReply, BATCH_SIZE_EDGES};
-use event_loop::{Completion, LoopConfig, LoopShared};
+use event_loop::{LoopConfig, LoopShared};
 use qsnc_memristor::SpikingNetwork;
-use qsnc_tensor::Tensor;
 use registry::ModelRegistry;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serving parameters. `..Default::default()` gives the production knobs;
 /// `from_env` layers the `QSNC_SERVE_*` environment overrides on top.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Largest batch a worker runs at once (`QSNC_SERVE_MAX_BATCH`).
+    /// Largest batch one engine call runs (`QSNC_SERVE_MAX_BATCH`). An
+    /// event loop runs a model version's pending requests as soon as this
+    /// many are pending, and any fewer at the end of its dispatch round.
     pub max_batch: usize,
-    /// Extra wait for batch-mates, in microseconds, after a worker has
-    /// taken everything already queued (`QSNC_SERVE_MAX_DELAY_US`). The
-    /// default 0 never waits: a lone request runs alone at once.
-    pub max_delay_us: u64,
-    /// Bounded request-queue capacity; a full queue replies
-    /// [`Status::Busy`].
-    pub queue_cap: usize,
-    /// Inference worker threads. One is right for single-core deployments;
-    /// each worker keeps its own warm scratch arena.
-    pub workers: usize,
-    /// Event-loop threads (`QSNC_SERVE_LOOPS`). One loop comfortably
-    /// multiplexes hundreds of connections; add loops when accept/IO work
-    /// itself saturates a core.
+    /// Event-loop threads (`QSNC_SERVE_LOOPS`) — the one parallelism knob:
+    /// each loop owns its connections and runs their inference itself,
+    /// keeping its own warm scratch arena. One is right for single-core
+    /// deployments; add loops when one core's inference saturates.
     pub loops: usize,
     /// Per-connection in-flight request budget over the multiplexed v2
     /// protocol (`QSNC_SERVE_MAX_INFLIGHT_PER_CONN`); the budget'th + 1
@@ -169,7 +157,7 @@ pub struct ServeConfig {
     /// most this many requests per model in flight at once, the overflow
     /// answered [`Status::Busy`]. Applies to every registered model
     /// without its own [`ModelSpec::quota`]; `None` — the default — means
-    /// unlimited (only the global queue bounds admission).
+    /// unlimited (only the per-connection budget bounds admission).
     pub model_quota: Option<usize>,
     /// How long a hot swap waits, in milliseconds, for requests admitted
     /// against the old engine version to finish before giving up on the
@@ -183,9 +171,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_delay_us: 0,
-            queue_cap: 64,
-            workers: 1,
             loops: 1,
             max_inflight_per_conn: 32,
             max_conns: 4096,
@@ -199,16 +184,13 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Default config with the `QSNC_SERVE_*` environment overrides
-    /// applied (invalid values are ignored): `MAX_BATCH`, `MAX_DELAY_US`,
-    /// `LOOPS`, `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`,
+    /// applied (invalid values are ignored): `MAX_BATCH`, `LOOPS`,
+    /// `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`,
     /// `ADMIN_ADDR`, `SLOW_US`, `MODEL_QUOTA`, `SWAP_DRAIN_MS`.
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
         if let Some(v) = env_parse("QSNC_SERVE_MAX_BATCH") {
             config.max_batch = 1.max(v as usize);
-        }
-        if let Some(v) = env_parse("QSNC_SERVE_MAX_DELAY_US") {
-            config.max_delay_us = v;
         }
         if let Some(v) = env_parse("QSNC_SERVE_LOOPS") {
             config.loops = 1.max(v as usize);
@@ -240,19 +222,6 @@ fn env_parse(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// Same tie-breaking as `Tensor::argmax` (lowest index wins).
-fn argmax_slice(v: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &x) in v.iter().enumerate() {
-        if x > best_v {
-            best_v = x;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Process-wide request ids, so flight-recorder traces from concurrent
 /// connections stay distinguishable. Only assigned while telemetry is on.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
@@ -267,10 +236,8 @@ pub struct Server {
     addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
     running: Arc<AtomicBool>,
-    req_tx: Option<SyncSender<Request>>,
     loops: Vec<JoinHandle<()>>,
     shareds: Vec<Arc<LoopShared>>,
-    workers: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
     registry: Arc<ModelRegistry>,
 }
@@ -289,9 +256,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `workers`,
-    /// `loops`, or `max_inflight_per_conn`, or if `input_dims` is
-    /// empty/zero-sized.
+    /// Panics if `config` has a zero `max_batch`, `loops`, or
+    /// `max_inflight_per_conn`, or if `input_dims` is empty/zero-sized.
     ///
     /// # Examples
     ///
@@ -372,9 +338,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `workers`,
-    /// `loops`, or `max_inflight_per_conn`, or if a spec's `input_dims`
-    /// is empty/zero-sized.
+    /// Panics if `config` has a zero `max_batch`, `loops`, or
+    /// `max_inflight_per_conn`, or if a spec's `input_dims` is
+    /// empty/zero-sized.
     ///
     /// # Examples
     ///
@@ -435,8 +401,6 @@ impl Server {
         config: ServeConfig,
     ) -> io::Result<Server> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.queue_cap >= 1, "queue_cap must be at least 1");
-        assert!(config.workers >= 1, "need at least one worker");
         assert!(config.loops >= 1, "need at least one event loop");
         assert!(config.max_inflight_per_conn >= 1, "max_inflight_per_conn must be at least 1");
         let registry = Arc::new(
@@ -470,26 +434,6 @@ impl Server {
             Some((a, h)) => (Some(a), Some(h)),
             None => (None, None),
         };
-        let depth = Arc::new(AtomicUsize::new(0));
-        let (req_tx, req_rx) = mpsc::sync_channel::<Request>(config.queue_cap);
-        // The workers pull their batches straight from the bounded queue.
-        // While every worker is busy the queue fills, and a full queue is
-        // what answers Busy under overload.
-        let batcher = Arc::new(Mutex::new(MicroBatcher::new(
-            req_rx,
-            config.max_batch,
-            Duration::from_micros(config.max_delay_us),
-            Arc::clone(&depth),
-        )));
-
-        let workers = (0..config.workers)
-            .map(|_| {
-                let batcher = Arc::clone(&batcher);
-                let max_batch = config.max_batch;
-                std::thread::spawn(move || worker_loop(max_batch, &batcher))
-            })
-            .collect();
-
         let loop_cfg = LoopConfig {
             registry: Arc::clone(&registry),
             max_inflight: config.max_inflight_per_conn,
@@ -497,29 +441,26 @@ impl Server {
             // process-wide total honors the config.
             max_conns: config.max_conns.div_ceil(config.loops),
             slow_us: config.slow_us,
+            max_batch: config.max_batch,
         };
         let loops = event_loop::spawn(
             listener,
             config.loops,
             loop_cfg,
             Arc::clone(&running),
-            req_tx.clone(),
-            Arc::clone(&depth),
             Arc::new(AtomicUsize::new(0)),
         );
         let mut server = Server {
             addr: local,
             admin_addr,
             running,
-            req_tx: Some(req_tx),
             loops: Vec::new(),
             shareds: Vec::new(),
-            workers,
             admin: admin_handle,
             registry,
         };
-        // On failure `server` drops here, joining the workers and admin
-        // plane already started.
+        // On failure `server` drops here, joining the admin plane already
+        // started.
         (server.loops, server.shareds) = loops?;
         Ok(server)
     }
@@ -606,8 +547,8 @@ impl Server {
     /// after [`Server::shutdown`] finds nothing left to do.
     fn drain(&mut self) {
         self.running.store(false, Ordering::SeqCst);
-        // Wake every loop; each stops parsing, answers its in-flight
-        // requests (workers below are still running), flushes, and exits.
+        // Wake every loop; each stops parsing, flushes the replies it
+        // owes (nothing admitted is left unanswered), and exits.
         for s in &self.shareds {
             s.wake();
         }
@@ -615,12 +556,6 @@ impl Server {
             let _ = h.join();
         }
         self.shareds.clear();
-        // All producers are gone: the workers drain the queue, run the
-        // final partial batch, and exit.
-        drop(self.req_tx.take());
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
         // The admin plane goes down last, after every request has been
         // answered, so /metrics stays scrapeable through the drain.
         if let Some(h) = self.admin.take() {
@@ -646,88 +581,5 @@ impl std::fmt::Debug for Server {
             .field("running", &self.running.load(Ordering::Relaxed))
             .field("loops", &self.loops.len())
             .finish()
-    }
-}
-
-fn worker_loop(max_batch: usize, batcher: &Mutex<MicroBatcher>) {
-    // One cached input tensor per (input shape, batch size): after each
-    // combination has been seen once, packing + inference allocate
-    // nothing. Keyed by shape because different models can differ in dims.
-    let mut tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>> = HashMap::new();
-    let mut out: Vec<f32> = Vec::new();
-    loop {
-        // The lock is held only while the batch is taken, never while it
-        // runs, so an idle sibling can take the next one meanwhile.
-        let batch = match batcher.lock() {
-            Ok(mut batcher) => batcher.next_batch(),
-            Err(_) => break, // a sibling worker panicked
-        };
-        let Some(batch) = batch else { break };
-        let b = batch.len();
-        debug_assert!(b >= 1 && b <= max_batch, "batcher produced batch of {b}");
-        let tele = qsnc_telemetry::enabled();
-        // Queue time ends when the worker has taken the batch: everything
-        // between admission and here (the queue wait, plus the optional
-        // window when `max_delay_us` is set) is the queue stage from the
-        // request's point of view.
-        let picked_up = tele.then(Instant::now);
-        if tele {
-            qsnc_telemetry::counter_add("serve.batches", 1);
-            qsnc_telemetry::observe("serve.batch.size", b as f64, BATCH_SIZE_EDGES);
-        }
-        // Batches are version-homogeneous, so the opener's lease names the
-        // engine for the whole batch.
-        let (entry, version) = {
-            let lease = batch[0].lease.as_ref().expect("served requests always carry a lease");
-            (Arc::clone(lease.entry()), Arc::clone(lease.version()))
-        };
-        let input_len = version.input_len;
-        if !tensors.contains_key(&version.input_dims) {
-            tensors
-                .insert(version.input_dims.clone(), (0..=max_batch).map(|_| None).collect());
-        }
-        let cache = tensors.get_mut(&version.input_dims).expect("inserted above");
-        let xs = cache[b].get_or_insert_with(|| {
-            let mut dims = vec![b];
-            dims.extend_from_slice(&version.input_dims);
-            Tensor::from_vec(vec![0.0; b * input_len], dims)
-        });
-        let slice = xs.as_mut_slice();
-        for (i, req) in batch.iter().enumerate() {
-            slice[i * input_len..(i + 1) * input_len].copy_from_slice(&req.input);
-        }
-        let t_infer = tele.then(Instant::now);
-        version.network.infer_batch_into(xs, &mut out);
-        // The batched engine call is shared: infer_us is recorded once per
-        // batch in the sketch but attached to every request's trace.
-        let infer_us = t_infer.map_or(0, |t| t.elapsed().as_micros() as u64);
-        if tele {
-            qsnc_telemetry::quantile_observe("serve.stage.infer.us", infer_us as f64);
-            qsnc_telemetry::quantile_observe(&entry.tele_infer_us, infer_us as f64);
-        }
-        let stride = out.len() / b;
-        for (i, req) in batch.into_iter().enumerate() {
-            let logits = out[i * stride..(i + 1) * stride].to_vec();
-            let argmax = argmax_slice(&logits) as u32;
-            let queue_us = picked_up
-                .map_or(0, |t| t.saturating_duration_since(req.enqueued).as_micros() as u64);
-            if tele {
-                qsnc_telemetry::quantile_observe("serve.stage.queue.us", queue_us as f64);
-            }
-            let reply = WorkerReply { argmax, logits, queue_us, infer_us, batch: b as u32 };
-            let ReplyRoute { shared, conn, generation, tag } =
-                req.route.expect("served requests always carry a reply route");
-            // The loop drops the completion itself if the connection died
-            // first (generation mismatch).
-            shared.complete(Completion {
-                conn,
-                generation,
-                tag,
-                reply,
-                enqueued: req.enqueued,
-                decode_us: req.decode_us,
-                id: req.id,
-            });
-        }
     }
 }

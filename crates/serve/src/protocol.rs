@@ -106,8 +106,9 @@ pub const HEADER_V3_BYTES: usize = 18;
 pub enum Status {
     /// Inference ran; payload carries argmax + logits.
     Ok,
-    /// Backpressure — the bounded request queue or the connection's
-    /// in-flight budget was full; retry later.
+    /// Backpressure — the connection's in-flight budget, the model's
+    /// admission quota or the server's connection cap was full; retry
+    /// later.
     Busy,
     /// The request was malformed; payload carries a message.
     BadRequest,

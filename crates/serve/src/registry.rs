@@ -17,14 +17,14 @@
 //!
 //! A request is bound to an engine **at admission**, by acquiring a
 //! `Lease` on the entry + the version snapshot the front end resolved.
-//! The lease travels inside the queued request and drops after the worker
-//! has run inference and routed the reply, decrementing two counters:
+//! The lease rides with the pending request and drops once the event loop
+//! has run its batch and encoded the reply, decrementing two counters:
 //!
 //! - the **entry-level** in-flight count, checked against the per-model
 //!   admission quota ([`ModelSpec::quota`] /
 //!   `QSNC_SERVE_MODEL_QUOTA`) — the quota tier of the backpressure
 //!   ladder, answering [`crate::Status::Busy`] when one model's tenants
-//!   would otherwise starve the shared queue;
+//!   would otherwise starve the others;
 //! - the **version-level** in-flight count, which is what hot swap drains.
 //!
 //! ## Hot swap
@@ -185,9 +185,9 @@ fn read_lock(lock: &RwLock<Arc<ModelVersion>>) -> std::sync::RwLockReadGuard<'_,
 }
 
 /// An admitted request's hold on its model entry (quota accounting) and
-/// engine version (swap-drain accounting). Dropping the lease — after the
-/// worker has run inference and routed the reply, or when admission is
-/// reverted — releases both.
+/// engine version (swap-drain accounting). Dropping the lease — once the
+/// reply is encoded, or with a dead connection's discarded reply —
+/// releases both.
 pub(crate) struct Lease {
     entry: Arc<ModelEntry>,
     version: Arc<ModelVersion>,
@@ -212,12 +212,6 @@ impl Lease {
 
     pub(crate) fn version(&self) -> &Arc<ModelVersion> {
         &self.version
-    }
-
-    /// Whether two leases pin the same engine snapshot — the batcher's
-    /// homogeneity key (a batch runs on exactly one engine version).
-    pub(crate) fn same_version(&self, other: &Lease) -> bool {
-        Arc::ptr_eq(&self.version, &other.version)
     }
 }
 

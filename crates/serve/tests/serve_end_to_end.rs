@@ -5,10 +5,10 @@
 //! real `TcpStream` clients. The float oracle
 //! [`SpikingNetwork::infer_reference`] is the ground truth: every
 //! well-formed reply must be **bit-identical** to it regardless of how
-//! the micro-batcher grouped the requests. Hostile clients — garbage
-//! frames, oversized declarations, wrong payload sizes, mid-request
-//! disconnects — must get error replies (or a dropped connection), never
-//! a worker panic.
+//! the event loop grouped the requests into batches. Hostile clients —
+//! garbage frames, oversized declarations, wrong payload sizes,
+//! mid-request disconnects — must get error replies (or a dropped
+//! connection), never a panicked loop.
 //!
 //! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
 //! syscalls); elsewhere `Server::spawn` returns `Unsupported`, so the whole
@@ -82,11 +82,11 @@ fn replies_bit_identical_to_reference_under_concurrency() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
 
-    // 6 concurrent clients × 4 sequential requests: the micro-batcher sees
+    // 6 concurrent clients × 4 sequential requests: the event loop runs
     // every batch size from 1 to max_batch depending on arrival timing, and
     // the answer must not depend on which one it picked.
     let mut handles = Vec::new();
@@ -139,7 +139,7 @@ fn sequential_singles_are_bit_identical_too() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 100, ..ServeConfig::default() },
+        ServeConfig { max_batch: 8, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = connect(&server);
@@ -270,18 +270,12 @@ fn mid_request_disconnect_does_not_kill_the_server() {
 #[test]
 fn overload_answers_ok_or_busy_and_recovers() {
     let snn = served_network(17);
-    // A deliberately tiny queue so the flood can trip backpressure.
+    // Batches of at most two, so the flood runs many engine calls.
     let server = Server::spawn(
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            max_batch: 2,
-            max_delay_us: 50,
-            queue_cap: 2,
-            workers: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 2, ..ServeConfig::default() },
     )
     .expect("spawn");
 

@@ -182,40 +182,84 @@ fn duplicate_and_invalid_registry_names_are_rejected() {
 }
 
 #[test]
-fn per_model_quota_answers_busy_and_recovers() {
-    let snn = served_network(17);
-    // quota 1 + a long batch window: the first admitted request parks in
-    // the batcher holding its lease, so a second one must bounce.
+fn frames_for_two_models_in_one_write_each_get_their_own_model() {
+    let prod = served_network(2024);
+    let canary = served_network(5150);
     let server = Server::spawn_models(
-        vec![ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec()).with_quota(1)],
+        vec![
+            ModelSpec::new("prod", Arc::clone(&prod), INPUT_DIMS.to_vec()),
+            ModelSpec::new("canary", Arc::clone(&canary), INPUT_DIMS.to_vec()),
+        ],
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 300_000, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
 
-    let input = example(42);
-    let mut holder = connect(&server);
-    protocol::write_request(&mut holder, &input).expect("holder write");
-    // Let the server admit it before racing the second request.
-    std::thread::sleep(Duration::from_millis(60));
+    // Eight frames alternating between the models, in one write: one round
+    // admits them all, and each model's requests must batch on that
+    // model's engine only.
+    let inputs: Vec<Vec<f32>> = (0..8).map(|i| example(800 + i)).collect();
+    let mut wire = Vec::new();
+    for (tag, input) in inputs.iter().enumerate() {
+        let (tag, model) = (tag as u32, tag as u32 % 2);
+        protocol::write_request_routed(&mut wire, tag, model, input).expect("encode");
+    }
+    assert!(wire.len() < 64 * 1024);
+    let mut stream = connect(&server);
+    stream.write_all(&wire).expect("write");
 
-    let mut probe = connect(&server);
-    protocol::write_request_tagged(&mut probe, 11, &input).expect("probe write");
-    let reply = protocol::read_reply(&mut probe).expect("probe reply");
+    let mut answered = [false; 8];
+    for _ in 0..inputs.len() {
+        let reply = protocol::read_reply(&mut stream).expect("reply");
+        assert_eq!(reply.status, Status::Ok, "{}", reply.message);
+        let tag = reply.tag.expect("tagged") as usize;
+        assert!(!std::mem::replace(&mut answered[tag], true), "tag {tag} answered twice");
+        let engine = [&prod, &canary][tag % 2];
+        assert_eq!(
+            bits(&reply.logits),
+            bits(&reference_logits(engine, &inputs[tag])),
+            "tag {tag} answered by the wrong model"
+        );
+    }
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn per_model_quota_answers_busy_and_recovers() {
+    let snn = served_network(17);
+    let server = Server::spawn_models(
+        vec![ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec()).with_quota(1)],
+        "127.0.0.1:0",
+        ServeConfig { max_batch: 8, ..ServeConfig::default() },
+    )
+    .expect("spawn");
+
+    // Two tagged frames in one write against quota 1: the first is
+    // admitted and holds its lease until its batch runs at the end of the
+    // round, so the second, parsed meanwhile, must bounce.
+    let input = example(42);
+    let mut wire = Vec::new();
+    protocol::write_request_tagged(&mut wire, 10, &input).expect("encode");
+    protocol::write_request_tagged(&mut wire, 11, &input).expect("encode");
+    let mut stream = connect(&server);
+    stream.write_all(&wire).expect("write");
+
+    let reply = protocol::read_reply(&mut stream).expect("shed reply");
     assert_eq!(reply.status, Status::Busy, "quota 1 must shed the second request");
     assert_eq!(reply.tag, Some(11));
     assert!(reply.message.contains("quota"), "got {:?}", reply.message);
 
-    // The parked request completes normally...
-    let reply = protocol::read_reply(&mut holder).expect("holder reply");
+    // The admitted request completes normally...
+    let reply = protocol::read_reply(&mut stream).expect("admitted reply");
     assert_eq!(reply.status, Status::Ok, "{}", reply.message);
+    assert_eq!(reply.tag, Some(10));
     assert_eq!(bits(&reply.logits), bits(&reference_logits(&snn, &input)));
-    // ...and once its lease is back the probe gets through.
-    protocol::write_request_tagged(&mut probe, 12, &input).expect("probe retry");
-    let reply = protocol::read_reply(&mut probe).expect("probe retry reply");
+    // ...and once its lease is back a retry gets through.
+    protocol::write_request_tagged(&mut stream, 12, &input).expect("retry");
+    let reply = protocol::read_reply(&mut stream).expect("retry reply");
     assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-    drop(holder);
-    drop(probe);
+    drop(stream);
     server.shutdown();
 }
 
@@ -229,7 +273,7 @@ fn hot_swap_under_load_is_bit_exact_and_drops_nothing() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&engine_a), INPUT_DIMS.to_vec())],
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 200, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
 

@@ -14,6 +14,10 @@
 //!    [`Status::Busy`] with the offending tag, and graceful drain answers
 //!    every request it admitted before the listener went away.
 //!
+//! A test that needs several requests admitted at once encodes every frame
+//! into one buffer and sends it with a single `write_all` of under 64 KiB,
+//! so one dispatch round reads, admits and answers them all.
+//!
 //! The event-loop front end only exists on Linux x86-64/aarch64 (raw epoll
 //! syscalls), so the whole file is gated.
 
@@ -77,6 +81,16 @@ fn bits(logits: &[f32]) -> Vec<u32> {
     logits.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Encodes tagged v2 frames into one buffer, for a single `write_all`.
+fn tagged_frames<'a>(frames: impl IntoIterator<Item = (u32, &'a [f32])>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for (tag, input) in frames {
+        protocol::write_request_tagged(&mut wire, tag, input).expect("encode");
+    }
+    assert!(wire.len() < 64 * 1024, "one write must fit one dispatch round");
+    wire
+}
+
 /// Reads replies until the server closes the connection.
 fn read_until_eof(stream: &mut TcpStream) -> Vec<protocol::Reply> {
     let mut replies = Vec::new();
@@ -87,9 +101,8 @@ fn read_until_eof(stream: &mut TcpStream) -> Vec<protocol::Reply> {
 }
 
 /// The core multiplexing proof: one connection pipelines many tagged
-/// requests with distinct inputs, two single-request workers race the
-/// completions back in whatever order inference finishes, and every reply
-/// — matched purely by tag — must be bit-identical to the reference.
+/// requests with distinct inputs, each runs in a batch of one, and every
+/// reply — matched purely by tag — must be bit-identical to the reference.
 #[test]
 fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
     let snn = served_network(41);
@@ -97,13 +110,7 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            max_batch: 1,
-            max_delay_us: 0,
-            max_inflight_per_conn: 64,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 1, max_inflight_per_conn: 64, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -138,49 +145,56 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
     server.shutdown();
 }
 
-/// Two workers share one micro-batcher and pull their own batches from the
-/// queue: with the default window and room for eight per batch, a deep
-/// pipeline on one connection is split between them in batches of whatever
-/// was queued when each went idle. Every tag must still get exactly one
-/// reply, bit-identical to the reference.
+/// Two event loops, each owning one of two connections and running that
+/// connection's requests itself: both connections pipeline 64 tags at
+/// once, and every tag on each must get exactly one reply, bit-identical
+/// to the reference.
 #[test]
-fn two_workers_pulling_batches_answer_every_tag_once() {
+fn two_loops_answer_every_tag_once() {
     let snn = served_network(47);
     let server = Server::spawn(
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            max_batch: 8,
-            max_inflight_per_conn: 64,
-            ..ServeConfig::default()
-        },
+        ServeConfig { loops: 2, max_batch: 8, max_inflight_per_conn: 64, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     const SHOTS: u32 = 64;
-    let inputs: Vec<Vec<f32>> = (0..SHOTS).map(|i| example(4700 + i as u64)).collect();
-    let mut stream = connect(&server);
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
+    let clients: Vec<_> = (0..2u64)
+        .map(|client| {
+            let snn = Arc::clone(&snn);
+            let mut stream = connect(&server);
+            std::thread::spawn(move || {
+                let inputs: Vec<Vec<f32>> =
+                    (0..SHOTS).map(|i| example(4700 + 100 * client + u64::from(i))).collect();
+                for (tag, input) in inputs.iter().enumerate() {
+                    protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
+                }
+                let mut seen: HashMap<u32, protocol::Reply> = HashMap::new();
+                for _ in 0..SHOTS {
+                    let reply = protocol::read_reply(&mut stream).expect("reply");
+                    assert_eq!(reply.status, Status::Ok, "tag {:?}: {}", reply.tag, reply.message);
+                    let tag = reply.tag.expect("v2 requests must get tagged replies");
+                    assert!(tag < SHOTS, "unknown tag {tag}");
+                    assert!(seen.insert(tag, reply).is_none(), "tag {tag} answered twice");
+                }
+                for (tag, input) in inputs.iter().enumerate() {
+                    let expected = reference_logits(&snn, input);
+                    assert_eq!(bits(&seen[&(tag as u32)].logits), bits(&expected), "tag {tag}");
+                }
+                // Nothing beyond the one reply per tag may follow.
+                stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+                assert!(
+                    read_until_eof(&mut stream).is_empty(),
+                    "extra replies after every tag was answered"
+                );
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
     }
-
-    let mut seen: HashMap<u32, protocol::Reply> = HashMap::new();
-    for _ in 0..SHOTS {
-        let reply = protocol::read_reply(&mut stream).expect("reply");
-        assert_eq!(reply.status, Status::Ok, "tag {:?}: {}", reply.tag, reply.message);
-        let tag = reply.tag.expect("v2 requests must get tagged replies");
-        assert!(tag < SHOTS, "unknown tag {tag}");
-        assert!(seen.insert(tag, reply).is_none(), "tag {tag} answered twice");
-    }
-    for (tag, input) in inputs.iter().enumerate() {
-        let expected = reference_logits(&snn, input);
-        assert_eq!(bits(&seen[&(tag as u32)].logits), bits(&expected), "tag {tag}");
-    }
-    // Nothing beyond the one reply per tag may follow.
-    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
-    assert!(read_until_eof(&mut stream).is_empty(), "extra replies after every tag was answered");
     server.shutdown();
 }
 
@@ -194,19 +208,18 @@ fn duplicate_live_tag_is_rejected_then_reusable() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        // A wide batch window keeps the first request in flight long
-        // enough that the duplicate is deterministically still live.
-        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
+        ServeConfig { max_batch: 32, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     let input = example(4300);
     let mut stream = connect(&server);
-    protocol::write_request_tagged(&mut stream, 9, &input).expect("first");
-    protocol::write_request_tagged(&mut stream, 9, &input).expect("duplicate");
+    // Both frames arrive in one write, so the loop admits the first and
+    // parses the duplicate while the first is still pending.
+    stream.write_all(&tagged_frames([(9, &input[..]), (9, &input[..])])).expect("write");
 
-    // The duplicate bounces immediately; the original completes after the
-    // batch window.
+    // The duplicate bounces at parse time; the original is answered when
+    // its batch runs at the end of the round.
     let first = protocol::read_reply(&mut stream).expect("reply 1");
     assert_eq!(first.status, Status::BadRequest, "{}", first.message);
     assert_eq!(first.tag, Some(9));
@@ -283,23 +296,21 @@ fn oversized_tagged_frame_mid_pipeline_errors_and_closes() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
+        ServeConfig { max_batch: 32, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     let mut stream = connect(&server);
     let inputs: Vec<Vec<f32>> = (0..3).map(|i| example(5300 + i)).collect();
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
-    // A v2 header declaring a payload over the frame cap.
-    let mut poison = Vec::new();
-    poison.extend_from_slice(&MAGIC.to_le_bytes());
-    poison.push(VERSION_V2);
-    poison.push(OP_INFER);
-    poison.extend_from_slice(&77u32.to_le_bytes()); // tag
-    poison.extend_from_slice(&u32::MAX.to_le_bytes()); // declared length
-    stream.write_all(&poison).expect("poison frame");
+    let mut wire =
+        tagged_frames(inputs.iter().enumerate().map(|(tag, input)| (tag as u32, &input[..])));
+    // A v2 header declaring a payload over the frame cap, in the same write.
+    wire.extend_from_slice(&MAGIC.to_le_bytes());
+    wire.push(VERSION_V2);
+    wire.push(OP_INFER);
+    wire.extend_from_slice(&77u32.to_le_bytes()); // tag
+    wire.extend_from_slice(&u32::MAX.to_le_bytes()); // declared length
+    stream.write_all(&wire).expect("pipeline + poison frame");
 
     let replies = read_until_eof(&mut stream);
     assert_eq!(replies.len(), 4, "3 admitted replies + 1 fatal error");
@@ -335,15 +346,15 @@ fn half_close_with_replies_pending_still_answers_all() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 32, max_delay_us: 100_000, ..ServeConfig::default() },
+        ServeConfig { max_batch: 32, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     let mut stream = connect(&server);
     let inputs: Vec<Vec<f32>> = (0..5).map(|i| example(5900 + i)).collect();
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
+    let wire =
+        tagged_frames(inputs.iter().enumerate().map(|(tag, input)| (tag as u32, &input[..])));
+    stream.write_all(&wire).expect("write");
     stream.shutdown(std::net::Shutdown::Write).expect("half close");
 
     let replies = read_until_eof(&mut stream);
@@ -364,7 +375,8 @@ fn half_close_with_replies_pending_still_answers_all() {
 /// The per-connection in-flight budget sheds load with tagged
 /// [`Status::Busy`] replies — and those bounce back *before* the earlier
 /// admitted requests complete, which is exactly the out-of-order delivery
-/// the tag field exists for.
+/// the tag field exists for. All eight frames arrive in one write, so the
+/// first two are still pending when the rest are parsed.
 #[test]
 fn inflight_budget_answers_busy_with_the_offending_tag() {
     let snn = served_network(61);
@@ -372,21 +384,13 @@ fn inflight_budget_answers_busy_with_the_offending_tag() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            max_inflight_per_conn: 2,
-            max_batch: 32,
-            max_delay_us: 200_000,
-            queue_cap: 64,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_inflight_per_conn: 2, max_batch: 32, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     let input = example(6100);
     let mut stream = connect(&server);
-    for tag in 0..8u32 {
-        protocol::write_request_tagged(&mut stream, tag, &input).expect("write");
-    }
+    stream.write_all(&tagged_frames((0..8u32).map(|tag| (tag, &input[..])))).expect("write");
 
     let mut order = Vec::new();
     for _ in 0..8 {
@@ -421,38 +425,30 @@ fn drain_answers_every_admitted_tagged_request() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        // A long batch window guarantees the requests are still queued
-        // when the drain begins.
-        ServeConfig { max_batch: 32, max_delay_us: 300_000, ..ServeConfig::default() },
+        ServeConfig { max_batch: 32, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     let inputs: Vec<Vec<f32>> = (0..6).map(|i| example(6700 + i)).collect();
     let mut stream = connect(&server);
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
+    let wire =
+        tagged_frames(inputs.iter().enumerate().map(|(tag, input)| (tag as u32, &input[..])));
+    stream.write_all(&wire).expect("write");
 
-    let snn_reader = Arc::clone(&snn);
-    let inputs_reader = inputs.clone();
-    let reader = std::thread::spawn(move || {
-        let replies = read_until_eof(&mut stream);
-        assert_eq!(replies.len(), 6, "drain must answer every admitted request");
-        let mut tags: Vec<u32> = Vec::new();
-        for reply in &replies {
-            assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-            let tag = reply.tag.expect("tagged");
-            tags.push(tag);
-            let expected = reference_logits(&snn_reader, &inputs_reader[tag as usize]);
-            assert_eq!(bits(&reply.logits), bits(&expected), "tag {tag}");
-        }
-        tags.sort_unstable();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-    });
-
-    // Let the loop admit everything into the batcher, then drain while
-    // the replies are still pending.
-    std::thread::sleep(Duration::from_millis(100));
+    // One reply proves the round that read the write has run: every frame
+    // in it was admitted then. Drain while the rest are still unread.
+    let mut replies = vec![protocol::read_reply(&mut stream).expect("first reply")];
     server.shutdown();
-    reader.join().expect("reader thread");
+    replies.extend(read_until_eof(&mut stream));
+    assert_eq!(replies.len(), 6, "drain must answer every admitted request");
+    let mut tags: Vec<u32> = Vec::new();
+    for reply in &replies {
+        assert_eq!(reply.status, Status::Ok, "{}", reply.message);
+        let tag = reply.tag.expect("tagged");
+        tags.push(tag);
+        let expected = reference_logits(&snn, &inputs[tag as usize]);
+        assert_eq!(bits(&reply.logits), bits(&expected), "tag {tag}");
+    }
+    tags.sort_unstable();
+    assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
 }

@@ -1,9 +1,9 @@
-//! Served replies must not depend on the SIMD level the worker dispatches.
+//! Served replies must not depend on the SIMD level the engine dispatches.
 //!
-//! The batch worker threads live inside the server, so the process-wide
-//! [`qsnc_tensor::set_simd_level`] cap is the only knob that reaches them
-//! (thread-local `with_simd_level` scopes deliberately do not propagate
-//! across threads). Serving the same requests with the kernels pinned to
+//! The event-loop threads that run inference live inside the server, so
+//! the process-wide [`qsnc_tensor::set_simd_level`] cap is the only knob
+//! that reaches them (thread-local `with_simd_level` scopes deliberately
+//! do not propagate across threads). Serving the same requests with the kernels pinned to
 //! scalar and again at full hardware dispatch must produce bit-identical
 //! logits — the serving-layer restatement of the kernel proptests.
 //!
@@ -58,7 +58,7 @@ fn serve_round(snn: &Arc<SpikingNetwork>, cap: Option<SimdLevel>, shots: u64) ->
         Arc::clone(snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

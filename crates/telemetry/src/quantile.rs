@@ -14,7 +14,7 @@
 //! Recording is lock-free: one `ln`, one index clamp, and four relaxed
 //! atomic updates (bucket, count, CAS'd sum, CAS'd min/max) — safe to call
 //! from the scoped worker threads of `qsnc_tensor::parallel` and from
-//! serve worker threads concurrently with snapshotting. Exact `count`,
+//! serve event-loop threads concurrently with snapshotting. Exact `count`,
 //! `sum`, `min`, and `max` ride along, so `quantile(0.0)` / `quantile(1.0)`
 //! are exact and means need no bucket arithmetic.
 

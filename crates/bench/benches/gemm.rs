@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm_conv, igemm_wx, matmul, matmul_serial, parallel,
+    gemm, gemm_serial, igemm_conv, matmul, matmul_serial, parallel,
     set_gemm_kernel, Conv2dSpec, GemmKernel, PackedCodes, SimdLevel, Tensor,
 };
 use rand::{Rng, SeedableRng};
@@ -134,11 +134,9 @@ fn bench_thread_scaling(c: &mut Criterion) {
 
 /// Integer fast-path GEMM (packed i8 codes × i32 spike counts) against the
 /// float GEMM on the same conv-shaped product, all pinned to one thread —
-/// the configuration the deployment benchmarks run in. `int_wx` is the
-/// weights-times-columns orientation the inference engine uses (inner loop
-/// streams pixels) timed on a column matrix built before timing starts;
-/// `int_conv` times what the engine actually runs at the same shape —
-/// [`igemm_conv`] on the `[8, 28, 28]` image, lowering included.
+/// the configuration the deployment benchmarks run in. `int_conv` times
+/// what the engine runs at that shape — [`igemm_conv`] on an `[8, 28, 28]`
+/// image, lowering included.
 fn bench_igemm_vs_float(c: &mut Criterion) {
     // LeNet conv-like shape: W[f, c·k·k] × cols[c·k·k, oh·ow].
     let (out, k, pix) = (16usize, 200usize, 576usize);
@@ -155,14 +153,6 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
     let mut out_i = vec![0i32; out * pix];
     let mut out_f = vec![0.0f32; out * pix];
     let mut group = c.benchmark_group("igemm_conv_shape");
-    group.bench_function("int_wx", |bch| {
-        bch.iter(|| {
-            parallel::with_num_threads(1, || {
-                out_i.fill(0);
-                igemm_wx(out, k, pix, &packed, &cols, &mut out_i);
-            })
-        })
-    });
     group.bench_function("int_conv", |bch| {
         bch.iter(|| {
             parallel::with_num_threads(1, || {
@@ -180,16 +170,21 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIMD dispatch sweep on the same conv-shaped products: the integer
-/// weights-times-columns kernel and the f32 GEMM forced to scalar, SSE2,
-/// and (when the machine has it) AVX2, one thread throughout. The gap
-/// between rows is the micro-kernel payoff in isolation.
+/// SIMD dispatch sweep on the same conv-shaped products: the integer conv
+/// the engine runs ([`igemm_conv`] on an `[8, 28, 28]` image, lowering
+/// included) and the f32 GEMM forced to scalar, SSE2, and (when the machine
+/// has it) AVX2, one thread throughout. Each integer row is that level's
+/// one conv route.
 fn bench_simd_levels(c: &mut Criterion) {
     let (out, k, pix) = (16usize, 200usize, 576usize);
     let mut rng = rand::rngs::StdRng::seed_from_u64(60);
     let cols: Vec<i32> = (0..k * pix).map(|_| rng.gen_range(0..16)).collect();
     let codes: Vec<i32> = (0..out * k).map(|_| rng.gen_range(-8..=8)).collect();
     let packed = PackedCodes::try_pack(&codes, out, k).expect("codes fit i8");
+    // 8 channels × 5×5 taps = 200 = k; a 28×28 image without padding gives
+    // 24×24 = 576 = pix output pixels.
+    let (in_c, side, spec) = (8usize, 28usize, Conv2dSpec::new(5, 1, 0));
+    let image: Vec<i32> = (0..in_c * side * side).map(|_| rng.gen_range(0..16)).collect();
     let cols_f: Vec<f32> = cols.iter().map(|&v| v as f32).collect();
     let codes_f: Vec<f32> = codes.iter().map(|&v| v as f32).collect();
     let mut out_i = vec![0i32; out * pix];
@@ -207,7 +202,7 @@ fn bench_simd_levels(c: &mut Criterion) {
                 qsnc_tensor::with_simd_level(level, || {
                     parallel::with_num_threads(1, || {
                         out_i.fill(0);
-                        igemm_wx(out, k, pix, &packed, &cols, &mut out_i);
+                        igemm_conv(&image, in_c, (side, side), spec, &packed, &mut out_i);
                     })
                 })
             })

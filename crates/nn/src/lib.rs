@@ -35,7 +35,6 @@ pub mod metrics;
 pub mod loss;
 pub mod models;
 pub mod optim;
-pub mod schedule;
 mod sequential;
 pub mod train;
 
@@ -45,7 +44,6 @@ pub use checkpoint::{
 pub use layer::{Layer, LayerDesc, Mode, Param};
 pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use models::ModelKind;
-pub use schedule::LrSchedule;
 pub use sequential::Sequential;
 pub use train::{
     Batch, EpochStats, StderrObserver, TelemetryObserver, TrainConfig, TrainObserver, Trainer,

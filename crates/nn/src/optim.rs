@@ -20,7 +20,7 @@ pub trait Optimizer: std::fmt::Debug + Send {
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
 
-    /// Overrides the learning rate (for schedules).
+    /// Overrides the learning rate (for step decay).
     fn set_learning_rate(&mut self, lr: f32);
 }
 

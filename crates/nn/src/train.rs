@@ -231,7 +231,7 @@ impl Default for TrainConfig {
     }
 }
 
-/// Drives multi-epoch training with an optional learning-rate schedule.
+/// Drives multi-epoch training with the config's step learning-rate decay.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Trainer {
     /// Training configuration.
@@ -242,53 +242,6 @@ impl Trainer {
     /// Creates a trainer with the given configuration.
     pub fn new(config: TrainConfig) -> Self {
         Trainer { config }
-    }
-
-    /// Trains with an explicit [`LrSchedule`](crate::schedule::LrSchedule):
-    /// before each epoch the optimizer's rate is set to
-    /// `schedule.rate(base_lr, epoch)` (ignores the config's step-decay
-    /// fields). `verbose` routes through [`StderrObserver`].
-    pub fn fit_scheduled(
-        &self,
-        net: &mut Sequential,
-        opt: &mut dyn Optimizer,
-        base_lr: f32,
-        schedule: crate::schedule::LrSchedule,
-        train_batches: &[Batch],
-        test_batches: &[Batch],
-    ) -> Vec<EpochStats> {
-        let mut stderr = StderrObserver;
-        let observer: Option<&mut dyn TrainObserver> =
-            if self.config.verbose { Some(&mut stderr) } else { None };
-        self.fit_scheduled_with_observer(net, opt, base_lr, schedule, train_batches, test_batches, observer)
-    }
-
-    /// [`Trainer::fit_scheduled`] with an explicit per-epoch observer.
-    ///
-    /// As before, the schedule path never evaluates `test_batches`; the
-    /// observer always receives `test_acc = None`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_scheduled_with_observer(
-        &self,
-        net: &mut Sequential,
-        opt: &mut dyn Optimizer,
-        base_lr: f32,
-        schedule: crate::schedule::LrSchedule,
-        train_batches: &[Batch],
-        test_batches: &[Batch],
-        mut observer: Option<&mut dyn TrainObserver>,
-    ) -> Vec<EpochStats> {
-        let _ = test_batches;
-        let mut history = Vec::with_capacity(self.config.epochs);
-        for epoch in 0..self.config.epochs {
-            opt.set_learning_rate(schedule.rate(base_lr, epoch));
-            let stats = train_epoch(net, opt, train_batches, epoch);
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_epoch(net, &stats, opt.learning_rate(), None);
-            }
-            history.push(stats);
-        }
-        history
     }
 
     /// Trains `net` for the configured number of epochs, returning per-epoch
@@ -411,23 +364,6 @@ mod tests {
         });
         trainer.fit(&mut net, &mut opt, &train, &[]);
         assert!((opt.learning_rate() - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scheduled_training_applies_rates() {
-        use crate::schedule::LrSchedule;
-        let mut rng = TensorRng::seed(3);
-        let train = blob_batches(&mut rng, 4, 8);
-        let mut net = blob_net(&mut rng);
-        let mut opt = Sgd::new(1.0);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 4,
-            ..TrainConfig::default()
-        });
-        let schedule = LrSchedule::Step { gamma: 0.1, every: 2 };
-        trainer.fit_scheduled(&mut net, &mut opt, 0.5, schedule, &train, &[]);
-        // Last epoch (3): 0.5 · 0.1 = 0.05.
-        assert!((opt.learning_rate() - 0.05).abs() < 1e-6);
     }
 
     #[test]

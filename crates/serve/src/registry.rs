@@ -18,14 +18,14 @@
 //! A request is bound to an engine **at admission**, by acquiring a
 //! `Lease` on the entry + the version snapshot the front end resolved.
 //! The lease rides with the pending request and drops once the event loop
-//! has run its batch and encoded the reply, decrementing two counters:
+//! has run its batch and encoded the reply, releasing two holds:
 //!
 //! - the **entry-level** in-flight count, checked against the per-model
 //!   admission quota ([`ModelSpec::quota`] /
 //!   `QSNC_SERVE_MODEL_QUOTA`) — the quota tier of the backpressure
 //!   ladder, answering [`crate::Status::Busy`] when one model's tenants
 //!   would otherwise starve the others;
-//! - the **version-level** in-flight count, which is what hot swap drains.
+//! - its `Arc` of the version, whose strong count is what hot swap drains.
 //!
 //! ## Hot swap
 //!
@@ -34,8 +34,8 @@
 //! verifies its input dims match the entry (a swap must never change the
 //! wire contract mid-connection), atomically replaces the engine pointer,
 //! then **drains**: it waits until every request admitted against the old
-//! version has been answered (version in-flight count zero *and* no
-//! resolved-but-unadmitted snapshot still holds the old `Arc`) before
+//! version has been answered (no lease and no resolved-but-unadmitted
+//! snapshot still holds the old version's `Arc`) before
 //! releasing the old engine's memory and returning a [`SwapReport`].
 //! Requests admitted before the swap run to completion on the old engine —
 //! bit-identical to its pre-swap replies; requests admitted after run on
@@ -48,7 +48,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long the swap drain sleeps between checks of the old version's
-/// in-flight count.
+/// `Arc` strong count.
 const DRAIN_POLL: Duration = Duration::from_micros(500);
 
 /// One model to register at [`crate::Server::spawn_models`] time. The
@@ -145,9 +145,6 @@ pub(crate) struct ModelVersion {
     pub(crate) version: u32,
     /// Provenance digest of this version's checkpoint (0 when unknown).
     pub(crate) checkpoint_digest: u64,
-    /// Requests admitted against this version and not yet answered — what
-    /// the swap drain waits on.
-    inflight: AtomicUsize,
 }
 
 /// One registered model: a stable name + id, the swappable current
@@ -185,9 +182,9 @@ fn read_lock(lock: &RwLock<Arc<ModelVersion>>) -> std::sync::RwLockReadGuard<'_,
 }
 
 /// An admitted request's hold on its model entry (quota accounting) and
-/// engine version (swap-drain accounting). Dropping the lease — once the
-/// reply is encoded, or with a dead connection's discarded reply —
-/// releases both.
+/// engine version (its `Arc`, which the swap drain waits on). Dropping
+/// the lease — once the reply is encoded, or with a dead connection's
+/// discarded reply — releases both.
 pub(crate) struct Lease {
     entry: Arc<ModelEntry>,
     version: Arc<ModelVersion>,
@@ -202,7 +199,6 @@ impl Lease {
             entry.inflight.fetch_sub(1, Ordering::AcqRel);
             return None;
         }
-        version.inflight.fetch_add(1, Ordering::AcqRel);
         Some(Lease { entry: Arc::clone(entry), version: Arc::clone(version) })
     }
 
@@ -217,7 +213,6 @@ impl Lease {
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        self.version.inflight.fetch_sub(1, Ordering::AcqRel);
         self.entry.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -372,7 +367,6 @@ impl ModelRegistry {
                 input_len,
                 version: 1,
                 checkpoint_digest: spec.checkpoint_digest,
-                inflight: AtomicUsize::new(0),
             });
             entries.push(Arc::new(ModelEntry {
                 tele_requests: format!("serve.model.{}.requests", spec.name),
@@ -453,7 +447,6 @@ impl ModelRegistry {
             input_len,
             version: old.version + 1,
             checkpoint_digest: loaded.provenance.checkpoint_digest,
-            inflight: AtomicUsize::new(0),
         });
         {
             let mut current =
@@ -466,11 +459,11 @@ impl ModelRegistry {
         // hands out `next` now), but requests admitted before the pointer
         // swap still hold leases, and a front end may hold a
         // resolved-but-unadmitted snapshot for a frame it is mid-read on.
-        // Leases keep `inflight` non-zero; bare snapshots keep the Arc's
-        // strong count above ours. Wait for both to clear.
+        // Both hold an `Arc` of the old version, so its strong count stays
+        // above ours until every one of them is gone.
         let t0 = Instant::now();
         let mut drained = true;
-        while old.inflight.load(Ordering::Acquire) > 0 || Arc::strong_count(&old) > 1 {
+        while Arc::strong_count(&old) > 1 {
             if t0.elapsed() > self.drain_timeout {
                 drained = false;
                 break;
@@ -487,5 +480,86 @@ impl ModelRegistry {
             drained,
             drain_wait_us: t0.elapsed().as_micros() as u64,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qsnc_memristor::{DeployConfig, Provenance};
+    use qsnc_quant::{
+        insert_signal_stages, quantize_network_weights, ActivationQuantizer,
+        ActivationRegularizer, WeightQuantMethod,
+    };
+    use std::sync::atomic::AtomicBool;
+
+    const DIMS: [usize; 3] = [1, 28, 28];
+
+    /// A compiled 4/4-bit LeNet, saved as an artifact to swap in.
+    fn engine_and_artifact(name: &str) -> (Arc<SpikingNetwork>, std::path::PathBuf) {
+        let mut rng = qsnc_tensor::TensorRng::seed(11);
+        let mut net = qsnc_nn::models::lenet(0.25, 10, &mut rng);
+        let (switch, _) = insert_signal_stages(
+            &mut net,
+            ActivationRegularizer::neuron_convergence(4),
+            0.0,
+            ActivationQuantizer::new(4),
+        );
+        switch.set_enabled(true);
+        quantize_network_weights(&mut net, 4, WeightQuantMethod::Clustered);
+        let snn = SpikingNetwork::compile(&net, &DeployConfig::paper(4, 4), None).expect("compile");
+        let path = std::env::temp_dir()
+            .join(format!("qsnc_registry_{name}_{}.qsnca", std::process::id()));
+        let provenance = Provenance {
+            checkpoint_digest: 0xD1,
+            weight_bits: 4,
+            activation_bits: 4,
+            model: "lenet".to_string(),
+        };
+        qsnc_memristor::save_artifact(&snn, &DIMS, &provenance, &path).expect("save artifact");
+        (Arc::new(snn), path)
+    }
+
+    fn registry(snn: &Arc<SpikingNetwork>, drain: Duration) -> ModelRegistry {
+        let spec = ModelSpec::new("m", Arc::clone(snn), DIMS.to_vec());
+        ModelRegistry::new(vec![spec], None, drain).expect("registry")
+    }
+
+    /// The drain counts leases through the old version's `Arc`: a lease
+    /// held past the timeout leaves the swap undrained, and a lease released
+    /// mid-drain is waited for.
+    #[test]
+    fn swap_drain_waits_for_every_lease_on_the_old_version() {
+        let (snn, path) = engine_and_artifact("drain");
+
+        let reg = registry(&snn, Duration::from_millis(30));
+        let (entry, version) = reg.resolve(None).expect("default model");
+        let lease = Lease::acquire(&entry, &version).expect("no quota");
+        drop((entry, version));
+        let report = reg.swap_from_artifact("m", &path).expect("swap");
+        assert!(!report.drained, "a held lease must keep the old version undrained");
+        drop(lease);
+
+        let reg = registry(&snn, Duration::from_secs(10));
+        let (entry, version) = reg.resolve(None).expect("default model");
+        let lease = Lease::acquire(&entry, &version).expect("no quota");
+        drop((entry, version));
+        let released = AtomicBool::new(false);
+        let report = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Release only once the swap has replaced the pointer, so
+                // the drain is already waiting (or about to).
+                while reg.resolve(None).expect("default model").1.version == 1 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                released.store(true, Ordering::Release);
+                drop(lease);
+            });
+            reg.swap_from_artifact("m", &path).expect("swap")
+        });
+        assert!(report.drained);
+        assert!(released.load(Ordering::Acquire), "the swap returned before the lease dropped");
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -10,34 +10,32 @@
 //! dense: a zero term costs less to compute than to test, so the `f32`
 //! GEMM's [`crate::GemmKernel`] zero-skip policy does not apply here.
 //!
-//! [`im2row_i32`] lowers an integer image to the row-per-output-pixel
-//! matrix `igemm` consumes, folding the zero padding into the lowering so
-//! no padded copy of the input is ever materialized.
+//! [`igemm_conv`] runs a convolution on one integer image, lowering the
+//! image itself, so no caller ever builds a column matrix.
 //!
-//! # SIMD fast path
+//! # One route per SIMD level
 //!
-//! When [`crate::simd_level`] is above scalar, the micro-kernels in
-//! [`crate::simd`] take over; integer accumulation is associative, so every
-//! route below is bit-identical to the scalar loop
-//! (`tests/simd_bit_identity.rs` property-tests this).
+//! When [`crate::simd_level`] is above scalar and the counts fit `i16`, the
+//! micro-kernels in [`crate::simd`] take over; integer accumulation is
+//! associative, so every route below is bit-identical to the scalar loop
+//! (`tests/simd_bit_identity.rs` property-tests this). A network's signals
+//! are `M`-bit spike counts, at most `2^M − 1`, which fits `i16` for every
+//! `M ≤ 15`, so each product keeps one kernel per level for that width:
 //!
-//! - **AVX2, counts fit `i16`** (the steady state — spike counts are
-//!   ≤ 255): [`igemm_wx`] packs adjacent `k`-rows of the count matrix into
-//!   two-`i16`-per-word pair operands (the range check fused into the same
-//!   pass) and runs the `pmaddwd` **axpy** kernel against the weight pair
-//!   panel built at pack time ([`PackedCodes`]) — 16 MACs per multiply,
-//!   four output rows blocked per sweep of the packed panel, no transpose.
-//! - **AVX2, wider counts**: the exact `vpmulld` axpy body instead.
-//! - **SSE2** (no packed 32-bit multiply): transpose the counts once into
-//!   `i16` pixel rows and run the shared `i16 × i16 → i32` **dot** kernel;
-//!   [`igemm`] widens its row-major count operand into the same kernel at
-//!   every SIMD level.
+//! - [`igemm`] (FC): at SSE2 and AVX2 it widens its row-major count operand
+//!   into the shared `i16 × i16 → i32` `pmaddwd` **dot** kernel.
+//! - [`igemm_conv`], **AVX2**: one pass writes the pair operand straight
+//!   from a zero-padded copy of the image (adjacent taps packed two `i16`
+//!   per word) and the `pmaddwd` **axpy** kernel runs it against the weight
+//!   pair panel built at pack time ([`PackedCodes`]) — 16 MACs per
+//!   multiply, four output rows blocked per sweep, no column matrix.
+//! - [`igemm_conv`], **SSE2**: `im2row` into `i16` pixel rows for the same
+//!   dot kernel as [`igemm`] (SSE2 has no packed 32-bit multiply).
 //!
-//! [`igemm_conv`] picks the conv lowering from the SIMD level: on AVX2 it
-//! writes the pair operand straight from a zero-padded copy of the image
-//! (no column matrix); on SSE2 it lowers to `i16` pixel rows for the dot
-//! kernel; the scalar route (the test oracle) and counts past `i16` go
-//! through [`im2col_i32`] and the exact axpy loops.
+//! Counts past `i16` take the scalar route at every level: the exact
+//! row-band loop for [`igemm`], the `i32` column matrix and the exact
+//! weights-times-pixels loop for [`igemm_conv`]. The scalar route is also
+//! the test oracle.
 
 use crate::conv::Conv2dSpec;
 use crate::linalg::BLOCK;
@@ -231,13 +229,14 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i32], b: &PackedCodes, c: &mut [
     });
 }
 
-/// One output-channel band of [`igemm_wx`]: `c[fb×pix] += W[fb×k] · x`.
+/// One output-channel band of the scalar conv product:
+/// `c[fb×pix] += W[fb×k] · x` on a `[k, pix]` column matrix.
 ///
 /// `f0` is the first output channel of the band; weight reads go through the
 /// packed `[in, out]` layout (`w[f, kk] = data[kk · out + f]`), only
 /// `fb · k` scalar loads against `fb · k · pix` streamed MACs.
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot loop call free of struct plumbing
-fn igemm_wx_band(
+fn wx_band(
     f0: usize,
     fb: usize,
     out_dim: usize,
@@ -268,29 +267,6 @@ fn igemm_wx_band(
     }
 }
 
-/// Integer GEMM in weights-times-columns orientation:
-/// `c[out×pix] += W[out×k] · x[k×pix]`, with `W` the packed weight codes.
-///
-/// This is the conv fast path's orientation — the inner loop streams a whole
-/// pixel row (`pix` is `oh·ow`, typically hundreds), instead of the handful
-/// of output channels [`igemm`]'s row-major orientation would give it, and
-/// the output lands channel-major like the spiking pipeline's signals.
-/// Accumulation is exact integer arithmetic, so banding is
-/// result-preserving; large products split across the [`crate::parallel`]
-/// workers by output channel.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the stated dimensions.
-pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32], c: &mut [i32]) {
-    assert_eq!(k, w.in_dim, "igemm_wx inner dim disagrees with packed codes");
-    assert_eq!(out_dim, w.out_dim, "igemm_wx output dim disagrees with packed codes");
-    assert_eq!(x.len(), k * pix, "column matrix length mismatch");
-    assert_eq!(c.len(), out_dim * pix, "output slice length mismatch");
-    count_call();
-    wx_product(simd::simd_level(), pix, w, x, c);
-}
-
 /// Counts one integer GEMM entry-point call (`tensor.igemm.calls`).
 fn count_call() {
     if qsnc_telemetry::enabled() {
@@ -302,65 +278,6 @@ fn count_call() {
 /// splitting across the [`crate::parallel`] workers.
 fn serial_wx(out_dim: usize, k: usize, pix: usize) -> bool {
     out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1
-}
-
-/// The body of [`igemm_wx`] at an already resolved SIMD `level`, on a
-/// `[k, pix]` column matrix whose geometry the caller checked.
-fn wx_product(level: SimdLevel, pix: usize, w: &PackedCodes, x: &[i32], c: &mut [i32]) {
-    let (out_dim, k) = (w.out_dim, w.in_dim);
-    if level == SimdLevel::Avx2 {
-        // AVX2 axpy paths: both consume the `[k, pix]` layout over
-        // contiguous pixel strips — no transpose. When the counts fit
-        // `i16` (the steady state — spike counts are ≤ 255), adjacent `k`
-        // rows are pre-packed once into `i16` pair words (a cheap
-        // sequential pass, amortized over every output row) and the
-        // `pmaddwd` kernel runs 16 MACs per multiply against the weight
-        // pair panel built at pack time. Wider counts take the exact
-        // `vpmulld` body instead.
-        let mut xpk = scratch::take_i32(k.div_ceil(2) * pix);
-        // The i16 range check is fused into the packing pass — one read of
-        // the counts instead of a scan followed by a pack.
-        let packed = simd::pack_wx_pairs(level, k, pix, x, &mut xpk);
-        if packed {
-            axpy_pairs(level, pix, w, &xpk, c);
-        }
-        scratch::put_i32(xpk);
-        if packed {
-            return;
-        }
-        if serial_wx(out_dim, k, pix) {
-            simd::wx_axpy(level, out_dim, k, pix, &w.rows16, x, c);
-            return;
-        }
-        parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-            simd::wx_axpy(level, fb, k, pix, &w.rows16[f0 * k..(f0 + fb) * k], x, c_band);
-        });
-        return;
-    }
-    if level != SimdLevel::Scalar && fits_i16(x) {
-        // SSE2 dot path (no packed 32-bit multiply below AVX2): transpose
-        // the column matrix once into i16 pixel rows (O(k·pix) moves
-        // against O(out·k·pix) MACs), then run the same dot kernel as
-        // `igemm` with the roles swapped — pixel rows are the
-        // register-tiled side, code rows the outer side.
-        let mut xr16 = scratch::take_i16(pix * k);
-        for kk in 0..k {
-            let xrow = &x[kk * pix..(kk + 1) * pix];
-            for (p, &xv) in xrow.iter().enumerate() {
-                xr16[p * k + kk] = xv as i16;
-            }
-        }
-        wx_dot(level, out_dim, k, pix, &w.rows16, &xr16, c);
-        scratch::put_i16(xr16);
-        return;
-    }
-    if serial_wx(out_dim, k, pix) {
-        igemm_wx_band(0, out_dim, out_dim, k, pix, &w.data, x, c);
-        return;
-    }
-    parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-        igemm_wx_band(f0, fb, out_dim, k, pix, &w.data, x, c_band);
-    });
 }
 
 /// `c[out×pix] += W · xpk` with `xpk` the pair-packed `[ceil(k/2), pix]`
@@ -378,8 +295,8 @@ fn axpy_pairs(level: SimdLevel, pix: usize, w: &PackedCodes, xpk: &[i32], c: &mu
     });
 }
 
-/// Shared SIMD tail of [`igemm_wx`] and [`igemm_conv`]: `c[out×pix] +=
-/// W · xr16ᵀ` where `xr16` holds one widened `i16` row per output pixel.
+/// SSE2 tail of [`igemm_conv`]: `c[out×pix] += W · xr16ᵀ` where `xr16`
+/// holds one widened `i16` row per output pixel.
 fn wx_dot(level: SimdLevel, out_dim: usize, k: usize, pix: usize, w16: &[i16], xr16: &[i16], c: &mut [i32]) {
     if serial_wx(out_dim, k, pix) {
         simd::dot_tiles(level, k, xr16, pix, w16, out_dim, c, pix);
@@ -391,14 +308,14 @@ fn wx_dot(level: SimdLevel, out_dim: usize, k: usize, pix: usize, w16: &[i16], x
 }
 
 /// Lowers one integer image `[c, h, w]` to the `[c·k·k, oh·ow]` column
-/// matrix [`igemm_wx`] consumes (one row per filter tap, matching the `f32`
-/// `im2col` layout). Zero padding is folded in: taps that fall outside the
-/// image write 0, so no padded copy is built.
+/// matrix of the scalar conv route (one row per filter tap, matching the
+/// `f32` `im2col` layout). Zero padding is folded in: taps that fall
+/// outside the image write 0, so no padded copy is built.
 ///
 /// # Panics
 ///
 /// Panics if `src` or `cols` disagree with the implied geometry.
-pub fn im2col_i32(
+fn im2col_i32(
     src: &[i32],
     c: usize,
     (h, w): (usize, usize),
@@ -441,40 +358,16 @@ pub fn im2col_i32(
     }
 }
 
-/// Lowers one integer image `[c, h, w]` to the `[oh·ow, c·k·k]` row matrix
-/// [`igemm`] consumes (one row per output pixel). Zero padding is folded in:
-/// taps that fall outside the image write 0, so no padded copy is built.
+/// Lowers one integer image `[c, h, w]` to the `[oh·ow, c·k·k]` widened
+/// `i16` row matrix the SIMD dot kernel consumes (one row per output
+/// pixel). Zero padding is folded in: taps that fall outside the image
+/// write 0, so no padded copy is built. The caller has already range-checked
+/// `src` (the cast is lossless for `i16`-ranged values).
 ///
 /// # Panics
 ///
 /// Panics if `src` or `rows` disagree with the implied geometry.
-pub fn im2row_i32(
-    src: &[i32],
-    c: usize,
-    (h, w): (usize, usize),
-    spec: Conv2dSpec,
-    rows: &mut [i32],
-) {
-    im2row_with(src, c, (h, w), spec, rows, |v| v);
-}
-
-/// [`im2row_i32`] writing directly into the widened `i16` panel the SIMD dot
-/// kernel consumes. The caller has already range-checked `src` (the cast is
-/// lossless for `i16`-ranged values).
 fn im2row_i16(src: &[i32], c: usize, (h, w): (usize, usize), spec: Conv2dSpec, rows: &mut [i16]) {
-    im2row_with(src, c, (h, w), spec, rows, |v| v as i16);
-}
-
-/// Shared im2row lowering, parameterized over the output element cast so the
-/// `i32` and widened-`i16` variants stay one loop nest.
-fn im2row_with<T: Copy + Default>(
-    src: &[i32],
-    c: usize,
-    (h, w): (usize, usize),
-    spec: Conv2dSpec,
-    rows: &mut [T],
-    cast: impl Fn(i32) -> T,
-) {
     let k = spec.kernel;
     let pad = spec.padding;
     let oh = spec.output_size(h);
@@ -491,17 +384,13 @@ fn im2row_with<T: Copy + Default>(
                     let tap = &mut out[(ic * k + ky) * k..(ic * k + ky) * k + k];
                     let iy = oy * spec.stride + ky;
                     if iy < pad || iy >= h + pad {
-                        tap.fill(T::default());
+                        tap.fill(0);
                         continue;
                     }
                     let src_row = &src[(ic * h + iy - pad) * w..(ic * h + iy - pad + 1) * w];
                     for (kx, t) in tap.iter_mut().enumerate() {
                         let ix = ox * spec.stride + kx;
-                        *t = if ix < pad || ix >= w + pad {
-                            T::default()
-                        } else {
-                            cast(src_row[ix - pad])
-                        };
+                        *t = if ix < pad || ix >= w + pad { 0 } else { src_row[ix - pad] as i16 };
                     }
                 }
             }
@@ -519,7 +408,7 @@ fn im2row_with<T: Copy + Default>(
 /// every tap is a fixed offset from the pixel's window origin and a
 /// stride-1 output row of one pair is two contiguous reads of that plane.
 /// Returns `false`, leaving `xpk` unspecified, when a count does not fit
-/// `i16`; the caller then takes an exact wider route.
+/// `i16`; the caller then takes the exact scalar route.
 fn lower_conv_pairs(
     src: &[i32],
     c: usize,
@@ -598,8 +487,9 @@ fn pair_row(lo: &[i16], hi: Option<&[i16]>, dst: &mut [i32]) {
 ///   kernel runs on it — no `i32` column matrix is built.
 /// - **SSE2, counts fit `i16`**: `im2row` into `i16` pixel rows feeding the
 ///   register-tiled dot kernel (SSE2 has no packed 32-bit multiply).
-/// - **Scalar, or counts past `i16`**: [`im2col_i32`] and the exact axpy
-///   loops of [`igemm_wx`] — the scalar route is the test oracle.
+/// - **Scalar, or counts past `i16` at any level**: an `i32` column matrix
+///   and the exact weights-times-pixels loop — the scalar route is the test
+///   oracle.
 ///
 /// # Panics
 ///
@@ -638,9 +528,17 @@ pub fn igemm_conv(
         scratch::put_i16(rows16);
         return;
     }
+    let out_dim = w.out_dim;
     let mut cols = scratch::take_i32(ckk * pix);
     im2col_i32(src, in_c, (h, wd), spec, &mut cols);
-    wx_product(level, pix, w, &cols, c);
+    if serial_wx(out_dim, ckk, pix) {
+        wx_band(0, out_dim, out_dim, ckk, pix, &w.data, &cols, c);
+    } else {
+        let cols = &cols;
+        parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
+            wx_band(f0, fb, out_dim, ckk, pix, &w.data, cols, c_band);
+        });
+    }
     scratch::put_i32(cols);
 }
 
@@ -752,8 +650,8 @@ mod tests {
             let x = Tensor::from_vec(src.iter().map(|&v| v as f32).collect(), [1, c, h, w]);
             let cols = im2col(&x, spec); // [c·k·k, oh·ow]
             let (ckk, pix) = (cols.dims()[0], cols.dims()[1]);
-            let mut rows = vec![0i32; pix * ckk];
-            im2row_i32(&src, c, (h, w), spec, &mut rows);
+            let mut rows = vec![0i16; pix * ckk];
+            im2row_i16(&src, c, (h, w), spec, &mut rows);
             for r in 0..ckk {
                 for p in 0..pix {
                     assert_eq!(
@@ -763,52 +661,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn igemm_wx_matches_naive_transposed() {
-        let mut seed = 17u64;
-        for &(out, k, pix) in &[(1, 1, 1), (3, 25, 784), (8, 75, 100), (16, 64, 33)] {
-            let x: Vec<i32> = (0..k * pix).map(|_| (pseudo(&mut seed) % 16) as i32).collect();
-            let codes: Vec<i32> =
-                (0..out * k).map(|_| (pseudo(&mut seed) % 17) as i32 - 8).collect();
-            let packed = PackedCodes::try_pack(&codes, out, k).expect("codes fit i8");
-            let mut c = vec![0i32; out * pix];
-            igemm_wx(out, k, pix, &packed, &x, &mut c);
-            for f in 0..out {
-                for p in 0..pix {
-                    let expect: i32 = (0..k).map(|kk| codes[f * k + kk] * x[kk * pix + p]).sum();
-                    assert_eq!(c[f * pix + p], expect, "out={out} k={k} pix={pix} f={f} p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn igemm_wx_sparse_codes_serial_and_parallel_agree() {
-        let mut seed = 19u64;
-        let (out, k, pix) = (16, 50, 128);
-        let x: Vec<i32> = (0..k * pix).map(|_| (pseudo(&mut seed) % 16) as i32).collect();
-        // Mostly-zero codes, as clustered weights often are.
-        let codes: Vec<i32> = (0..out * k)
-            .map(|i| if i % 4 != 0 { 0 } else { (pseudo(&mut seed) % 9) as i32 - 4 })
-            .collect();
-        let packed = PackedCodes::try_pack(&codes, out, k).unwrap();
-        let mut serial = vec![0i32; out * pix];
-        crate::parallel::with_num_threads(1, || igemm_wx(out, k, pix, &packed, &x, &mut serial));
-        for f in 0..out {
-            for p in 0..pix {
-                let expect: i32 = (0..k).map(|kk| codes[f * k + kk] * x[kk * pix + p]).sum();
-                assert_eq!(serial[f * pix + p], expect, "f={f} p={p}");
-            }
-        }
-        for threads in [2, 3, 8] {
-            let mut par = vec![0i32; out * pix];
-            crate::parallel::with_num_threads(threads, || {
-                igemm_wx(out, k, pix, &packed, &x, &mut par)
-            });
-            assert_eq!(par, serial, "threads={threads}");
         }
     }
 
@@ -847,8 +699,20 @@ mod tests {
             let (ckk, pix) = (c * k * k, spec.output_size(h) * spec.output_size(w));
             let mut cols = vec![0i32; ckk * pix];
             im2col_i32(&src, c, (h, w), spec, &mut cols);
-            let mut expect = vec![0i32; ckk.div_ceil(2) * pix];
-            assert!(simd::pack_wx_pairs(SimdLevel::Scalar, ckk, pix, &cols, &mut expect));
+            // Oracle: pair adjacent column-matrix rows into one word per
+            // pixel, `(cols[2kkp, p], cols[2kkp+1, p])` in the low/high
+            // halves, the high half zero past an odd last row.
+            let kp = ckk.div_ceil(2);
+            let mut expect = vec![0i32; kp * pix];
+            for kkp in 0..kp {
+                for p in 0..pix {
+                    let a = cols[2 * kkp * pix + p];
+                    let b = if 2 * kkp + 1 < ckk { cols[(2 * kkp + 1) * pix + p] } else { 0 };
+                    assert!(a == a as i16 as i32 && b == b as i16 as i32, "counts fit i16");
+                    expect[kkp * pix + p] =
+                        ((a as u32 & 0xFFFF) | ((b as u32 & 0xFFFF) << 16)) as i32;
+                }
+            }
             let mut got = vec![0i32; expect.len()];
             assert!(lower_conv_pairs(&src, c, (h, w), spec, &mut got));
             assert_eq!(got, expect, "c={c} h={h} w={w} k={k} s={stride} pad={pad}");

@@ -55,7 +55,7 @@ pub use conv::{
     col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_weight_grad, im2col, pad2d, unpad2d,
     Conv2dSpec,
 };
-pub use igemm::{igemm, igemm_conv, igemm_wx, im2col_i32, im2row_i32, PackedCodes};
+pub use igemm::{igemm, igemm_conv, PackedCodes};
 pub use init::TensorRng;
 pub use linalg::{
     dot, gemm, gemm_bt, gemm_kernel, gemm_serial, matmul, matmul_naive, matmul_serial, matvec,

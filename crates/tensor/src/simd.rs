@@ -1,6 +1,6 @@
 //! Explicit x86-64 SIMD micro-kernels behind one-time runtime detection.
 //!
-//! Three kernel families live here, all selected through [`simd_level`]:
+//! Four kernel families live here, all selected through [`simd_level`]:
 //!
 //! - **Integer dot tiles** (`dot_tiles`): `i16 × i16 → i32` dot products
 //!   over row-major operand panels, register-blocked four rows at a time and
@@ -9,7 +9,12 @@
 //!   quantized fast path: spike counts widen losslessly to `i16`, weight
 //!   codes are `i8`-ranged, and every intermediate stays exact (see the
 //!   overflow analysis on `dot_tiles`), so the SIMD result is
-//!   **bit-identical** to the scalar loop.
+//!   **bit-identical** to the scalar loop. The FC product runs it at SSE2
+//!   and AVX2, the conv product at SSE2.
+//! - **Integer pair axpy strips** (`wx_axpy_packed`): the AVX2 conv
+//!   product, `pmaddwd` over two-`i16`-per-word operands with the weight
+//!   pair broadcast across contiguous pixel strips — exact for the same
+//!   reason.
 //! - **`f32` GEMM tiles** (`gemm_tile_f32`): a 4-row × 8-lane (AVX2) or
 //!   4-row × 4-lane (SSE2) register tile that keeps each output element's
 //!   accumulation order identical to the scalar kernel — ascending `k`,
@@ -230,120 +235,16 @@ pub(crate) fn dot_tiles(
 }
 
 // ---------------------------------------------------------------------------
-// Weights-times-columns axpy strips
+// Weights-times-pixels pair axpy strips
 // ---------------------------------------------------------------------------
 
-/// Scalar reference for the [`wx_axpy`] contract; also the dispatch target
-/// for every level without a 32-bit lane multiply.
-fn wx_axpy_scalar(out_dim: usize, k: usize, pix: usize, w16: &[i16], x: &[i32], c: &mut [i32]) {
-    for j in 0..out_dim {
-        let crow = &mut c[j * pix..(j + 1) * pix];
-        for kk in 0..k {
-            let wv = w16[j * k + kk] as i32;
-            if wv == 0 {
-                continue;
-            }
-            let xrow = &x[kk * pix..(kk + 1) * pix];
-            for (cv, &xv) in crow.iter_mut().zip(xrow.iter()) {
-                *cv = cv.wrapping_add(wv.wrapping_mul(xv));
-            }
-        }
-    }
-}
-
-/// `c[j·pix + p] += w16[j·k + kk] · x[kk·pix + p]` — the weights-times-
-/// columns product on its natural `[k, pix]` column-matrix layout,
-/// vectorized over contiguous pixel strips with the weight code broadcast
-/// into every lane. Unlike [`dot_tiles`] this needs **no transpose and no
-/// `i16` bound on the counts**: the 32-bit lane products (`vpmulld`) are
-/// wrapping `i32` arithmetic, exact mod 2³² for any operands. For
-/// `i16`-ranged counts prefer the packed-pair route
-/// ([`pack_wx_pairs`] + [`wx_axpy_packed`]), which runs twice the MACs per
-/// instruction.
-///
-/// Only AVX2 has a packed 32-bit multiply; SSE2 dispatches to the scalar
-/// body, so callers should prefer the [`dot_tiles`] lowering below
-/// [`SimdLevel::Avx2`]. Wrapping adds are associative and commutative
-/// mod 2³², and zero codes contribute exact zeros, so every dispatch
-/// target is bit-identical to the scalar ascending-`k` loop.
-///
-/// # Panics
-///
-/// Panics if `w16`, `x` or `c` is shorter than the stated geometry
-/// (`w16 ≥ out_dim·k`, `x ≥ k·pix`, `c ≥ out_dim·pix`).
-pub(crate) fn wx_axpy(
-    level: SimdLevel,
-    out_dim: usize,
-    k: usize,
-    pix: usize,
-    w16: &[i16],
-    x: &[i32],
-    c: &mut [i32],
-) {
-    assert!(w16.len() >= out_dim * k, "wx_axpy weight panel too short");
-    assert!(x.len() >= k * pix, "wx_axpy column matrix too short");
-    assert!(c.len() >= out_dim * pix, "wx_axpy output too short");
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: slice geometry was checked above; AVX2 is guaranteed by
-        // `level`, which is always clamped to `detected_simd`.
-        SimdLevel::Avx2 => unsafe { x86::wx_axpy_mullo_avx2(out_dim, k, pix, w16, x, c) },
-        _ => wx_axpy_scalar(out_dim, k, pix, w16, x, c),
-    }
-}
-
-/// Packs `ceil(k/2)` adjacent-row pairs of the `[k, pix]` column matrix
-/// into interleaved `i16` halves: output word `kkp·pix + p` holds
-/// `(x[2kkp, p], x[2kkp+1, p])` in its low/high 16 bits (the second half
-/// zero when `k` is odd and `kkp` is the last pair). This is the operand
-/// layout [`wx_axpy_packed`]'s `pmaddwd` consumes, and — unlike the
-/// transpose the dot lowering needs — it is a cheap sequential pass whose
-/// cost amortizes over every output row of the product.
-///
-/// The `i16` range check is fused into the pass: returns `true` when every
-/// `x` value fit (the fast-path engine's spike counts are ≤ 255, so this is
-/// the steady state), `false` when any value would truncate — in which case
-/// `xpk`'s contents are unspecified and the caller must take a wider route.
-///
-/// # Panics
-///
-/// Panics if `x` is shorter than `k·pix` or `xpk` than `ceil(k/2)·pix`.
-pub(crate) fn pack_wx_pairs(
-    level: SimdLevel,
-    k: usize,
-    pix: usize,
-    x: &[i32],
-    xpk: &mut [i32],
-) -> bool {
-    let kp = k.div_ceil(2);
-    assert!(x.len() >= k * pix, "pack_wx_pairs column matrix too short");
-    assert!(xpk.len() >= kp * pix, "pack_wx_pairs output too short");
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: slice geometry was checked above; AVX2 is guaranteed by
-        // `level`, which is always clamped to `detected_simd`.
-        SimdLevel::Avx2 => unsafe { x86::pack_wx_pairs_avx2(k, pix, x, xpk) },
-        _ => {
-            let mut ok = true;
-            for kkp in 0..kp {
-                for p in 0..pix {
-                    let a = x[2 * kkp * pix + p];
-                    let b = if 2 * kkp + 1 < k { x[(2 * kkp + 1) * pix + p] } else { 0 };
-                    ok &= a == a as i16 as i32 && b == b as i16 as i32;
-                    xpk[kkp * pix + p] = ((a as u32 & 0xFFFF) | ((b as u32 & 0xFFFF) << 16)) as i32;
-                }
-            }
-            ok
-        }
-    }
-}
-
-/// `pmaddwd` weights-times-columns strips over pre-packed pair operands:
+/// `pmaddwd` weights-times-pixels strips over pre-packed pair operands:
 /// `c[j·pix + p] += Σ_kkp madd(xpk[kkp·pix + p], wpairs[j·kp + kkp])`,
-/// where both sides hold two `i16` values per `i32` word ([`pack_wx_pairs`]
-/// for the counts, [`crate::igemm::PackedCodes`]'s pair panel for the
-/// weights). One multiply covers two `k` steps of eight pixels — 16 MACs —
-/// and each output element is loaded and stored once per call.
+/// where both sides hold two `i16` values per `i32` word (the conv pair
+/// lowering in [`crate::igemm`] for the counts,
+/// [`crate::igemm::PackedCodes`]'s pair panel for the weights). One
+/// multiply covers two `k` steps of eight pixels — 16 MACs — and each
+/// output element is loaded and stored once per call.
 ///
 /// **Exactness.** Each `pmaddwd` pair sum is exact because the weight side
 /// is `i8`-ranged (`|w| ≤ 127 ⇒ |pair sum| ≤ 2·32767·127 < 2³¹`); lane
@@ -354,7 +255,8 @@ pub(crate) fn pack_wx_pairs(
 /// # Panics
 ///
 /// Panics if a slice is shorter than the stated geometry
-/// (`wpairs ≥ out_dim·kp`, `xpk ≥ kp·pix`, `c ≥ out_dim·pix`).
+/// (`wpairs ≥ out_dim·kp`, `xpk ≥ kp·pix`, `c ≥ out_dim·pix`), or if
+/// `level` is below AVX2: the pair route has no other kernel.
 pub(crate) fn wx_axpy_packed(
     level: SimdLevel,
     out_dim: usize,
@@ -372,30 +274,9 @@ pub(crate) fn wx_axpy_packed(
         // SAFETY: slice geometry was checked above; AVX2 is guaranteed by
         // `level`, which is always clamped to `detected_simd`.
         SimdLevel::Avx2 => unsafe { x86::wx_axpy_packed_avx2(out_dim, kp, pix, wpairs, xpk, c) },
-        _ => {
-            // Scalar reference decoding the packed pair format; dispatch
-            // target off x86-64 (unreachable in practice — the packed route
-            // is only chosen at `Avx2` — but kept total and testable).
-            for j in 0..out_dim {
-                let crow = &mut c[j * pix..(j + 1) * pix];
-                for kkp in 0..kp {
-                    let wv = wpairs[j * kp + kkp];
-                    if wv == 0 {
-                        continue;
-                    }
-                    let w0 = (wv as u32 & 0xFFFF) as u16 as i16 as i32;
-                    let w1 = ((wv as u32 >> 16) as u16 as i16) as i32;
-                    let xrow = &xpk[kkp * pix..kkp * pix + pix];
-                    for (cv, &xv) in crow.iter_mut().zip(xrow.iter()) {
-                        let x0 = (xv as u32 & 0xFFFF) as u16 as i16 as i32;
-                        let x1 = ((xv as u32 >> 16) as u16 as i16) as i32;
-                        *cv = cv
-                            .wrapping_add(w0.wrapping_mul(x0))
-                            .wrapping_add(w1.wrapping_mul(x1));
-                    }
-                }
-            }
-        }
+        // `igemm_conv` takes the pair route only at AVX2; every other level
+        // (and every non-x86-64 target) lowers to its own operand instead.
+        _ => unreachable!("the packed pair axpy runs only at AVX2"),
     }
 }
 
@@ -909,64 +790,6 @@ mod x86 {
         }
     }
 
-    /// AVX2 [`super::pack_wx_pairs`]: interleaves adjacent `i32` rows into
-    /// `i16` pair words with `and`/`slli`/`or` — exact when the values fit
-    /// `i16` (a negative value's low 16 bits *are* its `i16` two's
-    /// complement). The range check is fused into the same pass: each
-    /// vector is compared against its own 16-bit sign extension
-    /// (`v == (v << 16) >> 16` arithmetically ⟺ `v` fits `i16`) and the
-    /// equality masks are AND-accumulated, so no separate scan of the
-    /// operand is needed. Returns `false` — and the packed output is
-    /// garbage — if any value was out of range. Sequential loads and
-    /// stores throughout; an odd final row pairs against zeros.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee `x.len() ≥ k·pix`, `xpk.len() ≥ ceil(k/2)·pix`,
-    /// and that the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pack_wx_pairs_avx2(
-        k: usize,
-        pix: usize,
-        x: &[i32],
-        xpk: &mut [i32],
-    ) -> bool {
-        let lo_mask = _mm256_set1_epi32(0xFFFF);
-        let mut ok_acc = _mm256_set1_epi32(-1);
-        let mut ok_tail = true;
-        for kkp in 0..k.div_ceil(2) {
-            let r0 = x.as_ptr().add(2 * kkp * pix);
-            let has_b = 2 * kkp + 1 < k;
-            let r1 = x.as_ptr().add(if has_b { (2 * kkp + 1) * pix } else { 2 * kkp * pix });
-            let dst = xpk.as_mut_ptr().add(kkp * pix);
-            let mut p = 0usize;
-            while p + 8 <= pix {
-                let va = _mm256_loadu_si256(r0.add(p) as *const __m256i);
-                let vb = if has_b {
-                    _mm256_loadu_si256(r1.add(p) as *const __m256i)
-                } else {
-                    _mm256_setzero_si256()
-                };
-                let sa = _mm256_srai_epi32(_mm256_slli_epi32(va, 16), 16);
-                let sb = _mm256_srai_epi32(_mm256_slli_epi32(vb, 16), 16);
-                ok_acc = _mm256_and_si256(ok_acc, _mm256_cmpeq_epi32(va, sa));
-                ok_acc = _mm256_and_si256(ok_acc, _mm256_cmpeq_epi32(vb, sb));
-                let packed =
-                    _mm256_or_si256(_mm256_and_si256(va, lo_mask), _mm256_slli_epi32(vb, 16));
-                _mm256_storeu_si256(dst.add(p) as *mut __m256i, packed);
-                p += 8;
-            }
-            while p < pix {
-                let a = *r0.add(p);
-                let b = if has_b { *r1.add(p) } else { 0 };
-                ok_tail &= a == a as i16 as i32 && b == b as i16 as i32;
-                *dst.add(p) = ((a as u32 & 0xFFFF) | ((b as u32 & 0xFFFF) << 16)) as i32;
-                p += 1;
-            }
-        }
-        ok_tail && _mm256_movemask_epi8(ok_acc) == -1
-    }
-
     /// Scalar tail of one output row of the packed axpy, decoding the pair
     /// words, over pixels `[p0, pix)`.
     ///
@@ -1140,91 +963,6 @@ mod x86 {
                 wx_axpy_packed_tail(kp, pix, p, wrow, xp, crow);
             }
             j += 1;
-        }
-    }
-
-    /// AVX2 [`super::wx_axpy`] general body: for each output row, a
-    /// 32-pixel strip (4 × 8 `i32` lanes) accumulates in registers across
-    /// the whole `k` extent — broadcast code, `vpmulld` against the
-    /// contiguous pixel row, wrapping lane adds — then an 8-pixel loop and
-    /// a scalar tail finish the row. Exact for **arbitrary** `i32` counts
-    /// (wrapping lane products); slower than the `pmaddwd` body because
-    /// `vpmulld` double-pumps on most cores. Zero codes skip their pass,
-    /// and the output is touched once per strip.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee `w16.len() ≥ out_dim·k`, `x.len() ≥ k·pix`,
-    /// `c.len() ≥ out_dim·pix`, and that the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn wx_axpy_mullo_avx2(
-        out_dim: usize,
-        k: usize,
-        pix: usize,
-        w16: &[i16],
-        x: &[i32],
-        c: &mut [i32],
-    ) {
-        let xp = x.as_ptr();
-        let wp = w16.as_ptr();
-        for j in 0..out_dim {
-            let wrow = wp.add(j * k);
-            let crow = c.as_mut_ptr().add(j * pix);
-            let mut p = 0usize;
-            while p + 32 <= pix {
-                let mut acc0 = _mm256_loadu_si256(crow.add(p) as *const __m256i);
-                let mut acc1 = _mm256_loadu_si256(crow.add(p + 8) as *const __m256i);
-                let mut acc2 = _mm256_loadu_si256(crow.add(p + 16) as *const __m256i);
-                let mut acc3 = _mm256_loadu_si256(crow.add(p + 24) as *const __m256i);
-                for kk in 0..k {
-                    let wv = *wrow.add(kk);
-                    if wv == 0 {
-                        continue;
-                    }
-                    let code = _mm256_set1_epi32(wv as i32);
-                    let base = xp.add(kk * pix + p);
-                    let x0 = _mm256_loadu_si256(base as *const __m256i);
-                    let x1 = _mm256_loadu_si256(base.add(8) as *const __m256i);
-                    let x2 = _mm256_loadu_si256(base.add(16) as *const __m256i);
-                    let x3 = _mm256_loadu_si256(base.add(24) as *const __m256i);
-                    acc0 = _mm256_add_epi32(acc0, _mm256_mullo_epi32(x0, code));
-                    acc1 = _mm256_add_epi32(acc1, _mm256_mullo_epi32(x1, code));
-                    acc2 = _mm256_add_epi32(acc2, _mm256_mullo_epi32(x2, code));
-                    acc3 = _mm256_add_epi32(acc3, _mm256_mullo_epi32(x3, code));
-                }
-                _mm256_storeu_si256(crow.add(p) as *mut __m256i, acc0);
-                _mm256_storeu_si256(crow.add(p + 8) as *mut __m256i, acc1);
-                _mm256_storeu_si256(crow.add(p + 16) as *mut __m256i, acc2);
-                _mm256_storeu_si256(crow.add(p + 24) as *mut __m256i, acc3);
-                p += 32;
-            }
-            while p + 8 <= pix {
-                let mut acc = _mm256_loadu_si256(crow.add(p) as *const __m256i);
-                for kk in 0..k {
-                    let wv = *wrow.add(kk);
-                    if wv == 0 {
-                        continue;
-                    }
-                    let code = _mm256_set1_epi32(wv as i32);
-                    let xv = _mm256_loadu_si256(xp.add(kk * pix + p) as *const __m256i);
-                    acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(xv, code));
-                }
-                _mm256_storeu_si256(crow.add(p) as *mut __m256i, acc);
-                p += 8;
-            }
-            if p < pix {
-                for kk in 0..k {
-                    let wv = *wrow.add(kk) as i32;
-                    if wv == 0 {
-                        continue;
-                    }
-                    let xrow = xp.add(kk * pix);
-                    for pp in p..pix {
-                        let cv = crow.add(pp);
-                        *cv = (*cv).wrapping_add(wv.wrapping_mul(*xrow.add(pp)));
-                    }
-                }
-            }
         }
     }
 

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm, igemm_conv, igemm_wx, parallel, simd, Conv2dSpec, PackedCodes,
-    SimdLevel,
+    gemm, gemm_serial, igemm, igemm_conv, parallel, simd, Conv2dSpec, PackedCodes, SimdLevel,
 };
 use rand::{Rng, SeedableRng};
 
@@ -92,40 +91,6 @@ proptest! {
                     &c, &oracle,
                     "igemm diverged at {:?} x {} threads (m={} k={} n={})",
                     level, threads, m, k, n
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn igemm_wx_matches_scalar_at_every_level_and_thread_count(
-        out_dim in 0usize..19, k in 0usize..35, pix in 0usize..35,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let x = counts(k * pix, &mut rng);
-        let w = codes(out_dim * k, &mut rng);
-        let packed = PackedCodes::try_pack(&w, out_dim, k).expect("codes fit i8");
-
-        let mut oracle = vec![0i32; out_dim * pix];
-        simd::with_simd_level(SimdLevel::Scalar, || {
-            parallel::with_num_threads(1, || {
-                igemm_wx(out_dim, k, pix, &packed, &x, &mut oracle)
-            });
-        });
-
-        for level in hw_levels() {
-            for threads in [1usize, 4] {
-                let mut c = vec![0i32; out_dim * pix];
-                simd::with_simd_level(level, || {
-                    parallel::with_num_threads(threads, || {
-                        igemm_wx(out_dim, k, pix, &packed, &x, &mut c)
-                    });
-                });
-                prop_assert_eq!(
-                    &c, &oracle,
-                    "igemm_wx diverged at {:?} x {} threads (out={} k={} pix={})",
-                    level, threads, out_dim, k, pix
                 );
             }
         }

@@ -172,9 +172,9 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
 
 /// SIMD dispatch sweep on the same conv-shaped products: the integer conv
 /// the engine runs ([`igemm_conv`] on an `[8, 28, 28]` image, lowering
-/// included) and the f32 GEMM forced to scalar, SSE2, and (when the machine
-/// has it) AVX2, one thread throughout. Each integer row is that level's
-/// one conv route.
+/// included) and the f32 GEMM forced to scalar and (when the machine has
+/// it) AVX2, one thread throughout. Each integer row is that level's one
+/// conv route.
 fn bench_simd_levels(c: &mut Criterion) {
     let (out, k, pix) = (16usize, 200usize, 576usize);
     let mut rng = rand::rngs::StdRng::seed_from_u64(60);
@@ -189,11 +189,10 @@ fn bench_simd_levels(c: &mut Criterion) {
     let codes_f: Vec<f32> = codes.iter().map(|&v| v as f32).collect();
     let mut out_i = vec![0i32; out * pix];
     let mut out_f = vec![0.0f32; out * pix];
-    let levels: Vec<(&str, SimdLevel)> =
-        [("scalar", SimdLevel::Scalar), ("sse2", SimdLevel::Sse2), ("avx2", SimdLevel::Avx2)]
-            .into_iter()
-            .filter(|&(_, l)| l <= qsnc_tensor::detected_simd())
-            .collect();
+    let levels: Vec<(&str, SimdLevel)> = [("scalar", SimdLevel::Scalar), ("avx2", SimdLevel::Avx2)]
+        .into_iter()
+        .filter(|&(_, l)| l <= qsnc_tensor::detected_simd())
+        .collect();
 
     let mut group = c.benchmark_group("igemm_simd_levels");
     for &(label, level) in &levels {

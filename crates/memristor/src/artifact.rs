@@ -51,7 +51,7 @@
 //!   verbatim, and code packing is deterministic. Property tests in
 //!   `tests/artifact_roundtrip.rs` enforce this.
 
-use crate::engine::{EngineOut, EngineStage, EngineSyn, IntEngine};
+use crate::engine::{EngineOut, EngineStage, EngineSyn, IntEngine, EXACT_F32_BOUND};
 use crate::pipeline::{SpikingNetwork, Stage, SynKind};
 use qsnc_quant::{ActivationQuantizer, IntWeights};
 use qsnc_tensor::{Conv2dSpec, PackedCodes};
@@ -80,12 +80,6 @@ const MAX_SECTIONS: usize = 64;
 const MAX_STAGES: usize = 4096;
 const MAX_INPUT_RANK: usize = 8;
 const MAX_INPUT_LEN: usize = 1 << 24;
-
-/// Same accumulator-exactness bound the engine compiler enforces
-/// (`crate::engine::EXACT_F32_BOUND`); re-checked at load so a corrupt
-/// artifact cannot smuggle in a network whose float oracle would not be
-/// exact.
-const EXACT_F32_BOUND: i64 = 1 << 24;
 
 /// Errors from artifact encoding, decoding, or I/O.
 #[derive(Debug)]

@@ -27,7 +27,7 @@
 //! used only for noise-free reads; anything else falls back to the float
 //! substrate simulation.
 
-use crate::pipeline::{Stage, SynKind, SynapticStage};
+use crate::pipeline::{Readout, Stage, SynKind};
 use qsnc_quant::ActivationQuantizer;
 use qsnc_tensor::{igemm, igemm_conv, scratch, PackedCodes, Tensor};
 use std::time::Instant;
@@ -46,8 +46,10 @@ fn stage_us(name: &str, t0: Option<Instant>) -> Option<Instant> {
 }
 
 /// Accumulator magnitude bound guaranteeing `f32` exactness of the float
-/// oracle's sums (every partial sum stays an integer below `2^24`).
-const EXACT_F32_BOUND: i64 = 1 << 24;
+/// oracle's sums (every partial sum stays an integer below `2^24`). The
+/// artifact loader re-checks it, so a corrupt artifact cannot smuggle in a
+/// network whose float oracle would not be exact.
+pub(crate) const EXACT_F32_BOUND: i64 = 1 << 24;
 
 /// How a synaptic stage's accumulator becomes the stage output.
 ///
@@ -83,6 +85,20 @@ pub(crate) struct EngineSyn {
     pub(crate) rectify: bool,
     pub(crate) out_quant: Option<ActivationQuantizer>,
     pub(crate) out: EngineOut,
+}
+
+impl EngineSyn {
+    /// The stage's readout expressions, the same ones the float pipeline
+    /// evaluates.
+    fn readout(&self) -> Readout<'_> {
+        Readout {
+            weight_scale: self.weight_scale,
+            in_scale: self.in_scale,
+            bias: &self.bias,
+            rectify: self.rectify,
+            out_quant: self.out_quant,
+        }
+    }
 }
 
 pub(crate) enum EngineStage {
@@ -124,37 +140,25 @@ pub(crate) struct IntEngine {
     pub(crate) input_quant: ActivationQuantizer,
 }
 
-/// Spike count of `stage` output neuron `f` for exact integer accumulator
-/// `y`, `None` when the stage has no counter. Evaluates the identical float
-/// expressions as `SynapticStage::forward`/`requant`, which is what makes
-/// the precompiled thresholds bit-faithful.
-fn count_for_accum(stage: &SynapticStage, f: usize, y: f32) -> Option<u32> {
-    let z = stage.weight_scale * y / stage.in_quant.scale() + stage.bias[f];
-    match (stage.rectify, stage.out_quant) {
-        (true, Some(q)) => {
-            let ifc = crate::spike::Ifc::new(1.0 / q.scale(), q.max_level());
-            Some(ifc.convert(z.max(0.0)))
-        }
-        (false, Some(q)) => {
-            Some((z * q.scale()).round().clamp(0.0, q.max_level() as f32) as u32)
-        }
-        _ => None,
-    }
-}
-
 /// Precomputes the per-neuron count thresholds for a counter stage: for
 /// every neuron `f` and count `c ∈ 1..=max_level`, the smallest integer
 /// accumulator `y ∈ [−bound, bound]` with `count(y) ≥ c`. The count is
 /// monotone in `y` (positive weight scale, monotone IFC), so binary search
-/// over the exact float expression finds each boundary.
-fn build_thresholds(stage: &SynapticStage, bound: i32, max_level: u32, out_dim: usize) -> Option<Vec<i32>> {
+/// over the float pipeline's own [`Readout`] expressions finds each
+/// boundary; that is what makes the thresholds bit-faithful.
+fn build_thresholds(
+    readout: Readout<'_>,
+    bound: i32,
+    max_level: u32,
+    out_dim: usize,
+) -> Option<Vec<i32>> {
     let mut thresholds = Vec::with_capacity(out_dim * max_level as usize);
     for f in 0..out_dim {
         for c in 1..=max_level {
             let (mut lo, mut hi) = (-bound, bound + 1);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if count_for_accum(stage, f, mid as f32)? >= c {
+                if readout.count(readout.pre_activation(f, mid as f32))? >= c {
                     hi = mid;
                 } else {
                     lo = mid + 1;
@@ -192,7 +196,12 @@ impl IntEngine {
                         (false, Some(q)) => EngineOut::Counts {
                             max_level: q.max_level(),
                             out_scale: q.scale(),
-                            thresholds: build_thresholds(s, bound as i32, q.max_level(), out_dim)?,
+                            thresholds: build_thresholds(
+                                s.readout(),
+                                bound as i32,
+                                q.max_level(),
+                                out_dim,
+                            )?,
                             record: s.rectify,
                         },
                         (false, None) => return None,
@@ -428,8 +437,8 @@ impl IntEngine {
                 Some(next)
             }
             EngineOut::Analog => {
-                // Final readout: identical float expressions to the
-                // pipeline's `forward` + `requant`.
+                // Final readout: the float pipeline's own expressions.
+                let readout = syn.readout();
                 out.clear();
                 out.resize(batch * stride, 0.0);
                 for b in 0..batch {
@@ -439,17 +448,7 @@ impl IntEngine {
                         let arow = &abase[f * pix..(f + 1) * pix];
                         let orow = &mut obase[f * pix..(f + 1) * pix];
                         for (ov, &y) in orow.iter_mut().zip(arow.iter()) {
-                            let z = syn.weight_scale * (y as f32) / syn.in_scale + syn.bias[f];
-                            *ov = match (syn.rectify, syn.out_quant) {
-                                (true, Some(q)) => {
-                                    let ifc =
-                                        crate::spike::Ifc::new(1.0 / q.scale(), q.max_level());
-                                    ifc.convert(z.max(0.0)) as f32 / q.scale()
-                                }
-                                (true, None) => z.max(0.0),
-                                (false, Some(q)) => q.quantize_value(z),
-                                (false, None) => z,
-                            };
+                            *ov = readout.output(f, y as f32);
                         }
                     }
                 }

@@ -103,6 +103,59 @@ pub(crate) struct SynapticStage {
     pub(crate) codes: Vec<i32>,
 }
 
+/// How one synaptic stage turns a synaptic sum into its output: the analog
+/// pre-activation, then the IFC + counter (or plain requant) readout.
+///
+/// This is the one definition of both expressions. The float pipeline, its
+/// exact-arithmetic oracle, the integer engine's threshold builder and the
+/// engine's analog readout all evaluate through it, which is what keeps the
+/// engine's precompiled thresholds bit-faithful to the float path.
+#[derive(Clone, Copy)]
+pub(crate) struct Readout<'a> {
+    pub(crate) weight_scale: f32,
+    pub(crate) in_scale: f32,
+    pub(crate) bias: &'a [f32],
+    pub(crate) rectify: bool,
+    pub(crate) out_quant: Option<ActivationQuantizer>,
+}
+
+impl Readout<'_> {
+    /// Analog pre-activation of output neuron `f` for the synaptic sum `y`
+    /// in code units (`Σ code · count`).
+    pub(crate) fn pre_activation(&self, f: usize, y: f32) -> f32 {
+        self.weight_scale * y / self.in_scale + self.bias[f]
+    }
+
+    /// Spike count the stage's counter holds for pre-activation `z`, `None`
+    /// when the stage has no counter.
+    pub(crate) fn count(&self, z: f32) -> Option<u32> {
+        match (self.rectify, self.out_quant) {
+            (true, Some(q)) => Some(ifc_count(q, z)),
+            (false, Some(q)) => Some(q.spike_count(z)),
+            (_, None) => None,
+        }
+    }
+
+    /// Output activation of neuron `f` for the synaptic sum `y`: the
+    /// counter's count in output units, or the rectified or plain
+    /// pre-activation when the stage has no counter.
+    pub(crate) fn output(&self, f: usize, y: f32) -> f32 {
+        let z = self.pre_activation(f, y);
+        match (self.rectify, self.out_quant) {
+            (true, Some(q)) => ifc_count(q, z) as f32 / q.scale(),
+            (true, None) => z.max(0.0),
+            (false, Some(q)) => q.quantize_value(z),
+            (false, None) => z,
+        }
+    }
+}
+
+/// IFC + `M`-bit counter on one analog pre-activation: the threshold is one
+/// output LSB and the counter saturates at `2^M − 1`.
+fn ifc_count(q: ActivationQuantizer, z: f32) -> u32 {
+    Ifc::new(1.0 / q.scale(), q.max_level()).convert(z.max(0.0))
+}
+
 #[derive(Debug)]
 pub(crate) enum Stage {
     Synaptic(SynapticStage),
@@ -329,9 +382,21 @@ fn fold_batchnorm(p: &mut PendingSynapse, a: &[f32], b: &[f32]) -> Result<(), Co
 }
 
 impl SynapticStage {
+    /// The stage's readout expressions.
+    pub(crate) fn readout(&self) -> Readout<'_> {
+        Readout {
+            weight_scale: self.weight_scale,
+            in_scale: self.in_quant.scale(),
+            bias: &self.bias,
+            rectify: self.rectify,
+            out_quant: self.out_quant,
+        }
+    }
+
     /// Runs the stage on a true-unit activation tensor `[1, …]`, returning
     /// the true-unit output.
     fn forward(&self, x: &Tensor, rng: &mut Option<&mut TensorRng>) -> Tensor {
+        let readout = self.readout();
         match self.kind {
             SynKind::Conv { spec, in_c, out_c } => {
                 assert_eq!(x.dims()[1], in_c, "conv input channel mismatch");
@@ -350,8 +415,7 @@ impl SynapticStage {
                     }
                     let y = self.tiles.matvec_code_units(&counts, rng.as_deref_mut());
                     for (f, yf) in y.into_iter().enumerate() {
-                        let z = self.weight_scale * yf / self.in_quant.scale() + self.bias[f];
-                        os[f * oh * ow + j] = self.requant(z);
+                        os[f * oh * ow + j] = readout.output(f, yf);
                     }
                 }
                 self.record_output_telemetry(out.as_slice());
@@ -367,10 +431,7 @@ impl SynapticStage {
                 let data: Vec<f32> = y
                     .into_iter()
                     .enumerate()
-                    .map(|(f, yf)| {
-                        let z = self.weight_scale * yf / self.in_quant.scale() + self.bias[f];
-                        self.requant(z)
-                    })
+                    .map(|(f, yf)| readout.output(f, yf))
                     .collect();
                 self.record_output_telemetry(&data);
                 Tensor::from_vec(data, [1, out_dim])
@@ -386,6 +447,7 @@ impl SynapticStage {
     /// bit-identical to.
     fn forward_reference(&self, x: &Tensor) -> Tensor {
         let in_scale = self.in_quant.scale();
+        let readout = self.readout();
         match self.kind {
             SynKind::Conv { spec, in_c, out_c } => {
                 assert_eq!(x.dims()[1], in_c, "conv input channel mismatch");
@@ -405,8 +467,7 @@ impl SynapticStage {
                     for f in 0..out_c {
                         let row = &self.codes[f * rows..(f + 1) * rows];
                         let yf: f32 = row.iter().zip(&counts).map(|(&c, &x)| c as f32 * x).sum();
-                        let z = self.weight_scale * yf / in_scale + self.bias[f];
-                        os[f * oh * ow + j] = self.requant(z);
+                        os[f * oh * ow + j] = readout.output(f, yf);
                     }
                 }
                 out
@@ -418,8 +479,7 @@ impl SynapticStage {
                     .map(|f| {
                         let row = &self.codes[f * in_dim..(f + 1) * in_dim];
                         let yf: f32 = row.iter().zip(&counts).map(|(&c, &x)| c as f32 * x).sum();
-                        let z = self.weight_scale * yf / in_scale + self.bias[f];
-                        self.requant(z)
+                        readout.output(f, yf)
                     })
                     .collect();
                 Tensor::from_vec(data, [1, out_dim])
@@ -451,20 +511,6 @@ impl SynapticStage {
             qsnc_telemetry::counter_add("snc.spikes", spikes);
             qsnc_telemetry::counter_add("snc.ifc.conversions", out.len() as u64);
             qsnc_telemetry::counter_add("snc.ifc.saturated", saturated);
-        }
-    }
-
-    /// IFC + counter on one analog pre-activation.
-    fn requant(&self, z: f32) -> f32 {
-        match (self.rectify, self.out_quant) {
-            (true, Some(q)) => {
-                // IFC threshold = one output LSB; counter saturates at 2^M−1.
-                let ifc = Ifc::new(1.0 / q.scale(), q.max_level());
-                ifc.convert(z.max(0.0)) as f32 / q.scale()
-            }
-            (true, None) => z.max(0.0),
-            (false, Some(q)) => q.quantize_value(z),
-            (false, None) => z,
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A deployed LeNet's logits must be bit-identical no matter which SIMD
 //! level the integer engine's kernels dispatch to and no matter how many
-//! pool threads participate: forcing `Scalar`, `Sse2`, or `Avx2` (clamped
-//! to what the machine supports) and sweeping 1 vs 4 threads must all
+//! pool threads participate: forcing `Scalar` or `Avx2` (clamped to what
+//! the machine supports) and sweeping 1 vs 4 threads must all
 //! reproduce the scalar single-threaded logits exactly — the whole-network
 //! analogue of the per-kernel proptests in `qsnc-tensor`.
 
@@ -32,7 +32,7 @@ fn deployable_lenet(m: u32, n: u32, rng: &mut TensorRng) -> (Sequential, DeployC
 /// Every SIMD level this machine can execute, scalar included.
 fn all_levels() -> Vec<SimdLevel> {
     let top = simd::detected_simd();
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= top)
         .collect()

@@ -13,29 +13,27 @@
 //! [`igemm_conv`] runs a convolution on one integer image, lowering the
 //! image itself, so no caller ever builds a column matrix.
 //!
-//! # One route per SIMD level
+//! # Two routes per product
 //!
-//! When [`crate::simd_level`] is above scalar and the counts fit `i16`, the
+//! At [`crate::SimdLevel::Avx2`], when the counts fit `i16`, the
 //! micro-kernels in [`crate::simd`] take over; integer accumulation is
-//! associative, so every route below is bit-identical to the scalar loop
+//! associative, so the AVX2 route is bit-identical to the scalar loop
 //! (`tests/simd_bit_identity.rs` property-tests this). A network's signals
 //! are `M`-bit spike counts, at most `2^M − 1`, which fits `i16` for every
-//! `M ≤ 15`, so each product keeps one kernel per level for that width:
+//! `M ≤ 15`:
 //!
-//! - [`igemm`] (FC): at SSE2 and AVX2 it widens its row-major count operand
-//!   into the shared `i16 × i16 → i32` `pmaddwd` **dot** kernel.
-//! - [`igemm_conv`], **AVX2**: one pass writes the pair operand straight
-//!   from a zero-padded copy of the image (adjacent taps packed two `i16`
-//!   per word) and the `pmaddwd` **axpy** kernel runs it against the weight
+//! - [`igemm`] (FC) widens its row-major count operand into the
+//!   `i16 × i16 → i32` `pmaddwd` **dot** kernel.
+//! - [`igemm_conv`] writes the pair operand in one pass straight from a
+//!   zero-padded copy of the image (adjacent taps packed two `i16` per
+//!   word), and the `pmaddwd` **axpy** kernel runs it against the weight
 //!   pair panel built at pack time ([`PackedCodes`]) — 16 MACs per
 //!   multiply, four output rows blocked per sweep, no column matrix.
-//! - [`igemm_conv`], **SSE2**: `im2row` into `i16` pixel rows for the same
-//!   dot kernel as [`igemm`] (SSE2 has no packed 32-bit multiply).
 //!
-//! Counts past `i16` take the scalar route at every level: the exact
-//! row-band loop for [`igemm`], the `i32` column matrix and the exact
-//! weights-times-pixels loop for [`igemm_conv`]. The scalar route is also
-//! the test oracle.
+//! The scalar tier, and counts past `i16` at either tier, take the scalar
+//! route: the exact row-band loop for [`igemm`], the `i32` column matrix
+//! and the exact weights-times-pixels loop for [`igemm_conv`]. The scalar
+//! route is also the test oracle.
 
 use crate::conv::Conv2dSpec;
 use crate::linalg::BLOCK;
@@ -52,7 +50,7 @@ pub struct PackedCodes {
     /// `data[i · out_dim + j]` = code of output `j` from input `i`.
     data: Vec<i8>,
     /// The same codes pre-widened to `i16` in row-major `[out, in]` layout
-    /// (`rows16[j · in_dim + i]`) — the panel the SIMD dot kernel streams.
+    /// (`rows16[j · in_dim + i]`) — the panel the FC dot kernel streams.
     rows16: Vec<i16>,
     /// Adjacent input pairs packed two-`i16`-per-word in `[out, ceil(in/2)]`
     /// layout (`pairs16[j · kp + kkp]` holds codes `2·kkp` and `2·kkp + 1`
@@ -295,18 +293,6 @@ fn axpy_pairs(level: SimdLevel, pix: usize, w: &PackedCodes, xpk: &[i32], c: &mu
     });
 }
 
-/// SSE2 tail of [`igemm_conv`]: `c[out×pix] += W · xr16ᵀ` where `xr16`
-/// holds one widened `i16` row per output pixel.
-fn wx_dot(level: SimdLevel, out_dim: usize, k: usize, pix: usize, w16: &[i16], xr16: &[i16], c: &mut [i32]) {
-    if serial_wx(out_dim, k, pix) {
-        simd::dot_tiles(level, k, xr16, pix, w16, out_dim, c, pix);
-        return;
-    }
-    parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-        simd::dot_tiles(level, k, xr16, pix, &w16[f0 * k..(f0 + fb) * k], fb, c_band, pix);
-    });
-}
-
 /// Lowers one integer image `[c, h, w]` to the `[c·k·k, oh·ow]` column
 /// matrix of the scalar conv route (one row per filter tap, matching the
 /// `f32` `im2col` layout). Zero padding is folded in: taps that fall
@@ -351,46 +337,6 @@ fn im2col_i32(
                         } else {
                             src_row[ix - pad]
                         };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lowers one integer image `[c, h, w]` to the `[oh·ow, c·k·k]` widened
-/// `i16` row matrix the SIMD dot kernel consumes (one row per output
-/// pixel). Zero padding is folded in: taps that fall outside the image
-/// write 0, so no padded copy is built. The caller has already range-checked
-/// `src` (the cast is lossless for `i16`-ranged values).
-///
-/// # Panics
-///
-/// Panics if `src` or `rows` disagree with the implied geometry.
-fn im2row_i16(src: &[i32], c: usize, (h, w): (usize, usize), spec: Conv2dSpec, rows: &mut [i16]) {
-    let k = spec.kernel;
-    let pad = spec.padding;
-    let oh = spec.output_size(h);
-    let ow = spec.output_size(w);
-    let ckk = c * k * k;
-    assert_eq!(src.len(), c * h * w, "im2row source length mismatch");
-    assert_eq!(rows.len(), oh * ow * ckk, "im2row output length mismatch");
-
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let out = &mut rows[(oy * ow + ox) * ckk..(oy * ow + ox + 1) * ckk];
-            for ic in 0..c {
-                for ky in 0..k {
-                    let tap = &mut out[(ic * k + ky) * k..(ic * k + ky) * k + k];
-                    let iy = oy * spec.stride + ky;
-                    if iy < pad || iy >= h + pad {
-                        tap.fill(0);
-                        continue;
-                    }
-                    let src_row = &src[(ic * h + iy - pad) * w..(ic * h + iy - pad + 1) * w];
-                    for (kx, t) in tap.iter_mut().enumerate() {
-                        let ix = ox * spec.stride + kx;
-                        *t = if ix < pad || ix >= w + pad { 0 } else { src_row[ix - pad] as i16 };
                     }
                 }
             }
@@ -480,16 +426,13 @@ fn pair_row(lo: &[i16], hi: Option<&[i16]>, dst: &mut [i32]) {
 /// Integer convolution: `c[out×oh·ow] += W · lower(src)` for one
 /// `[in_c, h, w]` image, with the lowering chosen from the SIMD level.
 ///
-/// Every route computes the same exact integer product:
+/// Both routes compute the same exact integer product:
 ///
 /// - **AVX2, counts fit `i16`**: one pass writes the `pmaddwd` pair operand
 ///   straight from a zero-padded copy of the image and the packed axpy
 ///   kernel runs on it — no `i32` column matrix is built.
-/// - **SSE2, counts fit `i16`**: `im2row` into `i16` pixel rows feeding the
-///   register-tiled dot kernel (SSE2 has no packed 32-bit multiply).
-/// - **Scalar, or counts past `i16` at any level**: an `i32` column matrix
-///   and the exact weights-times-pixels loop — the scalar route is the test
-///   oracle.
+/// - **Scalar, or counts past `i16`**: an `i32` column matrix and the exact
+///   weights-times-pixels loop — the scalar route is the test oracle.
 ///
 /// # Panics
 ///
@@ -521,12 +464,6 @@ pub fn igemm_conv(
         if lowered {
             return;
         }
-    } else if level != SimdLevel::Scalar && fits_i16(src) {
-        let mut rows16 = scratch::take_i16(pix * ckk);
-        im2row_i16(src, in_c, (h, wd), spec, &mut rows16);
-        wx_dot(level, w.out_dim, ckk, pix, &w.rows16, &rows16, c);
-        scratch::put_i16(rows16);
-        return;
     }
     let out_dim = w.out_dim;
     let mut cols = scratch::take_i32(ckk * pix);
@@ -635,33 +572,6 @@ mod tests {
         // [in, out] layout: data[i*2 + j] = codes[j*3 + i].
         assert_eq!(packed.data, vec![1, 4, 2, 5, 3, 6]);
         assert_eq!(packed.max_abs_accum(1), 15); // col 1: 4+5+6
-    }
-
-    #[test]
-    fn im2row_matches_im2col_transposed() {
-        use crate::conv::im2col;
-        use crate::tensor::Tensor;
-        for &(c, h, w, k, stride, pad) in
-            &[(1, 3, 3, 2, 1, 0), (2, 5, 4, 3, 1, 1), (3, 6, 6, 3, 2, 2)]
-        {
-            let spec = Conv2dSpec::new(k, stride, pad);
-            let mut seed = 3u64;
-            let src: Vec<i32> = (0..c * h * w).map(|_| (pseudo(&mut seed) % 9) as i32).collect();
-            let x = Tensor::from_vec(src.iter().map(|&v| v as f32).collect(), [1, c, h, w]);
-            let cols = im2col(&x, spec); // [c·k·k, oh·ow]
-            let (ckk, pix) = (cols.dims()[0], cols.dims()[1]);
-            let mut rows = vec![0i16; pix * ckk];
-            im2row_i16(&src, c, (h, w), spec, &mut rows);
-            for r in 0..ckk {
-                for p in 0..pix {
-                    assert_eq!(
-                        rows[p * ckk + r] as f32,
-                        cols.as_slice()[r * pix + p],
-                        "c={c} h={h} w={w} k={k} s={stride} pad={pad} tap={r} pix={p}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

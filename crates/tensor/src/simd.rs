@@ -1,38 +1,39 @@
-//! Explicit x86-64 SIMD micro-kernels behind one-time runtime detection.
+//! Explicit x86-64 AVX2 micro-kernels behind one-time runtime detection.
 //!
-//! Four kernel families live here, all selected through [`simd_level`]:
+//! There are two tiers: AVX2 when the CPU has it, portable scalar Rust
+//! otherwise (which the compiler still auto-vectorizes with x86-64's
+//! baseline SSE2). Four kernel families live here, all selected through
+//! [`simd_level`]:
 //!
 //! - **Integer dot tiles** (`dot_tiles`): `i16 × i16 → i32` dot products
 //!   over row-major operand panels, register-blocked four rows at a time and
-//!   accumulated with `pmaddwd`-style pairwise multiply-adds
-//!   (`_mm_madd_epi16` / `_mm256_madd_epi16`). This is the engine of the
-//!   quantized fast path: spike counts widen losslessly to `i16`, weight
-//!   codes are `i8`-ranged, and every intermediate stays exact (see the
-//!   overflow analysis on `dot_tiles`), so the SIMD result is
-//!   **bit-identical** to the scalar loop. The FC product runs it at SSE2
-//!   and AVX2, the conv product at SSE2.
-//! - **Integer pair axpy strips** (`wx_axpy_packed`): the AVX2 conv
-//!   product, `pmaddwd` over two-`i16`-per-word operands with the weight
-//!   pair broadcast across contiguous pixel strips — exact for the same
-//!   reason.
-//! - **`f32` GEMM tiles** (`gemm_tile_f32`): a 4-row × 8-lane (AVX2) or
-//!   4-row × 4-lane (SSE2) register tile that keeps each output element's
-//!   accumulation order identical to the scalar kernel — ascending `k`,
-//!   separate multiply then add, never FMA — so the vectorized product is
-//!   bit-identical to the serial scalar oracle, not merely close.
+//!   accumulated with `pmaddwd` pairwise multiply-adds
+//!   (`_mm256_madd_epi16`). This is the FC product of the quantized fast
+//!   path: spike counts widen losslessly to `i16`, weight codes are
+//!   `i8`-ranged, and every intermediate stays exact (see the overflow
+//!   analysis on `dot_tiles`), so the SIMD result is **bit-identical** to
+//!   the scalar loop.
+//! - **Integer pair axpy strips** (`wx_axpy_packed`): the conv product,
+//!   `pmaddwd` over two-`i16`-per-word operands with the weight pair
+//!   broadcast across contiguous pixel strips — exact for the same reason.
+//! - **`f32` GEMM tiles** (`gemm_tile_f32`): a 4-row × 8-lane register tile
+//!   that keeps each output element's accumulation order identical to the
+//!   scalar kernel — ascending `k`, separate multiply then add, never FMA —
+//!   so the vectorized product is bit-identical to the serial scalar
+//!   oracle, not merely close.
 //! - **`f32` convolution weight-gradient chains**
 //!   (`conv_weight_grad_image`): one output per chain, advanced pixel by
 //!   pixel in the GEMM's order, with the vector lanes over the `kx` taps of
-//!   one kernel row (8 on AVX2, 4 on SSE2, 1 scalar) and four chains in
-//!   flight — bit-identical at every level for the same reason.
+//!   one kernel row (8 on AVX2, 1 scalar) and four chains in flight —
+//!   bit-identical at both tiers for the same reason.
 //!
 //! # Dispatch
 //!
 //! The effective [`SimdLevel`] is resolved per kernel call from, in order:
 //! a scoped [`with_simd_level`] override on the calling thread, the
 //! process-wide [`set_simd_level`] value, and the `QSNC_SIMD` environment
-//! variable (`off`/`sse2`/`avx2`, read once per process) — always clamped
-//! to what `is_x86_feature_detected!` reports (cached in a `OnceLock`), so
+//! variable (`off`/`avx2`, read once per process) — always clamped to what
+//! `is_x86_feature_detected!` reports (cached in a `OnceLock`), so
 //! requesting AVX2 on a machine without it silently degrades rather than
 //! faulting. Non-x86-64 targets always resolve to [`SimdLevel::Scalar`].
 
@@ -42,10 +43,9 @@ use std::sync::OnceLock;
 /// Instruction-set tier the kernels may use, ordered weakest to strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar Rust only (also the only tier off x86-64).
+    /// Portable scalar Rust only (the tier off x86-64 and on x86-64 CPUs
+    /// without AVX2).
     Scalar,
-    /// 128-bit SSE2 kernels (baseline on every x86-64 CPU).
-    Sse2,
     /// 256-bit AVX2 kernels, used only when runtime detection confirms them.
     Avx2,
 }
@@ -65,7 +65,6 @@ std::thread_local! {
 fn level_from_u8(v: u8) -> SimdLevel {
     match v {
         0 => SimdLevel::Scalar,
-        1 => SimdLevel::Sse2,
         _ => SimdLevel::Avx2,
     }
 }
@@ -79,8 +78,7 @@ pub fn detected_simd() -> SimdLevel {
             if std::arch::is_x86_feature_detected!("avx2") {
                 SimdLevel::Avx2
             } else {
-                // SSE2 is part of the x86-64 baseline; no probe needed.
-                SimdLevel::Sse2
+                SimdLevel::Scalar
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -97,7 +95,6 @@ fn env_level() -> SimdLevel {
     *ENV.get_or_init(|| {
         match std::env::var("QSNC_SIMD").map(|v| v.trim().to_ascii_lowercase()).as_deref() {
             Ok("off") | Ok("scalar") | Ok("none") => SimdLevel::Scalar,
-            Ok("sse2") => SimdLevel::Sse2,
             Ok("avx2") => SimdLevel::Avx2,
             _ => detected_simd(),
         }
@@ -111,8 +108,7 @@ pub fn set_simd_level(level: Option<SimdLevel>) {
     let v = match level {
         None => LEVEL_UNSET,
         Some(SimdLevel::Scalar) => 0,
-        Some(SimdLevel::Sse2) => 1,
-        Some(SimdLevel::Avx2) => 2,
+        Some(SimdLevel::Avx2) => 1,
     };
     LEVEL_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -134,8 +130,7 @@ pub fn with_simd_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     }
     let v = match level {
         SimdLevel::Scalar => 0,
-        SimdLevel::Sse2 => 1,
-        SimdLevel::Avx2 => 2,
+        SimdLevel::Avx2 => 1,
     };
     let _guard = Restore(TL_LEVEL.with(|c| c.replace(v)));
     f()
@@ -186,10 +181,8 @@ fn dot_tiles_scalar(k: usize, fast: &[i16], nf: usize, slow: &[i16], ns: usize, 
 /// `fast` holds `nf` rows of length `k`, `slow` holds `ns` rows, and the
 /// `fast` index is the unit-stride (register-tiled) output dimension.
 ///
-/// One kernel serves both product orientations of the integer fast path:
-/// the row-major `igemm` (`fast` = weight-code rows, `slow` = spike-count
-/// rows, `stride = n`) and the conv lowering (`fast` = im2row pixel rows,
-/// `slow` = weight-code rows, `stride = pix`).
+/// The row-major `igemm` runs it with `fast` = weight-code rows, `slow` =
+/// spike-count rows and `stride = n`.
 ///
 /// **Exactness.** Every product `|fast·slow| ≤ 32767 · 32767` fits `i32`,
 /// and `pmaddwd`'s pairwise sums stay exact whenever one operand family is
@@ -227,9 +220,6 @@ pub(crate) fn dot_tiles(
         // SAFETY: slice geometry was checked above; the target features are
         // guaranteed by `level`, which is always clamped to `detected_simd`.
         SimdLevel::Avx2 => unsafe { x86::dot_tiles_avx2(k, fast, nf, slow, ns, c, stride) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::dot_tiles_sse2(k, fast, nf, slow, ns, c, stride) },
         _ => dot_tiles_scalar(k, fast, nf, slow, ns, c, stride),
     }
 }
@@ -274,8 +264,8 @@ pub(crate) fn wx_axpy_packed(
         // SAFETY: slice geometry was checked above; AVX2 is guaranteed by
         // `level`, which is always clamped to `detected_simd`.
         SimdLevel::Avx2 => unsafe { x86::wx_axpy_packed_avx2(out_dim, kp, pix, wpairs, xpk, c) },
-        // `igemm_conv` takes the pair route only at AVX2; every other level
-        // (and every non-x86-64 target) lowers to its own operand instead.
+        // `igemm_conv` takes the pair route only at AVX2; the scalar tier
+        // (and every non-x86-64 target) lowers to a column matrix instead.
         _ => unreachable!("the packed pair axpy runs only at AVX2"),
     }
 }
@@ -318,7 +308,7 @@ unsafe fn gemm_tile_f32_scalar(
 }
 
 /// Dense `f32` GEMM tile: `c[mb×nb] += a[mb×k] · b[k×nb]` on strided panels,
-/// register-tiled 4 rows × one vector of columns, dispatched on `level`.
+/// register-tiled 4 rows × 8 lanes at AVX2, dispatched on `level`.
 ///
 /// Each output element accumulates in ascending `k` with a separate IEEE
 /// multiply and add per term (never FMA), which is the identical operation
@@ -350,9 +340,6 @@ pub(crate) unsafe fn gemm_tile_f32(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: forwarded caller contract; `level` is clamped to detection.
         SimdLevel::Avx2 => x86::gemm_tile_f32_avx2(mb, k, nb, a, lda, b, ldb, c, ldc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: forwarded caller contract; SSE2 is baseline on x86-64.
-        SimdLevel::Sse2 => x86::gemm_tile_f32_sse2(mb, k, nb, a, lda, b, ldb, c, ldc),
         _ => gemm_tile_f32_scalar(mb, k, nb, a, lda, b, ldb, c, ldc),
     }
 }
@@ -366,7 +353,6 @@ pub(crate) unsafe fn gemm_tile_f32(
 pub(crate) fn wgrad_lanes(level: SimdLevel) -> usize {
     match level {
         SimdLevel::Avx2 => 8,
-        SimdLevel::Sse2 => 4,
         SimdLevel::Scalar => 1,
     }
 }
@@ -415,9 +401,9 @@ struct WgradChain {
 /// to a chain that starts at `+0.0` and so is never `−0.0`, which changes
 /// no bit (the argument behind [`crate::GemmKernel::SkipZeros`]). Each
 /// filter's nonzero terms are gathered once and shared by all its chains.
-/// A lane covers one `kx` tap: the vector tiers load the window row with
-/// one unaligned load per term (chunked for kernels wider than a vector)
-/// and advance four chains at once to hide the add latency.
+/// A lane covers one `kx` tap: the AVX2 tier loads the window row with one
+/// unaligned load per term (chunked for kernels wider than 8 taps) and
+/// advances four chains at once to hide the add latency.
 ///
 /// # Panics
 ///
@@ -510,9 +496,6 @@ unsafe fn run_wgrad_group(
         // SAFETY: forwarded caller contract (the unused slots repeat chain
         // 0's reads); dw is bounds-checked inside.
         SimdLevel::Avx2 => x86::wgrad4_avx2(&chains, terms, x.as_ptr(), dw),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; SSE2 is baseline on x86-64.
-        SimdLevel::Sse2 => x86::wgrad4_sse2(&chains, terms, x.as_ptr(), dw),
         _ => wgrad4_scalar(&chains, terms, x, dw),
     }
 }
@@ -654,131 +637,6 @@ mod x86 {
                     kk += 16;
                 }
                 let mut sum = hsum1_avx2(acc);
-                while kk < k {
-                    sum = sum.wrapping_add(*srow.add(kk) as i32 * *row.add(kk) as i32);
-                    kk += 1;
-                }
-                let cv = crow.add(f);
-                *cv = (*cv).wrapping_add(sum);
-                f += 1;
-            }
-        }
-    }
-
-    /// Reduces four 4-lane `i32` accumulators to their four lane sums via an
-    /// unpack transpose (SSE2 has no integer `hadd`).
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 (always present on x86-64).
-    #[target_feature(enable = "sse2")]
-    unsafe fn hsum4_sse2(a: __m128i, b: __m128i, c: __m128i, d: __m128i) -> [i32; 4] {
-        let t0 = _mm_unpacklo_epi32(a, b); // a0 b0 a1 b1
-        let t1 = _mm_unpackhi_epi32(a, b); // a2 b2 a3 b3
-        let t2 = _mm_unpacklo_epi32(c, d);
-        let t3 = _mm_unpackhi_epi32(c, d);
-        let s01 = _mm_add_epi32(t0, t1); // a02 b02 a13 b13
-        let s23 = _mm_add_epi32(t2, t3);
-        let u0 = _mm_unpacklo_epi64(s01, s23); // a02 b02 c02 d02
-        let u1 = _mm_unpackhi_epi64(s01, s23); // a13 b13 c13 d13
-        let s = _mm_add_epi32(u0, u1);
-        let mut out = [0i32; 4];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, s);
-        out
-    }
-
-    /// Reduces one 4-lane `i32` accumulator to its lane sum.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 (always present on x86-64).
-    #[target_feature(enable = "sse2")]
-    unsafe fn hsum1_sse2(a: __m128i) -> i32 {
-        let s = _mm_add_epi32(a, _mm_shuffle_epi32(a, 0b01_00_11_10));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-        _mm_cvtsi128_si32(s)
-    }
-
-    /// SSE2 [`super::dot_tiles`]: 8 `i16` lanes per step, four `fast` rows
-    /// per register tile.
-    ///
-    /// # Safety
-    ///
-    /// Requires the slice geometry checked by the safe dispatcher; SSE2 is
-    /// part of the x86-64 baseline.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dot_tiles_sse2(
-        k: usize,
-        fast: &[i16],
-        nf: usize,
-        slow: &[i16],
-        ns: usize,
-        c: &mut [i32],
-        stride: usize,
-    ) {
-        let fp = fast.as_ptr();
-        let sp = slow.as_ptr();
-        let cp = c.as_mut_ptr();
-        for s in 0..ns {
-            let srow = sp.add(s * k);
-            let crow = cp.add(s * stride);
-            let mut f = 0;
-            while f + 4 <= nf {
-                let r0 = fp.add(f * k);
-                let r1 = fp.add((f + 1) * k);
-                let r2 = fp.add((f + 2) * k);
-                let r3 = fp.add((f + 3) * k);
-                let mut acc0 = _mm_setzero_si128();
-                let mut acc1 = _mm_setzero_si128();
-                let mut acc2 = _mm_setzero_si128();
-                let mut acc3 = _mm_setzero_si128();
-                let mut kk = 0;
-                while kk + 8 <= k {
-                    let sv = _mm_loadu_si128(srow.add(kk) as *const __m128i);
-                    acc0 = _mm_add_epi32(
-                        acc0,
-                        _mm_madd_epi16(sv, _mm_loadu_si128(r0.add(kk) as *const __m128i)),
-                    );
-                    acc1 = _mm_add_epi32(
-                        acc1,
-                        _mm_madd_epi16(sv, _mm_loadu_si128(r1.add(kk) as *const __m128i)),
-                    );
-                    acc2 = _mm_add_epi32(
-                        acc2,
-                        _mm_madd_epi16(sv, _mm_loadu_si128(r2.add(kk) as *const __m128i)),
-                    );
-                    acc3 = _mm_add_epi32(
-                        acc3,
-                        _mm_madd_epi16(sv, _mm_loadu_si128(r3.add(kk) as *const __m128i)),
-                    );
-                    kk += 8;
-                }
-                let mut sums = hsum4_sse2(acc0, acc1, acc2, acc3);
-                while kk < k {
-                    let sv = *srow.add(kk) as i32;
-                    sums[0] = sums[0].wrapping_add(sv * *r0.add(kk) as i32);
-                    sums[1] = sums[1].wrapping_add(sv * *r1.add(kk) as i32);
-                    sums[2] = sums[2].wrapping_add(sv * *r2.add(kk) as i32);
-                    sums[3] = sums[3].wrapping_add(sv * *r3.add(kk) as i32);
-                    kk += 1;
-                }
-                for (t, &sum) in sums.iter().enumerate() {
-                    let cv = crow.add(f + t);
-                    *cv = (*cv).wrapping_add(sum);
-                }
-                f += 4;
-            }
-            while f < nf {
-                let row = fp.add(f * k);
-                let mut acc = _mm_setzero_si128();
-                let mut kk = 0;
-                while kk + 8 <= k {
-                    let sv = _mm_loadu_si128(srow.add(kk) as *const __m128i);
-                    let fv = _mm_loadu_si128(row.add(kk) as *const __m128i);
-                    acc = _mm_add_epi32(acc, _mm_madd_epi16(sv, fv));
-                    kk += 8;
-                }
-                let mut sum = hsum1_sse2(acc);
                 while kk < k {
                     sum = sum.wrapping_add(*srow.add(kk) as i32 * *row.add(kk) as i32);
                     kk += 1;
@@ -1031,116 +889,47 @@ mod x86 {
         }
     }
 
-    /// Generates a four-chain weight-gradient kernel for one vector width.
-    macro_rules! wgrad4 {
-        ($name:ident, $feature:literal, $lanes:literal, $load:ident, $store:ident, $set1:ident, $add:ident, $mul:ident) => {
-            /// Four chains of [`super::conv_weight_grad_image`] over the
-            /// same gradient terms, one vector each: lane `l` of chain `j`
-            /// accumulates `gv · x[x_j + xo + l]` for each term `(gv, xo)`.
-            ///
-            /// # Safety
-            ///
-            /// For every chain and term, `x` must be readable a full vector
-            /// wide at `x_j + xo`, and the chain's first `lanes` outputs
-            /// must lie inside `dw`; the CPU must support the feature.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $name(
-                chains: &[super::WgradChain; 4],
-                terms: &[(f32, usize)],
-                x: *const f32,
-                dw: &mut [f32],
-            ) {
-                let mut bufs = [[0.0f32; $lanes]; 4];
-                for (buf, ch) in bufs.iter_mut().zip(chains) {
-                    buf[..ch.lanes].copy_from_slice(&dw[ch.out..ch.out + ch.lanes]);
-                }
-                let mut a0 = $load(bufs[0].as_ptr());
-                let mut a1 = $load(bufs[1].as_ptr());
-                let mut a2 = $load(bufs[2].as_ptr());
-                let mut a3 = $load(bufs[3].as_ptr());
-                let [c0, c1, c2, c3] = *chains;
-                for &(gv, xo) in terms {
-                    let gb = $set1(gv);
-                    a0 = $add(a0, $mul(gb, $load(x.add(c0.x + xo))));
-                    a1 = $add(a1, $mul(gb, $load(x.add(c1.x + xo))));
-                    a2 = $add(a2, $mul(gb, $load(x.add(c2.x + xo))));
-                    a3 = $add(a3, $mul(gb, $load(x.add(c3.x + xo))));
-                }
-                for (acc, ch) in [a0, a1, a2, a3].into_iter().zip(chains) {
-                    let mut buf = [0.0f32; $lanes];
-                    $store(buf.as_mut_ptr(), acc);
-                    dw[ch.out..ch.out + ch.lanes].copy_from_slice(&buf[..ch.lanes]);
-                }
-            }
-        };
-    }
-
-    wgrad4!(wgrad4_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps);
-    wgrad4!(wgrad4_sse2, "sse2", 4, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_add_ps, _mm_mul_ps);
-
-    /// SSE2 [`super::gemm_tile_f32`]: 4-row × 4-lane register tile.
+    /// AVX2 weight-gradient chains: four chains of
+    /// [`super::conv_weight_grad_image`] over the same gradient terms, one
+    /// 8-lane vector each. Lane `l` of chain `j` accumulates
+    /// `gv · x[x_j + xo + l]` for each term `(gv, xo)`.
     ///
     /// # Safety
     ///
-    /// Same pointer/stride contract as [`super::gemm_tile_f32`]; SSE2 is
-    /// part of the x86-64 baseline.
-    #[allow(clippy::too_many_arguments)] // flat pointer+stride form keeps the hot kernel call free of view structs
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn gemm_tile_f32_sse2(
-        mb: usize,
-        k: usize,
-        nb: usize,
-        a: *const f32,
-        lda: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
+    /// For every chain and term, `x` must be readable 8 floats wide at
+    /// `x_j + xo`, and the chain's first `lanes` outputs must lie inside
+    /// `dw`; the CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn wgrad4_avx2(
+        chains: &[super::WgradChain; 4],
+        terms: &[(f32, usize)],
+        x: *const f32,
+        dw: &mut [f32],
     ) {
-        const LANES: usize = 4;
-        let mut j = 0;
-        while j + LANES <= nb {
-            let mut i = 0;
-            while i + 4 <= mb {
-                let c0 = c.add(i * ldc + j);
-                let c1 = c.add((i + 1) * ldc + j);
-                let c2 = c.add((i + 2) * ldc + j);
-                let c3 = c.add((i + 3) * ldc + j);
-                let mut acc0 = _mm_loadu_ps(c0);
-                let mut acc1 = _mm_loadu_ps(c1);
-                let mut acc2 = _mm_loadu_ps(c2);
-                let mut acc3 = _mm_loadu_ps(c3);
-                for kk in 0..k {
-                    let bv = _mm_loadu_ps(b.add(kk * ldb + j));
-                    acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_set1_ps(*a.add(i * lda + kk)), bv));
-                    acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_set1_ps(*a.add((i + 1) * lda + kk)), bv));
-                    acc2 = _mm_add_ps(acc2, _mm_mul_ps(_mm_set1_ps(*a.add((i + 2) * lda + kk)), bv));
-                    acc3 = _mm_add_ps(acc3, _mm_mul_ps(_mm_set1_ps(*a.add((i + 3) * lda + kk)), bv));
-                }
-                _mm_storeu_ps(c0, acc0);
-                _mm_storeu_ps(c1, acc1);
-                _mm_storeu_ps(c2, acc2);
-                _mm_storeu_ps(c3, acc3);
-                i += 4;
-            }
-            while i < mb {
-                let cr = c.add(i * ldc + j);
-                let mut acc = _mm_loadu_ps(cr);
-                for kk in 0..k {
-                    let bv = _mm_loadu_ps(b.add(kk * ldb + j));
-                    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(*a.add(i * lda + kk)), bv));
-                }
-                _mm_storeu_ps(cr, acc);
-                i += 1;
-            }
-            j += LANES;
+        let mut bufs = [[0.0f32; 8]; 4];
+        for (buf, ch) in bufs.iter_mut().zip(chains) {
+            buf[..ch.lanes].copy_from_slice(&dw[ch.out..ch.out + ch.lanes]);
         }
-        if j < nb {
-            gemm_tail_cols(mb, k, j, nb, a, lda, b, ldb, c, ldc);
+        let mut a0 = _mm256_loadu_ps(bufs[0].as_ptr());
+        let mut a1 = _mm256_loadu_ps(bufs[1].as_ptr());
+        let mut a2 = _mm256_loadu_ps(bufs[2].as_ptr());
+        let mut a3 = _mm256_loadu_ps(bufs[3].as_ptr());
+        let [c0, c1, c2, c3] = *chains;
+        for &(gv, xo) in terms {
+            let gb = _mm256_set1_ps(gv);
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c0.x + xo))));
+            a1 = _mm256_add_ps(a1, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c1.x + xo))));
+            a2 = _mm256_add_ps(a2, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c2.x + xo))));
+            a3 = _mm256_add_ps(a3, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c3.x + xo))));
+        }
+        for (acc, ch) in [a0, a1, a2, a3].into_iter().zip(chains) {
+            let mut buf = [0.0f32; 8];
+            _mm256_storeu_ps(buf.as_mut_ptr(), acc);
+            dw[ch.out..ch.out + ch.lanes].copy_from_slice(&buf[..ch.lanes]);
         }
     }
 
-    /// Scalar column tail shared by both f32 tiles: columns `j0..nb`, every
+    /// Scalar column tail of the f32 tile: columns `j0..nb`, every
     /// row, ascending `k`, separate multiply then add.
     ///
     /// # Safety
@@ -1183,8 +972,7 @@ mod tests {
 
     #[test]
     fn level_order_and_clamp() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2);
-        assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
         // A scoped request above detection clamps instead of faulting.
         with_simd_level(SimdLevel::Avx2, || {
             assert_eq!(simd_level(), SimdLevel::Avx2.min(detected_simd()));
@@ -1219,7 +1007,7 @@ mod tests {
                 (0..ns * stride).map(|_| (pseudo(&mut seed) % 100) as i32 - 50).collect();
             let mut want = init.clone();
             dot_tiles_scalar(k, &fast, nf, &slow, ns, &mut want, stride);
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 let level = level.min(detected_simd());
                 let mut got = init.clone();
                 dot_tiles(level, k, &fast, nf, &slow, ns, &mut got, stride);
@@ -1242,7 +1030,7 @@ mod tests {
             unsafe {
                 gemm_tile_f32_scalar(m, k, n, a.as_ptr(), k, b.as_ptr(), n, want.as_mut_ptr(), n);
             }
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 let level = level.min(detected_simd());
                 let mut got = init.clone();
                 // SAFETY: dense panels, strides equal the row lengths.

@@ -185,7 +185,7 @@ proptest! {
         let w_mat = w.reshape([f, c * k * k]);
         let want_dw = matmul(&g_cols, &transpose(&im2col(&x, spec)));
         let want_dx = col2im(&matmul(&transpose(&w_mat), &g_cols), n, c, hw, hw, spec);
-        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let level = level.min(detected_simd());
             let (dw, dx) = with_simd_level(level, || {
                 (conv2d_weight_grad(&x, &g, spec), conv2d_input_grad(&g, &w, (hw, hw), spec))

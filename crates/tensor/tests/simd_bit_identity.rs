@@ -1,7 +1,7 @@
 //! Bit-identity of every SIMD micro-kernel against the scalar serial oracle.
 //!
 //! The SIMD dispatch contract is absolute: whatever [`SimdLevel`] resolves —
-//! forced scalar, SSE2 baseline, or AVX2 — the integer GEMMs produce the
+//! forced scalar or AVX2 — the integer GEMMs produce the
 //! same `i32` words and the f32 GEMM the same bit patterns, at any thread
 //! count. These properties drive adversarial shapes (0, 1, and
 //! non-multiples of the 8/16-lane widths), operands at the i8 coding
@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 /// SIMD levels above scalar that this machine can actually execute.
 fn hw_levels() -> Vec<SimdLevel> {
     let top = simd::detected_simd();
-    [SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= top)
         .collect()

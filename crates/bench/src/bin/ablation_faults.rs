@@ -4,19 +4,21 @@
 //! Not a table in the paper itself, but the direct follow-up its authors
 //! cite (ref. \[16\], "Rescuing memristor-based neuromorphic design with high
 //! defects"): how fast does accuracy degrade with stuck-at faults and
-//! write variation?
+//! write variation? Stuck cells are the crossbar's own fault model
+//! ([`qsnc_memristor::FaultMap`]): a stuck-off cell pins its plus device at
+//! `g_min` (positive codes read 0), a stuck-on cell pins it at `g_max`
+//! (the cell reads the top level minus its negative part), and the array
+//! is programmed naively, with no write-verify or remapping.
 //!
 //! ```bash
 //! cargo run -p qsnc-bench --bin ablation_faults --release
 //! ```
 
-use qsnc_bench::{restore_weights, snapshot_weights, Workload, SEED};
+use qsnc_bench::{Workload, SEED};
 use qsnc_core::report::{pct, Report, Table};
 use qsnc_core::{train_quant_aware, QuantConfig};
-use qsnc_memristor::{DeployConfig, SpikingNetwork};
-use qsnc_nn::train::evaluate;
+use qsnc_memristor::{DeployConfig, FaultRates, ProgramPolicy, ReliabilityConfig, SpikingNetwork};
 use qsnc_nn::ModelKind;
-use qsnc_quant::{inject_network_faults, FaultModel};
 use qsnc_tensor::TensorRng;
 
 fn main() {
@@ -29,31 +31,35 @@ fn main() {
     let mut report = Report::new("Ablation — device faults and write variation");
     report.note(format!("clean 4-bit accuracy: {}", pct(model.quantized_accuracy)));
 
-    let mut net = model.net;
-    let snapshot = snapshot_weights(&mut net);
+    let net = model.net;
+    let ideal = SpikingNetwork::compile(&net, &DeployConfig::paper(4, 4), None).expect("compile");
+    report.note(format!(
+        "clean spiking accuracy (ideal crossbars): {}",
+        pct(ideal.evaluate(&test_batches, None))
+    ));
 
-    // Software-level fault injection (weights zeroed / saturated).
+    // Stuck cells on the crossbars, programmed naively.
     let mut faults = Table::new(
-        "Stuck-at fault sweep (4-bit LeNet, mean of 3 seeds)",
-        &["Fault rate", "Stuck-at-0 acc.", "Stuck-at-max acc."],
+        "Stuck-cell sweep (4-bit LeNet, spiking substrate, naive programming, mean of 3 seeds)",
+        &["Fault rate", "Stuck-off acc.", "Stuck-on acc."],
     );
+    let stuck_accuracy = |rates: FaultRates, seed: u64| {
+        let mut cfg = DeployConfig::paper(4, 4);
+        cfg.reliability = ReliabilityConfig::faulty(rates, seed, ProgramPolicy::Naive);
+        let snn = SpikingNetwork::compile(&net, &cfg, None).expect("compile");
+        snn.evaluate(&test_batches, None)
+    };
     for rate in [0.001f32, 0.005, 0.01, 0.05, 0.1] {
-        let mut acc0 = 0.0;
-        let mut acc_max = 0.0;
+        let mut acc_off = 0.0;
+        let mut acc_on = 0.0;
         for seed in 0..3u64 {
-            let mut rng = TensorRng::seed(1000 + seed);
-            restore_weights(&mut net, &snapshot);
-            inject_network_faults(&mut net, FaultModel::StuckAtZero { rate }, &mut rng);
-            acc0 += evaluate(&mut net, &test_batches) / 3.0;
-
-            let mut rng = TensorRng::seed(2000 + seed);
-            restore_weights(&mut net, &snapshot);
-            inject_network_faults(&mut net, FaultModel::StuckAtMax { rate }, &mut rng);
-            acc_max += evaluate(&mut net, &test_batches) / 3.0;
+            let off = FaultRates { stuck_off: rate, ..FaultRates::none() };
+            acc_off += stuck_accuracy(off, 1000 + seed) / 3.0;
+            let on = FaultRates { stuck_on: rate, ..FaultRates::none() };
+            acc_on += stuck_accuracy(on, 2000 + seed) / 3.0;
         }
-        faults.row(&[format!("{:.1}%", rate * 100.0), pct(acc0), pct(acc_max)]);
+        faults.row(&[format!("{:.1}%", rate * 100.0), pct(acc_off), pct(acc_on)]);
     }
-    restore_weights(&mut net, &snapshot);
     report.table(faults);
 
     // Device-level programming variation through the spiking pipeline.
@@ -72,8 +78,8 @@ fn main() {
     }
     report
         .table(variation)
-        .note("expected: graceful degradation — small fault rates and σ ≤ 0.1 cost little;")
-        .note("stuck-at-max hurts more than stuck-at-0 (sparse signals tolerate missing")
-        .note("synapses better than saturated ones).");
+        .note("expected: graceful degradation — small stuck-off rates and σ ≤ 0.1 cost little;")
+        .note("stuck-on hurts far more than stuck-off (a stuck-off cell loses at most its")
+        .note("positive weight; a stuck-on cell reads the top conductance level).");
     report.emit();
 }

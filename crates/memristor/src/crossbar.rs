@@ -17,6 +17,9 @@ use qsnc_tensor::TensorRng;
 /// attempts per device beyond the first).
 const RETRY_BUCKETS: [f64; 4] = [0.5, 1.5, 3.5, 7.5];
 
+/// Write-verify retries per device beyond the first attempt.
+const MAX_RETRIES: u32 = 3;
+
 /// Context for programming a crossbar against a known fault population.
 pub(crate) struct ReliableProgramming<'a> {
     /// Ground-truth faults of this physical array.
@@ -24,13 +27,104 @@ pub(crate) struct ReliableProgramming<'a> {
     /// Run the write-verify loop and zero-mask unrecoverable cells; `false`
     /// programs naively (stuck cells keep their erroneous conductance).
     pub verify: bool,
-    /// Write-verify retry budget per device.
-    pub max_retries: u32,
     /// Degradation accounting, accumulated into by the programming pass.
     pub stats: &'a mut DegradationStats,
     /// Faults *observed* during programming (write-verify failures and dead
     /// lines), recorded for later fault-aware remapping.
     pub observed: &'a mut FaultMap,
+}
+
+impl ReliableProgramming<'_> {
+    /// Programs cell `(i, j)` to code `c` against the fault map (see
+    /// [`Crossbar::program`] for the per-fault semantics).
+    fn program_cell(
+        &mut self,
+        config: &DeviceConfig,
+        i: usize,
+        j: usize,
+        c: i32,
+        mut rng: Option<&mut TensorRng>,
+    ) -> (f32, f32) {
+        let (g_min, g_max) = (config.g_min(), config.g_max());
+        let row_dead = self.map.row_is_dead(i);
+        let col_dead = self.map.col_is_dead(j);
+        let fault = self.map.fault_at(i, j);
+        if fault.is_some() || row_dead || col_dead {
+            self.stats.cells += 1;
+        }
+        if row_dead || col_dead {
+            // No current through this line: differential is zero no matter
+            // what; the weight is gone.
+            if row_dead {
+                self.observed.record_dead_row(i);
+            }
+            if col_dead {
+                self.observed.record_dead_col(j);
+            }
+            self.stats.magnitude_lost += c.unsigned_abs() as f64;
+            return (g_min, g_min);
+        }
+        let pinned_plus = fault.map(|f| match f {
+            CellFault::StuckOn => g_max,
+            CellFault::StuckOff => g_min,
+        });
+        if !self.verify {
+            return program_pair(config, c, pinned_plus, rng);
+        }
+        let (lp, lm) = pair_levels(c);
+        let plus =
+            program_device_verified(config, lp, pinned_plus, rng.as_deref_mut(), MAX_RETRIES);
+        let minus = program_device_verified(config, lm, None, rng, MAX_RETRIES);
+        let extra = (plus.attempts - 1) + (minus.attempts - 1);
+        self.stats.retries += extra as u64;
+        if qsnc_telemetry::enabled() {
+            qsnc_telemetry::observe("snc.fault.retries", extra as f64, &RETRY_BUCKETS);
+        }
+        if plus.verified && minus.verified {
+            return (plus.conductance, minus.conductance);
+        }
+        // Unrecoverable: cancel the pair so the cell reads as code 0 instead
+        // of an unbounded error, and remember it.
+        self.stats.unrecoverable += 1;
+        self.stats.masked += 1;
+        self.stats.magnitude_lost += c.unsigned_abs() as f64;
+        let kind = match fault {
+            Some(f) => f,
+            // A merely-too-variable device: classify by where it ended up
+            // relative to mid-range.
+            None if plus.conductance > (g_min + g_max) / 2.0 => CellFault::StuckOn,
+            None => CellFault::StuckOff,
+        };
+        self.observed.record(i, j, kind);
+        let g = plus.conductance.max(g_min);
+        (g, g)
+    }
+}
+
+/// Device levels `(plus, minus)` of the differential pair storing code `c`.
+fn pair_levels(c: i32) -> (u32, u32) {
+    if c >= 0 {
+        (c as u32, 0)
+    } else {
+        (0, c.unsigned_abs())
+    }
+}
+
+/// Programs the differential pair for code `c` without verification, plus
+/// device first; `pinned_plus` replaces the plus device's write with a
+/// stuck conductance.
+fn program_pair(
+    config: &DeviceConfig,
+    c: i32,
+    pinned_plus: Option<f32>,
+    mut rng: Option<&mut TensorRng>,
+) -> (f32, f32) {
+    let (lp, lm) = pair_levels(c);
+    let gp = match pinned_plus {
+        Some(g) => g,
+        None => Device::program(config, lp, rng.as_deref_mut()).conductance,
+    };
+    (gp, Device::program(config, lm, rng).conductance)
 }
 
 /// A `rows × cols` crossbar of differential memristor pairs.
@@ -57,34 +151,16 @@ impl Crossbar {
         rows: usize,
         cols: usize,
         config: DeviceConfig,
-        mut rng: Option<&mut TensorRng>,
+        rng: Option<&mut TensorRng>,
     ) -> Self {
-        assert_eq!(codes.len(), rows * cols, "code count mismatch");
-        let max_level = config.levels() - 1;
-        let mut g_plus = Vec::with_capacity(codes.len());
-        let mut g_minus = Vec::with_capacity(codes.len());
-        for &c in codes {
-            assert!(
-                c.unsigned_abs() <= max_level,
-                "code {c} exceeds device range ±{max_level}"
-            );
-            let (lp, lm) = if c >= 0 { (c as u32, 0) } else { (0, (-c) as u32) };
-            g_plus.push(Device::program(&config, lp, rng.as_deref_mut()).conductance);
-            g_minus.push(Device::program(&config, lm, rng.as_deref_mut()).conductance);
-        }
-        Crossbar {
-            rows,
-            cols,
-            config,
-            g_plus,
-            g_minus,
-        }
+        Crossbar::program(codes, rows, cols, config, None, rng)
     }
 
-    /// Programs a crossbar whose physical array carries the faults in
-    /// `prog.map` (sized `rows × cols`). Cell `(i, j)` holds `codes[i·cols + j]`.
+    /// Programs cell `(i, j)` to `codes[i·cols + j]`, on a perfect array
+    /// when `faults` is `None` ([`Crossbar::from_codes`]) or else on one
+    /// carrying the faults in `faults.map` (sized `rows × cols`).
     ///
-    /// Semantics per cell:
+    /// Semantics per faulty cell:
     ///
     /// - A **dead line** (row or column) zeroes the cell's differential
     ///   current — both devices are left at the `g_min` baseline — and its
@@ -96,119 +172,51 @@ impl Crossbar {
     ///   [`crate::program::program_device_verified`]; a cell whose devices
     ///   cannot both verify is **zero-masked** (minus device programmed to
     ///   cancel the plus device exactly), charged to `stats.{unrecoverable,
-    ///   masked, magnitude_lost}`, and recorded in `prog.observed`.
+    ///   masked, magnitude_lost}`, and recorded in `faults.observed`.
     ///
-    /// With a clean fault map, no write noise, and `verify == true` this
-    /// produces conductances bit-identical to [`Crossbar::from_codes`] —
-    /// ideal devices verify on the first attempt at the exact level.
+    /// Healthy cells under naive programming take the same
+    /// `Device::program` calls, plus device first, as a perfect array. With
+    /// a clean map, no write noise and `verify == true` the conductances
+    /// are bit-identical too: ideal devices verify on the first attempt at
+    /// the exact level.
     ///
     /// # Panics
     ///
     /// Panics on code-count or fault-map shape mismatch, or codes outside
     /// the device range.
-    pub(crate) fn from_codes_faulty(
+    pub(crate) fn program(
         codes: &[i32],
         rows: usize,
         cols: usize,
         config: DeviceConfig,
-        prog: ReliableProgramming<'_>,
+        mut faults: Option<ReliableProgramming<'_>>,
         mut rng: Option<&mut TensorRng>,
     ) -> Self {
         assert_eq!(codes.len(), rows * cols, "code count mismatch");
-        assert!(
-            prog.map.rows() == rows && prog.map.cols() == cols,
-            "fault map shape {}×{} does not match crossbar {rows}×{cols}",
-            prog.map.rows(),
-            prog.map.cols()
-        );
+        if let Some(f) = &faults {
+            assert!(
+                f.map.rows() == rows && f.map.cols() == cols,
+                "fault map shape {}×{} does not match crossbar {rows}×{cols}",
+                f.map.rows(),
+                f.map.cols()
+            );
+        }
         let max_level = config.levels() - 1;
-        let g_min = config.g_min();
-        let g_max = config.g_max();
-        let instrument = qsnc_telemetry::enabled();
         let mut g_plus = Vec::with_capacity(codes.len());
         let mut g_minus = Vec::with_capacity(codes.len());
         for i in 0..rows {
-            let row_dead = prog.map.row_is_dead(i);
-            if row_dead && !prog.observed.row_is_dead(i) {
-                prog.observed.record_dead_row(i);
-            }
             for j in 0..cols {
                 let c = codes[i * cols + j];
                 assert!(
                     c.unsigned_abs() <= max_level,
                     "code {c} exceeds device range ±{max_level}"
                 );
-                let fault = prog.map.fault_at(i, j);
-                let col_dead = prog.map.col_is_dead(j);
-                if col_dead && i == 0 && !prog.observed.col_is_dead(j) {
-                    prog.observed.record_dead_col(j);
-                }
-                if fault.is_some() || row_dead || col_dead {
-                    prog.stats.cells += 1;
-                }
-                if row_dead || col_dead {
-                    // No current through this line: differential is zero no
-                    // matter what; the weight is gone.
-                    g_plus.push(g_min);
-                    g_minus.push(g_min);
-                    prog.stats.magnitude_lost += c.unsigned_abs() as f64;
-                    continue;
-                }
-                let (lp, lm) = if c >= 0 { (c as u32, 0) } else { (0, (-c) as u32) };
-                let pinned_plus = fault.map(|f| match f {
-                    CellFault::StuckOn => g_max,
-                    CellFault::StuckOff => g_min,
-                });
-                if !prog.verify {
-                    let gp = match pinned_plus {
-                        Some(g) => g,
-                        None => Device::program(&config, lp, rng.as_deref_mut()).conductance,
-                    };
-                    let gm = Device::program(&config, lm, rng.as_deref_mut()).conductance;
-                    g_plus.push(gp);
-                    g_minus.push(gm);
-                    continue;
-                }
-                let plus = program_device_verified(
-                    &config,
-                    lp,
-                    pinned_plus,
-                    rng.as_deref_mut(),
-                    prog.max_retries,
-                );
-                let minus = program_device_verified(
-                    &config,
-                    lm,
-                    None,
-                    rng.as_deref_mut(),
-                    prog.max_retries,
-                );
-                let extra = (plus.attempts - 1) + (minus.attempts - 1);
-                prog.stats.retries += extra as u64;
-                if instrument {
-                    qsnc_telemetry::observe("snc.fault.retries", extra as f64, &RETRY_BUCKETS);
-                }
-                if plus.verified && minus.verified {
-                    g_plus.push(plus.conductance);
-                    g_minus.push(minus.conductance);
-                } else {
-                    // Unrecoverable: cancel the pair so the cell reads as
-                    // code 0 instead of an unbounded error, and remember it.
-                    prog.stats.unrecoverable += 1;
-                    prog.stats.masked += 1;
-                    prog.stats.magnitude_lost += c.unsigned_abs() as f64;
-                    let kind = match fault {
-                        Some(f) => f,
-                        // A merely-too-variable device: classify by where
-                        // it ended up relative to mid-range.
-                        None if plus.conductance > (g_min + g_max) / 2.0 => CellFault::StuckOn,
-                        None => CellFault::StuckOff,
-                    };
-                    prog.observed.record(i, j, kind);
-                    let g = plus.conductance.max(g_min);
-                    g_plus.push(g);
-                    g_minus.push(g);
-                }
+                let (gp, gm) = match faults.as_mut() {
+                    None => program_pair(&config, c, None, rng.as_deref_mut()),
+                    Some(f) => f.program_cell(&config, i, j, c, rng.as_deref_mut()),
+                };
+                g_plus.push(gp);
+                g_minus.push(gm);
             }
         }
         Crossbar { rows, cols, config, g_plus, g_minus }

@@ -364,9 +364,6 @@ pub struct ReliabilityConfig {
     pub policy: ProgramPolicy,
     /// Spare bitlines per physical tile, used by [`ProgramPolicy::Remap`].
     pub spare_cols: usize,
-    /// Maximum write-verify retries per device; `None` reads
-    /// `QSNC_PROGRAM_RETRIES` (default 3; see [`crate::program::program_retries`]).
-    pub max_retries: Option<u32>,
 }
 
 impl ReliabilityConfig {
@@ -378,14 +375,13 @@ impl ReliabilityConfig {
             seed: 0,
             policy: ProgramPolicy::Remap,
             spare_cols: 0,
-            max_retries: None,
         }
     }
 
     /// A faulty deployment: `rates` applied under `policy` with two spare
     /// bitlines per tile.
     pub fn faulty(rates: FaultRates, seed: u64, policy: ProgramPolicy) -> Self {
-        ReliabilityConfig { rates, seed, policy, spare_cols: 2, max_retries: None }
+        ReliabilityConfig { rates, seed, policy, spare_cols: 2 }
     }
 
     /// Whether this configuration can perturb a deployment at all. Inactive

@@ -50,7 +50,7 @@ pub use fault::{
 };
 pub use hwmodel::{ExecutionMode, HwModel, HwReport, LayerHwReport};
 pub use program::{
-    codes_programmable, program_device_verified, program_retries, ProgramCost, ProgramModel,
+    codes_programmable, program_device_verified, ProgramCost, ProgramModel,
     VerifiedWrite,
 };
 pub use mapping::{crossbars_for_layer, network_geometry, LayerGeometry, TiledMatrix};

@@ -12,7 +12,6 @@
 use crate::crossbar::{Crossbar, ReliableProgramming};
 use crate::device::DeviceConfig;
 use crate::fault::{DegradationStats, FaultMap, ProgramPolicy, ReliabilityConfig};
-use crate::program::program_retries;
 use qsnc_nn::LayerDesc;
 use qsnc_tensor::TensorRng;
 
@@ -193,14 +192,61 @@ impl TiledMatrix {
         out_dim: usize,
         tile: usize,
         config: DeviceConfig,
-        mut rng: Option<&mut TensorRng>,
+        rng: Option<&mut TensorRng>,
     ) -> Self {
+        let ideal = ReliabilityConfig::ideal();
+        TiledMatrix::from_codes_reliable(codes, in_dim, out_dim, tile, config, &ideal, 0, rng).0
+    }
+
+    /// Tiles and programs a weight-code matrix onto **faulty hardware**
+    /// under the given reliability configuration.
+    ///
+    /// Each `tile × tile` logical tile owns a physical crossbar with
+    /// `spare_cols` extra bitlines; its fault population is generated
+    /// deterministically from [`ReliabilityConfig::tile_seed`]`(layer,
+    /// tile_index)`, so every [`ProgramPolicy`] is evaluated against the
+    /// *same* hardware. Per policy:
+    ///
+    /// - [`ProgramPolicy::Naive`] programs logical columns at their
+    ///   identity positions with no verification — stuck cells keep their
+    ///   erroneous conductance.
+    /// - [`ProgramPolicy::WriteVerify`] adds the program → read-back →
+    ///   retry loop and zero-masks unrecoverable cells.
+    /// - [`ProgramPolicy::Remap`] first runs the cost-ranked assignment:
+    ///   logical columns in descending weight magnitude claim the physical
+    ///   bitline (including spares) that loses the least magnitude to
+    ///   faults, then programs with write-verify.
+    ///
+    /// Returns the matrix plus the accumulated [`DegradationStats`].
+    /// When `reliability` is inactive each tile is programmed as a perfect
+    /// array with no fault map, exactly as [`TiledMatrix::from_codes`]
+    /// (clean stats).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != out_dim·in_dim` or `tile == 0`.
+    #[allow(clippy::too_many_arguments)] // mirrors from_codes plus the reliability triple
+    pub fn from_codes_reliable(
+        codes: &[i32],
+        in_dim: usize,
+        out_dim: usize,
+        tile: usize,
+        config: DeviceConfig,
+        reliability: &ReliabilityConfig,
+        layer: usize,
+        mut rng: Option<&mut TensorRng>,
+    ) -> (Self, DegradationStats) {
         assert!(tile > 0, "tile size must be positive");
         assert_eq!(codes.len(), out_dim * in_dim, "code matrix shape mismatch");
         let row_blocks = ceil_div(in_dim, tile);
         let col_blocks = ceil_div(out_dim, tile);
         let instrument = qsnc_telemetry::enabled();
+        let mut stats = DegradationStats::default();
         let mut tiles = Vec::with_capacity(row_blocks * col_blocks);
+        let mut remap = reliability.is_active().then(|| RemapInfo {
+            assignments: Vec::with_capacity(row_blocks * col_blocks),
+            observed: Vec::with_capacity(row_blocks * col_blocks),
+        });
         for rb in 0..row_blocks {
             for cb in 0..col_blocks {
                 let rows = (in_dim - rb * tile).min(tile);
@@ -224,112 +270,23 @@ impl TiledMatrix {
                         tile_codes.push(codes[out_idx * in_dim + in_idx]);
                     }
                 }
-                tiles.push(Crossbar::from_codes(
-                    &tile_codes,
-                    rows,
-                    cols,
-                    config,
-                    rng.as_deref_mut(),
-                ));
-            }
-        }
-        if instrument {
-            qsnc_telemetry::counter_add("snc.map.crossbars", tiles.len() as u64);
-            qsnc_telemetry::counter_add(
-                "snc.map.devices",
-                tiles.iter().map(Crossbar::device_count).sum::<usize>() as u64,
-            );
-        }
-        TiledMatrix {
-            in_dim,
-            out_dim,
-            tile,
-            row_blocks,
-            col_blocks,
-            tiles,
-            remap: None,
-        }
-    }
-
-    /// Tiles and programs a weight-code matrix onto **faulty hardware**
-    /// under the given reliability configuration.
-    ///
-    /// Each `tile × tile` logical tile owns a physical crossbar with
-    /// `spare_cols` extra bitlines; its fault population is generated
-    /// deterministically from [`ReliabilityConfig::tile_seed`]`(layer,
-    /// tile_index)`, so every [`ProgramPolicy`] is evaluated against the
-    /// *same* hardware. Per policy:
-    ///
-    /// - [`ProgramPolicy::Naive`] programs logical columns at their
-    ///   identity positions with no verification — stuck cells keep their
-    ///   erroneous conductance.
-    /// - [`ProgramPolicy::WriteVerify`] adds the program → read-back →
-    ///   retry loop and zero-masks unrecoverable cells.
-    /// - [`ProgramPolicy::Remap`] first runs the cost-ranked assignment:
-    ///   logical columns in descending weight magnitude claim the physical
-    ///   bitline (including spares) that loses the least magnitude to
-    ///   faults, then programs with write-verify.
-    ///
-    /// Returns the matrix plus the accumulated [`DegradationStats`].
-    /// When `reliability` is inactive this is exactly
-    /// [`TiledMatrix::from_codes`] (bit-identical, clean stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes.len() != out_dim·in_dim` or `tile == 0`.
-    #[allow(clippy::too_many_arguments)] // mirrors from_codes plus the reliability triple
-    pub fn from_codes_reliable(
-        codes: &[i32],
-        in_dim: usize,
-        out_dim: usize,
-        tile: usize,
-        config: DeviceConfig,
-        reliability: &ReliabilityConfig,
-        layer: usize,
-        mut rng: Option<&mut TensorRng>,
-    ) -> (Self, DegradationStats) {
-        if !reliability.is_active() {
-            let tm = TiledMatrix::from_codes(codes, in_dim, out_dim, tile, config, rng);
-            return (tm, DegradationStats::default());
-        }
-        assert!(tile > 0, "tile size must be positive");
-        assert_eq!(codes.len(), out_dim * in_dim, "code matrix shape mismatch");
-        let row_blocks = ceil_div(in_dim, tile);
-        let col_blocks = ceil_div(out_dim, tile);
-        let instrument = qsnc_telemetry::enabled();
-        let verify = reliability.policy != ProgramPolicy::Naive;
-        let max_retries = reliability.max_retries.unwrap_or_else(program_retries);
-        let mut stats = DegradationStats::default();
-        let mut tiles = Vec::with_capacity(row_blocks * col_blocks);
-        let mut assignments = Vec::with_capacity(row_blocks * col_blocks);
-        let mut observed_maps = Vec::with_capacity(row_blocks * col_blocks);
-        for rb in 0..row_blocks {
-            for cb in 0..col_blocks {
-                let tile_index = rb * col_blocks + cb;
-                let rows = (in_dim - rb * tile).min(tile);
-                let cols = (out_dim - cb * tile).min(tile);
-                if instrument {
-                    qsnc_telemetry::observe(
-                        "snc.map.tile_utilization",
-                        (rows * cols) as f64 / (tile * tile) as f64,
-                        &[0.25, 0.5, 0.75, 0.9, 1.0],
-                    );
-                }
-                let mut tile_codes = Vec::with_capacity(rows * cols);
-                for i in 0..rows {
-                    for j in 0..cols {
-                        let out_idx = cb * tile + j;
-                        let in_idx = rb * tile + i;
-                        tile_codes.push(codes[out_idx * in_dim + in_idx]);
-                    }
-                }
+                let Some(info) = remap.as_mut() else {
+                    tiles.push(Crossbar::from_codes(
+                        &tile_codes,
+                        rows,
+                        cols,
+                        config,
+                        rng.as_deref_mut(),
+                    ));
+                    continue;
+                };
                 // The physical array: logical columns plus the spares.
                 let phys_cols = cols + reliability.spare_cols;
                 let map = FaultMap::seeded(
                     rows,
                     phys_cols,
                     reliability.rates,
-                    reliability.tile_seed(layer, tile_index),
+                    reliability.tile_seed(layer, rb * col_blocks + cb),
                 );
                 let assign = if reliability.policy == ProgramPolicy::Remap {
                     let a = assign_columns(&tile_codes, rows, cols, phys_cols, &map);
@@ -347,22 +304,21 @@ impl TiledMatrix {
                     }
                 }
                 let mut observed = FaultMap::new(rows, phys_cols);
-                tiles.push(Crossbar::from_codes_faulty(
+                tiles.push(Crossbar::program(
                     &phys_codes,
                     rows,
                     phys_cols,
                     config,
-                    ReliableProgramming {
+                    Some(ReliableProgramming {
                         map: &map,
-                        verify,
-                        max_retries,
+                        verify: reliability.policy != ProgramPolicy::Naive,
                         stats: &mut stats,
                         observed: &mut observed,
-                    },
+                    }),
                     rng.as_deref_mut(),
                 ));
-                assignments.push(assign);
-                observed_maps.push(observed);
+                info.assignments.push(assign);
+                info.observed.push(observed);
             }
         }
         if instrument {
@@ -372,15 +328,7 @@ impl TiledMatrix {
                 tiles.iter().map(Crossbar::device_count).sum::<usize>() as u64,
             );
         }
-        let tm = TiledMatrix {
-            in_dim,
-            out_dim,
-            tile,
-            row_blocks,
-            col_blocks,
-            tiles,
-            remap: Some(RemapInfo { assignments, observed: observed_maps }),
-        };
+        let tm = TiledMatrix { in_dim, out_dim, tile, row_blocks, col_blocks, tiles, remap };
         (tm, stats)
     }
 
@@ -635,6 +583,48 @@ mod tests {
             }
         }
         assert!(mismatches <= 1, "{mismatches} columns off at 0.01% faults");
+    }
+
+    #[test]
+    fn naive_stuck_cells_read_their_pinned_codes() {
+        // Every cell stuck, programmed naively: the plus device is pinned
+        // and the minus device holds the negative part of the code, so in
+        // code units a stuck-off cell reads min(c, 0) and a stuck-on cell
+        // reads max_level − max(−c, 0).
+        let mut rng = TensorRng::seed(7);
+        let (in_dim, out_dim, t) = (40, 37, 32);
+        let cfg = DeviceConfig::paper(4);
+        let max_level = (cfg.levels() - 1) as i32;
+        let codes: Vec<i32> = (0..in_dim * out_dim)
+            .map(|_| rng.index(2 * max_level as usize + 1) as i32 - max_level)
+            .collect();
+        let none = crate::fault::FaultRates::none();
+        for stuck_on in [false, true] {
+            let rates = if stuck_on {
+                crate::fault::FaultRates { stuck_on: 1.0, ..none }
+            } else {
+                crate::fault::FaultRates { stuck_off: 1.0, ..none }
+            };
+            let rel = ReliabilityConfig::faulty(rates, 9, ProgramPolicy::Naive);
+            let (tm, stats) =
+                TiledMatrix::from_codes_reliable(&codes, in_dim, out_dim, t, cfg, &rel, 0, None);
+            assert_eq!(stats.masked, 0, "naive programming masks nothing");
+            // One-hot drive on wordline i reads out row i of the cells.
+            for i in 0..in_dim {
+                let mut x = vec![0.0f32; in_dim];
+                x[i] = 1.0;
+                let y = tm.matvec_code_units(&x, None);
+                for (j, &yj) in y.iter().enumerate() {
+                    let c = codes[j * in_dim + i];
+                    let reads = if stuck_on { max_level - (-c).max(0) } else { c.min(0) };
+                    let expected = reads as f32;
+                    assert!(
+                        (yj - expected).abs() < 1e-3,
+                        "{rates:?} code {c} at ({i}, {j}) read {yj}, expected {expected}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

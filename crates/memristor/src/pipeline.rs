@@ -394,97 +394,57 @@ impl SynapticStage {
     }
 
     /// Runs the stage on a true-unit activation tensor `[1, …]`, returning
-    /// the true-unit output.
-    fn forward(&self, x: &Tensor, rng: &mut Option<&mut TensorRng>) -> Tensor {
-        let readout = self.readout();
-        match self.kind {
-            SynKind::Conv { spec, in_c, out_c } => {
-                assert_eq!(x.dims()[1], in_c, "conv input channel mismatch");
-                let (h, w) = (x.dims()[2], x.dims()[3]);
-                let oh = spec.output_size(h);
-                let ow = spec.output_size(w);
-                let cols = im2col(x, spec);
-                let (rows, ncols) = (cols.dims()[0], cols.dims()[1]);
-                let cs = cols.as_slice();
-                let mut out = Tensor::zeros([1, out_c, oh, ow]);
-                let os = out.as_mut_slice();
-                let mut counts = vec![0.0f32; rows];
-                for j in 0..ncols {
-                    for (i, c) in counts.iter_mut().enumerate() {
-                        *c = (cs[i * ncols + j] * self.in_quant.scale()).round();
-                    }
-                    let y = self.tiles.matvec_code_units(&counts, rng.as_deref_mut());
-                    for (f, yf) in y.into_iter().enumerate() {
-                        os[f * oh * ow + j] = readout.output(f, yf);
-                    }
-                }
-                self.record_output_telemetry(out.as_slice());
-                out
-            }
-            SynKind::Fc { in_dim, out_dim } => {
-                assert_eq!(x.len(), in_dim, "fc input length mismatch");
-                let counts: Vec<f32> = x
-                    .iter()
-                    .map(|&v| (v * self.in_quant.scale()).round())
-                    .collect();
-                let y = self.tiles.matvec_code_units(&counts, rng.as_deref_mut());
-                let data: Vec<f32> = y
-                    .into_iter()
-                    .enumerate()
-                    .map(|(f, yf)| readout.output(f, yf))
-                    .collect();
-                self.record_output_telemetry(&data);
-                Tensor::from_vec(data, [1, out_dim])
-            }
-        }
-    }
-
-    /// Exact-arithmetic variant of [`Self::forward`]: identical float
-    /// expressions, with the crossbar's analog conductance read replaced by
-    /// the exact integer dot product `Σ code · count`. Every partial sum is
-    /// an integer below `2^24` on deployable networks, so the `f32` sums
-    /// are exact — this is the oracle the integer fast-path engine is
-    /// bit-identical to.
-    fn forward_reference(&self, x: &Tensor) -> Tensor {
+    /// the true-unit output; `read` says where the synaptic sums come from.
+    ///
+    /// The input is lowered to a `rows × ncols` matrix whose column `j`
+    /// drives the synapses once: the im2col patches of a convolution, the
+    /// vector itself (one column) for a fully connected layer. Output `f`
+    /// of column `j` lands at `f·ncols + j`, the `[1, out, oh, ow]` or
+    /// `[1, out]` layout.
+    fn forward(&self, x: &Tensor, mut read: SynapseRead<'_, '_>) -> Tensor {
         let in_scale = self.in_quant.scale();
         let readout = self.readout();
-        match self.kind {
+        let patches;
+        let (cs, ncols, dims) = match self.kind {
             SynKind::Conv { spec, in_c, out_c } => {
                 assert_eq!(x.dims()[1], in_c, "conv input channel mismatch");
-                let (h, w) = (x.dims()[2], x.dims()[3]);
-                let oh = spec.output_size(h);
-                let ow = spec.output_size(w);
-                let cols = im2col(x, spec);
-                let (rows, ncols) = (cols.dims()[0], cols.dims()[1]);
-                let cs = cols.as_slice();
-                let mut out = Tensor::zeros([1, out_c, oh, ow]);
-                let os = out.as_mut_slice();
-                let mut counts = vec![0.0f32; rows];
-                for j in 0..ncols {
-                    for (i, c) in counts.iter_mut().enumerate() {
-                        *c = (cs[i * ncols + j] * in_scale).round();
-                    }
-                    for f in 0..out_c {
-                        let row = &self.codes[f * rows..(f + 1) * rows];
-                        let yf: f32 = row.iter().zip(&counts).map(|(&c, &x)| c as f32 * x).sum();
-                        os[f * oh * ow + j] = readout.output(f, yf);
-                    }
-                }
-                out
+                let oh = spec.output_size(x.dims()[2]);
+                let ow = spec.output_size(x.dims()[3]);
+                patches = im2col(x, spec);
+                (patches.as_slice(), oh * ow, vec![1, out_c, oh, ow])
             }
             SynKind::Fc { in_dim, out_dim } => {
                 assert_eq!(x.len(), in_dim, "fc input length mismatch");
-                let counts: Vec<f32> = x.iter().map(|&v| (v * in_scale).round()).collect();
-                let data: Vec<f32> = (0..out_dim)
-                    .map(|f| {
-                        let row = &self.codes[f * in_dim..(f + 1) * in_dim];
+                (x.as_slice(), 1, vec![1, out_dim])
+            }
+        };
+        let rows = self.tiles.in_dim();
+        let out_dim = self.tiles.out_dim();
+        let mut out = vec![0.0f32; out_dim * ncols];
+        let mut counts = vec![0.0f32; rows];
+        for j in 0..ncols {
+            for (i, c) in counts.iter_mut().enumerate() {
+                *c = (cs[i * ncols + j] * in_scale).round();
+            }
+            match &mut read {
+                SynapseRead::Crossbar(rng) => {
+                    let y = self.tiles.matvec_code_units(&counts, rng.as_deref_mut());
+                    for (f, yf) in y.into_iter().enumerate() {
+                        out[f * ncols + j] = readout.output(f, yf);
+                    }
+                }
+                SynapseRead::Exact => {
+                    for (f, row) in self.codes.chunks_exact(rows).enumerate() {
                         let yf: f32 = row.iter().zip(&counts).map(|(&c, &x)| c as f32 * x).sum();
-                        readout.output(f, yf)
-                    })
-                    .collect();
-                Tensor::from_vec(data, [1, out_dim])
+                        out[f * ncols + j] = readout.output(f, yf);
+                    }
+                }
             }
         }
+        if matches!(read, SynapseRead::Crossbar(_)) {
+            self.record_output_telemetry(&out);
+        }
+        Tensor::from_vec(out, dims)
     }
 
     /// Tallies output spike counts and counter saturation for telemetry.
@@ -513,6 +473,18 @@ impl SynapticStage {
             qsnc_telemetry::counter_add("snc.ifc.saturated", saturated);
         }
     }
+}
+
+/// Where a synaptic stage's sums `Σ code · count` come from.
+enum SynapseRead<'a, 'r> {
+    /// The programmed crossbars' analog conductance read, with read noise
+    /// when the rng is given.
+    Crossbar(&'a mut Option<&'r mut TensorRng>),
+    /// The exact integer dot product over the codes. Every partial sum is an
+    /// integer below `2^24` on deployable networks, so the `f32` sums are
+    /// exact: this is the oracle the integer fast-path engine is
+    /// bit-identical to.
+    Exact,
 }
 
 /// Same tie-breaking as [`Tensor::argmax`] (lowest index wins), for the
@@ -548,8 +520,8 @@ fn run_stages_impl(
     let mut h = x.clone();
     for stage in stages {
         h = match stage {
-            Stage::Synaptic(s) if exact => s.forward_reference(&h),
-            Stage::Synaptic(s) => s.forward(&h, rng),
+            Stage::Synaptic(s) if exact => s.forward(&h, SynapseRead::Exact),
+            Stage::Synaptic(s) => s.forward(&h, SynapseRead::Crossbar(rng)),
             Stage::MaxPool { window, stride } => {
                 let mut pool = MaxPool2d::new(*window, *stride);
                 pool.forward(&h, qsnc_nn::Mode::Eval)

@@ -12,8 +12,8 @@
 //! program → read-back → retry loop a reliability-aware deployment runs per
 //! device. Each failed attempt backs the aim level off toward an adjacent
 //! conductance level to compensate the observed signed error; devices that
-//! never verify within [`program_retries`] attempts (override with the
-//! `QSNC_PROGRAM_RETRIES` environment variable) are reported unrecoverable
+//! never verify within the retry budget (3 retries per device when a
+//! reliability-aware deploy programs a crossbar) are reported unrecoverable
 //! so the caller can zero-mask them and record the cell in its observed
 //! [`crate::FaultMap`].
 
@@ -123,17 +123,6 @@ pub struct ProgramCost {
 pub fn codes_programmable(codes: &[i32], config: &DeviceConfig) -> bool {
     let max_level = config.levels() - 1;
     codes.iter().all(|c| c.unsigned_abs() <= max_level)
-}
-
-/// Default maximum write-verify retries per device (beyond the first
-/// attempt), read once from the `QSNC_PROGRAM_RETRIES` environment variable
-/// (default `3`). [`crate::ReliabilityConfig::max_retries`] overrides it
-/// per deployment.
-pub fn program_retries() -> u32 {
-    std::env::var("QSNC_PROGRAM_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(3)
 }
 
 /// Outcome of one device's write-verify loop.
@@ -325,12 +314,5 @@ mod tests {
         assert!(!below.verified);
         assert_eq!(below.attempts, 4, "expected 1 + max_retries attempts");
         assert_eq!(below.conductance, pinned);
-    }
-
-    #[test]
-    fn retry_budget_reads_env_default() {
-        // Can't mutate the environment safely under parallel tests; just
-        // check the default is sane.
-        assert!(program_retries() >= 1);
     }
 }

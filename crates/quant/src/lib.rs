@@ -21,12 +21,14 @@
 //! Integration with `qsnc-nn` is through [`insert_signal_stages`] (splices
 //! fake-quantization layers after every ReLU) and
 //! [`quantize_network_weights`] (rewrites weights in place).
+//!
+//! Device faults are not modelled here: stuck cells and dead lines belong
+//! to the crossbar the weights are programmed onto (`qsnc_memristor::fault`).
 
 #![warn(missing_docs)]
 
 mod activation;
 mod dynamic_fixed;
-pub mod fault;
 pub mod mixed_precision;
 mod power_of_two;
 mod qat;
@@ -36,7 +38,6 @@ mod weight_cluster;
 
 pub use activation::ActivationQuantizer;
 pub use dynamic_fixed::{dynamic_fixed_quantize, DynamicFixedPoint};
-pub use fault::{apply_fault, apply_faults, inject_network_faults, FaultModel};
 pub use mixed_precision::{
     apply_mixed_precision, assign_mixed_precision, PrecisionAssignment,
 };

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 use qsnc_quant::{
-    apply_fault, cluster_weights, direct_fixed_point, ActivationQuantizer,
-    ActivationRegularizer, DynamicFixedPoint, FaultModel, RegKind,
+    cluster_weights, direct_fixed_point, ActivationQuantizer, ActivationRegularizer,
+    DynamicFixedPoint, RegKind,
 };
-use qsnc_tensor::{Tensor, TensorRng};
+use qsnc_tensor::Tensor;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -130,72 +130,5 @@ proptest! {
         let eps = 1e-2;
         let num = (r.value(o + eps) - r.value(o - eps)) / (2.0 * eps);
         prop_assert!((num - r.grad(o)).abs() < 1e-2);
-    }
-
-    #[test]
-    fn fault_rate_zero_never_mutates(
-        seed in 0u64..1000,
-        len in 1usize..64,
-    ) {
-        let base: Vec<f32> = (0..len).map(|i| (i as f32) * 0.37 - 4.0).collect();
-        for model in [
-            FaultModel::StuckAtZero { rate: 0.0 },
-            FaultModel::StuckAtMax { rate: 0.0 },
-        ] {
-            let mut w = Tensor::from_slice(&base);
-            let hits = apply_fault(&mut w, model, &mut TensorRng::seed(seed));
-            prop_assert_eq!(hits, 0);
-            let bits: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
-            let orig: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bits, orig);
-        }
-    }
-
-    #[test]
-    fn fault_rate_one_hits_every_element(
-        seed in 0u64..1000,
-        len in 1usize..64,
-    ) {
-        let base: Vec<f32> = (0..len).map(|i| (i as f32) * 0.19 + 0.5).collect();
-        let mut w = Tensor::from_slice(&base);
-        let hits = apply_fault(
-            &mut w,
-            FaultModel::StuckAtZero { rate: 1.0 },
-            &mut TensorRng::seed(seed),
-        );
-        prop_assert_eq!(hits, len);
-        prop_assert!(w.iter().all(|&v| v == 0.0));
-
-        let mut w = Tensor::from_slice(&base);
-        let max = w.abs_max();
-        let hits = apply_fault(
-            &mut w,
-            FaultModel::StuckAtMax { rate: 1.0 },
-            &mut TensorRng::seed(seed),
-        );
-        prop_assert_eq!(hits, len);
-        prop_assert!(w.iter().all(|&v| v.abs() == max));
-    }
-
-    #[test]
-    fn fault_masks_are_seed_deterministic(
-        seed in 0u64..1000,
-        rate in 0.0f32..1.0,
-    ) {
-        let base: Vec<f32> = (0..128).map(|i| (i as f32) * 0.11 - 7.0).collect();
-        for model in [
-            FaultModel::StuckAtZero { rate },
-            FaultModel::StuckAtMax { rate },
-            FaultModel::Variation { sigma: rate },
-        ] {
-            let mut a = Tensor::from_slice(&base);
-            let mut b = Tensor::from_slice(&base);
-            let ha = apply_fault(&mut a, model, &mut TensorRng::seed(seed));
-            let hb = apply_fault(&mut b, model, &mut TensorRng::seed(seed));
-            prop_assert_eq!(ha, hb);
-            let bits_a: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-            let bits_b: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bits_a, bits_b);
-        }
     }
 }

@@ -108,9 +108,11 @@ fn bench_thread_scaling(c: &mut Criterion) {
     let a = mat(m, k, 40, 0);
     let b = mat(k, n, 41, 0);
     let mut out = vec![0.0f32; m * n];
+    let mut ran = false;
     let mut group = c.benchmark_group("gemm_conv_shape_threads");
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("t{threads}"), |bch| {
+            ran = true;
             bch.iter(|| {
                 parallel::with_num_threads(threads, || {
                     out.fill(0.0);
@@ -120,6 +122,10 @@ fn bench_thread_scaling(c: &mut Criterion) {
         });
     }
     group.finish();
+    // A name filter that skipped every `t{n}` bench skips the meta row too.
+    if !ran {
+        return;
+    }
     if let Ok(path) = std::env::var("QSNC_BENCH_JSON") {
         if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
             use std::io::Write as _;

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_nn::loss::softmax_cross_entropy;
-use qsnc_nn::optim::{Optimizer, Sgd};
+use qsnc_nn::optim::Sgd;
 use qsnc_nn::{models, Mode};
 use qsnc_quant::{insert_signal_stages, ActivationQuantizer, ActivationRegularizer};
 use qsnc_tensor::{init, TensorRng};

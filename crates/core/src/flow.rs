@@ -4,14 +4,11 @@
 use crate::config::{QuantConfig, TrainSettings};
 use qsnc_data::Dataset;
 use qsnc_nn::optim::Sgd;
-use qsnc_nn::train::{evaluate, Batch};
-use qsnc_nn::{
-    EpochStats, Layer, Mode, ModelKind, Sequential, StderrObserver, TelemetryObserver,
-    TrainConfig, TrainObserver, Trainer,
-};
+use qsnc_nn::train::{evaluate, train_epoch, Batch};
+use qsnc_nn::{Layer, Mode, ModelKind, Sequential};
 use qsnc_quant::{
     insert_signal_stages, quantize_network_weights, ActivationQuantizer, ActivationRegularizer,
-    DynamicFixedPoint, QuantSwitch, SignalStage, WeightQuantMethod,
+    DynamicFixedPoint, QuantSwitch, SignalStage,
 };
 use qsnc_tensor::{Tensor, TensorRng};
 
@@ -54,39 +51,18 @@ pub fn train_float(
     (net, acc)
 }
 
-/// The flow-level observer: forwards to [`StderrObserver`] when verbose,
-/// and when telemetry is recording also captures the training series plus
-/// the per-epoch activation-saturation rate of the QAT signal stages
-/// (`quant.qat.saturation_rate` — the quantity Eq. 3 drives down).
-struct FlowObserver {
-    stderr: Option<StderrObserver>,
-}
-
-impl TrainObserver for FlowObserver {
-    fn wants_test_accuracy(&self) -> bool {
-        self.stderr.is_some()
-    }
-
-    fn on_epoch(&mut self, net: &mut Sequential, stats: &EpochStats, lr: f32, test_acc: Option<f32>) {
-        if let Some(stderr) = self.stderr.as_mut() {
-            stderr.on_epoch(net, stats, lr, test_acc);
-        }
-        if qsnc_telemetry::enabled() {
-            TelemetryObserver.on_epoch(net, stats, lr, test_acc);
-            if let Some(rate) = qsnc_quant::network_saturation_rate(net) {
-                qsnc_telemetry::record_series(
-                    "quant.qat.saturation_rate",
-                    stats.epoch as u64,
-                    rate as f64,
-                );
-            }
-        }
-        // Saturation stats are per-epoch: clear them whether or not they
-        // were recorded, so a later epoch never aggregates an earlier one.
-        qsnc_quant::reset_network_saturation(net);
-    }
-}
-
+/// The one training loop: `settings.epochs` epochs of SGD with momentum
+/// over the shuffled training batches, the learning rate multiplied by
+/// `lr_decay` before every `lr_decay_every`-th epoch.
+///
+/// After each epoch, when verbose, it evaluates the test set and prints one
+/// progress line to stderr (test accuracy reads `NaN` on an empty test
+/// set). When telemetry is recording it appends the `train.*` series (the
+/// rate the epoch ran with as `train.lr`; `train.test_accuracy` only when
+/// it was evaluated) and the epoch's activation-saturation rate of the QAT
+/// signal stages (`quant.qat.saturation_rate`, the quantity Eq. 3 drives
+/// down). The saturation statistics are then cleared, so an epoch never
+/// aggregates an earlier one.
 fn fit(
     net: &mut Sequential,
     settings: &TrainSettings,
@@ -95,24 +71,47 @@ fn fit(
     rng: &mut TensorRng,
 ) {
     let mut opt = Sgd::with_momentum(settings.lr, settings.momentum, settings.weight_decay);
-    let trainer = Trainer::new(TrainConfig {
-        epochs: settings.epochs,
-        lr_decay: settings.lr_decay,
-        lr_decay_every: settings.lr_decay_every,
-        verbose: settings.verbose,
-    });
     let train_batches = train_data.batches(settings.batch_size, Some(rng));
     let test_batches = test_data.batches(settings.batch_size, None);
-    let mut obs = FlowObserver {
-        stderr: settings.verbose.then_some(StderrObserver),
-    };
-    let observer: Option<&mut dyn TrainObserver> =
-        if settings.verbose || qsnc_telemetry::enabled() {
-            Some(&mut obs)
-        } else {
-            None
-        };
-    trainer.fit_with_observer(net, &mut opt, &train_batches, &test_batches, observer);
+    for epoch in 0..settings.epochs {
+        if epoch > 0 && settings.lr_decay != 1.0 && epoch % settings.lr_decay_every == 0 {
+            opt.set_learning_rate(opt.learning_rate() * settings.lr_decay);
+        }
+        let stats = train_epoch(net, &mut opt, &train_batches, epoch);
+        let test_acc = settings.verbose.then(|| {
+            if test_batches.is_empty() {
+                f32::NAN
+            } else {
+                evaluate(net, &test_batches)
+            }
+        });
+        if let Some(acc) = test_acc {
+            eprintln!(
+                "epoch {:>3}  loss {:.4} (data {:.4} + reg {:.4})  train acc {:.2}%  test acc {:.2}%",
+                epoch,
+                stats.loss,
+                stats.data_loss,
+                stats.reg_loss,
+                stats.accuracy * 100.0,
+                acc * 100.0
+            );
+        }
+        if qsnc_telemetry::enabled() {
+            let epoch = epoch as u64;
+            qsnc_telemetry::record_series("train.loss", epoch, stats.loss as f64);
+            qsnc_telemetry::record_series("train.data_loss", epoch, stats.data_loss as f64);
+            qsnc_telemetry::record_series("train.reg_loss", epoch, stats.reg_loss as f64);
+            qsnc_telemetry::record_series("train.accuracy", epoch, stats.accuracy as f64);
+            qsnc_telemetry::record_series("train.lr", epoch, opt.learning_rate() as f64);
+            if let Some(acc) = test_acc.filter(|a| !a.is_nan()) {
+                qsnc_telemetry::record_series("train.test_accuracy", epoch, acc as f64);
+            }
+            if let Some(rate) = qsnc_quant::network_saturation_rate(net) {
+                qsnc_telemetry::record_series("quant.qat.saturation_rate", epoch, rate as f64);
+            }
+        }
+        qsnc_quant::reset_network_saturation(net);
+    }
 }
 
 /// Applies `f` to every [`SignalStage`] of the network, in forward order
@@ -229,30 +228,6 @@ pub fn direct_quantize(
     (switch, acc)
 }
 
-/// Quantizes only the inter-layer signals of a float-trained network
-/// (Table 2's "w/o" rows): uniform calibrated scale, weights untouched.
-pub fn direct_quantize_signals_only(
-    net: &mut Sequential,
-    activation_bits: u32,
-    calibration: &Batch,
-    test_batches: &[Batch],
-) -> f32 {
-    let (switch, _) = insert_signal_stages(
-        net,
-        ActivationRegularizer::new(qsnc_quant::RegKind::None, activation_bits, 0.0),
-        0.0,
-        ActivationQuantizer::new(activation_bits),
-    );
-    let maxima = calibrate_stage_maxima(net, calibration);
-    let global_max = maxima.iter().copied().fold(0.0f32, f32::max);
-    let levels = ((1u32 << activation_bits) - 1) as f32;
-    let scale = if global_max > 0.0 { levels / global_max } else { 1.0 };
-    let q = ActivationQuantizer::with_scale(activation_bits, scale);
-    visit_signal_stages(net, |stage| stage.set_quantizer(q));
-    switch.set_enabled(true);
-    evaluate(net, test_batches)
-}
-
 /// Quantizes a float-trained network to 8-bit **dynamic fixed point**
 /// (Gysel et al., the paper's ref. \[23\] baseline): per-layer fractional
 /// lengths for both signals and weights.
@@ -287,18 +262,6 @@ pub fn dynamic_fixed_baseline(
         }
     }
     switch.set_enabled(true);
-    evaluate(net, test_batches)
-}
-
-/// Weight-only quantization of a float-trained network (Table 3): signals
-/// stay fp32.
-pub fn quantize_weights_only(
-    net: &mut Sequential,
-    weight_bits: u32,
-    method: WeightQuantMethod,
-    test_batches: &[Batch],
-) -> f32 {
-    quantize_network_weights(net, weight_bits, method);
     evaluate(net, test_batches)
 }
 

@@ -14,6 +14,11 @@
 //! 4. [`deploy_to_snc`] — lowering onto the memristor crossbar substrate,
 //!    and [`hardware_report`] for the Table 5 speed/energy/area model.
 //!
+//! Flows 1 and 2 train through one loop: SGD with momentum under the
+//! [`TrainSettings`] step learning-rate decay, a progress line per epoch on
+//! stderr when verbose, and the `train.*` and `quant.qat.saturation_rate`
+//! telemetry series when recording.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -46,7 +51,6 @@ pub use deploy::{
     snc_accuracy,
 };
 pub use flow::{
-    calibrate_stage_maxima, direct_quantize, direct_quantize_signals_only,
-    dynamic_fixed_baseline, quantize_weights_only, train_float, train_quant_aware,
-    visit_signal_stages, QuantizedModel,
+    calibrate_stage_maxima, direct_quantize, dynamic_fixed_baseline, train_float,
+    train_quant_aware, visit_signal_stages, QuantizedModel,
 };

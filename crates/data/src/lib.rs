@@ -11,15 +11,15 @@
 //! - [`synth_digits`]: 28×28×1 ten-class digit glyphs (MNIST stand-in).
 //! - [`synth_objects`]: 32×32×3 ten-class colored shapes/textures (CIFAR
 //!   stand-in).
-//! - [`mnist`]: an IDX loader so real MNIST is used automatically when the
-//!   files exist.
+//! - [`mnist`]: an IDX loader for real MNIST. No flow or command calls it
+//!   yet; wiring it into `qsnc train` waits until the IDX files are in the
+//!   repository.
 //!
 //! All generation is seeded through [`qsnc_tensor::TensorRng`], so every
 //! table in EXPERIMENTS.md is reproducible bit-for-bit.
 
 #![warn(missing_docs)]
 
-pub mod augment;
 mod dataset;
 pub mod mnist;
 mod synth_digits;
@@ -28,5 +28,4 @@ mod synth_objects;
 pub use dataset::Dataset;
 pub use mnist::{load_idx_pair, load_mnist_or_synthetic, LoadIdxError};
 pub use synth_digits::synth_digits;
-pub use augment::{augment, AugmentConfig};
 pub use synth_objects::{synth_objects, synth_objects_hard};

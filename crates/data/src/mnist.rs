@@ -1,8 +1,9 @@
 //! Loader for the MNIST IDX file format.
 //!
-//! If the real MNIST files are available on disk, experiments can run on
-//! them instead of [`synth_digits`](crate::synth_digits); the
-//! [`load_mnist_or_synthetic`] helper falls back transparently.
+//! If the real MNIST files are available on disk, a caller can run on them
+//! instead of [`synth_digits`](crate::synth_digits); the
+//! [`load_mnist_or_synthetic`] helper falls back transparently. No flow or
+//! command calls it yet.
 
 use crate::dataset::Dataset;
 use crate::synth_digits::synth_digits;

@@ -49,10 +49,7 @@ pub use fault::{
     CellFault, DegradationStats, FaultMap, FaultRates, ProgramPolicy, ReliabilityConfig,
 };
 pub use hwmodel::{ExecutionMode, HwModel, HwReport, LayerHwReport};
-pub use program::{
-    codes_programmable, program_device_verified, ProgramCost, ProgramModel,
-    VerifiedWrite,
-};
+pub use program::{program_device_verified, VerifiedWrite};
 pub use mapping::{crossbars_for_layer, network_geometry, LayerGeometry, TiledMatrix};
 pub use pipeline::{CompileError, DeployConfig, SpikingNetwork};
 pub use spike::{cycle_accurate_layer, Ifc, SpikeEncoder, SpikeTrain};

@@ -1,129 +1,15 @@
-//! Crossbar programming: the write cost model and the write-verify loop.
+//! Crossbar programming: the write-verify loop.
 //!
-//! The paper motivates few-bit weights partly through *programming* cost:
-//! "although the memristor devices can afford … 6-bit (64 levels) …, the
-//! heavy programming cost in speed and circuit design are not acceptable"
-//! (Sec. 1). [`ProgramModel`] quantifies that trade-off: programming a
-//! device to one of `2^N` levels takes a number of program-verify
-//! iterations that grows with the precision demanded, and the whole array
-//! writes row-by-row.
-//!
-//! [`program_device_verified`] is the *functional* counterpart: the actual
-//! program → read-back → retry loop a reliability-aware deployment runs per
-//! device. Each failed attempt backs the aim level off toward an adjacent
-//! conductance level to compensate the observed signed error; devices that
-//! never verify within the retry budget (3 retries per device when a
-//! reliability-aware deploy programs a crossbar) are reported unrecoverable
-//! so the caller can zero-mask them and record the cell in its observed
-//! [`crate::FaultMap`].
+//! [`program_device_verified`] is the program → read-back → retry loop a
+//! reliability-aware deployment runs per device. Each failed attempt backs
+//! the aim level off toward an adjacent conductance level to compensate the
+//! observed signed error; devices that never verify within the retry budget
+//! (3 retries per device when a reliability-aware deploy programs a
+//! crossbar) are reported unrecoverable so the caller can zero-mask them and
+//! record the cell in its observed [`crate::FaultMap`].
 
 use crate::device::{Device, DeviceConfig};
-use crate::mapping::LayerGeometry;
 use qsnc_tensor::TensorRng;
-
-/// Cost constants for the write path.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ProgramModel {
-    /// Duration of one program-verify iteration, µs (memristor set/reset
-    /// pulses plus a read-back).
-    pub t_iteration_us: f32,
-    /// Energy of one iteration, nJ.
-    pub e_iteration_nj: f32,
-    /// Base iterations needed for a 1-bit (binary) device.
-    pub base_iterations: f32,
-    /// Additional iterations per extra bit of target precision: hitting a
-    /// narrower conductance window needs proportionally more verify steps.
-    pub iterations_per_bit: f32,
-    /// Rows programmed in parallel per write step (1 = strictly
-    /// row-serial).
-    pub parallel_rows: usize,
-}
-
-impl ProgramModel {
-    /// Defaults representative of published memristor program-verify
-    /// schemes (a few µs per pulse, iterations growing with precision).
-    pub fn typical() -> Self {
-        ProgramModel {
-            t_iteration_us: 2.0,
-            e_iteration_nj: 0.5,
-            base_iterations: 2.0,
-            iterations_per_bit: 3.0,
-            parallel_rows: 1,
-        }
-    }
-
-    /// Expected program-verify iterations per device for an `bits`-bit
-    /// target.
-    pub fn iterations(&self, bits: u32) -> f32 {
-        self.base_iterations + self.iterations_per_bit * bits.saturating_sub(1) as f32
-    }
-
-    /// Programming cost of one `rows × cols` crossbar at `bits`-bit
-    /// precision (differential pairs double the device count).
-    pub fn crossbar_cost(&self, rows: usize, cols: usize, bits: u32) -> ProgramCost {
-        let devices = 2 * rows * cols;
-        let iters = self.iterations(bits);
-        // Time: row-serial (cells within a row in parallel per polarity).
-        let row_steps = rows.div_ceil(self.parallel_rows) as f32;
-        let time_us = row_steps * 2.0 * iters * self.t_iteration_us;
-        let energy_uj = devices as f32 * iters * self.e_iteration_nj * 1e-3;
-        ProgramCost {
-            devices,
-            time_us,
-            energy_uj,
-        }
-    }
-
-    /// Total programming cost over a network geometry at `bits`-bit weight
-    /// precision (crossbars of one layer program in parallel across
-    /// arrays; layers program sequentially — conservative).
-    pub fn network_cost(&self, geometry: &[LayerGeometry], t: usize, bits: u32) -> ProgramCost {
-        let mut total = ProgramCost::default();
-        for g in geometry {
-            // Representative full tile for timing; device count exact.
-            let full = self.crossbar_cost(t.min(g.rows), t.min(g.cols), bits);
-            total.devices += 2 * g.rows * g.cols;
-            total.time_us += full.time_us;
-            total.energy_uj +=
-                2.0 * (g.rows * g.cols) as f32 * self.iterations(bits) * self.e_iteration_nj
-                    * 1e-3;
-            let _ = full;
-        }
-        total
-    }
-
-    /// How the paper's HP-Labs remark plays out: the time ratio between
-    /// programming a 6-bit device array and an `bits`-bit one of the same
-    /// size.
-    pub fn precision_penalty(&self, bits: u32, reference_bits: u32) -> f32 {
-        self.iterations(reference_bits) / self.iterations(bits)
-    }
-}
-
-impl Default for ProgramModel {
-    fn default() -> Self {
-        ProgramModel::typical()
-    }
-}
-
-/// Programming cost summary.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
-pub struct ProgramCost {
-    /// Physical devices written.
-    pub devices: usize,
-    /// Wall-clock programming time, µs.
-    pub time_us: f32,
-    /// Total write energy, µJ.
-    pub energy_uj: f32,
-}
-
-/// Checks whether a device configuration can represent the given weight
-/// codes at all (|code| within the level range) — the feasibility condition
-/// `N ≥ log₂(max|D| / max|W|)` of Eq. 6 translated to devices.
-pub fn codes_programmable(codes: &[i32], config: &DeviceConfig) -> bool {
-    let max_level = config.levels() - 1;
-    codes.iter().all(|c| c.unsigned_abs() <= max_level)
-}
 
 /// Outcome of one device's write-verify loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,68 +80,6 @@ pub fn program_device_verified(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsnc_nn::LayerDesc;
-
-    #[test]
-    fn iterations_grow_with_precision() {
-        let m = ProgramModel::typical();
-        assert!(m.iterations(6) > m.iterations(4));
-        assert!(m.iterations(4) > m.iterations(1));
-    }
-
-    #[test]
-    fn crossbar_cost_scales_with_size_and_bits() {
-        let m = ProgramModel::typical();
-        let small = m.crossbar_cost(16, 16, 4);
-        let big = m.crossbar_cost(32, 32, 4);
-        assert_eq!(small.devices, 2 * 256);
-        assert_eq!(big.devices, 2 * 1024);
-        assert!(big.time_us > small.time_us);
-        assert!(big.energy_uj > small.energy_uj);
-
-        let precise = m.crossbar_cost(32, 32, 6);
-        assert!(precise.time_us > big.time_us, "6-bit writes must cost more");
-    }
-
-    #[test]
-    fn six_bit_penalty_matches_paper_motivation() {
-        // The paper rejects 6-bit devices on programming cost: the model
-        // should show a clear penalty vs 3/4-bit.
-        let m = ProgramModel::typical();
-        let penalty = m.precision_penalty(4, 6);
-        assert!(penalty > 1.3, "6-bit vs 4-bit penalty only {penalty}");
-    }
-
-    #[test]
-    fn network_cost_accumulates_layers() {
-        let m = ProgramModel::typical();
-        let descs = [
-            LayerDesc::Conv {
-                in_channels: 1,
-                out_channels: 6,
-                kernel: 5,
-                stride: 1,
-                padding: 2,
-            },
-            LayerDesc::Linear {
-                in_features: 400,
-                out_features: 84,
-            },
-        ];
-        let geo = crate::mapping::network_geometry(&descs, 32);
-        let cost = m.network_cost(&geo, 32, 4);
-        assert_eq!(cost.devices, 2 * (25 * 6 + 400 * 84));
-        assert!(cost.time_us > 0.0);
-        assert!(cost.energy_uj > 0.0);
-    }
-
-    #[test]
-    fn programmability_check() {
-        let cfg = DeviceConfig::paper(4);
-        assert!(codes_programmable(&[0, 8, -8, 15, -15], &cfg));
-        assert!(!codes_programmable(&[16], &cfg));
-        assert!(!codes_programmable(&[-100], &cfg));
-    }
 
     #[test]
     fn ideal_device_verifies_first_try_exactly() {

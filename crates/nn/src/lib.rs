@@ -7,8 +7,10 @@
 //! The paper trains its networks in Torch; this crate is the from-scratch
 //! equivalent: a [`Layer`] trait with exact backpropagation, the concrete
 //! layers in [`layers`], the [`Sequential`] container, softmax
-//! cross-entropy and optimizers, a mini-batch [`train`] loop, and the three
-//! Table 1 topologies in [`models`].
+//! cross-entropy, SGD with momentum ([`optim`]), one epoch of mini-batch
+//! steps plus evaluation ([`train`]), and the three Table 1 topologies in
+//! [`models`]. The multi-epoch loop (learning-rate decay, progress lines,
+//! training telemetry) is `qsnc_core`'s `fit`.
 //!
 //! Quantization-aware training is *not* here — `qsnc-quant` provides it by
 //! implementing [`Layer`] for its fake-quantization and regularizer stages
@@ -45,6 +47,4 @@ pub use layer::{Layer, LayerDesc, Mode, Param};
 pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use models::ModelKind;
 pub use sequential::Sequential;
-pub use train::{
-    Batch, EpochStats, StderrObserver, TelemetryObserver, TrainConfig, TrainObserver, Trainer,
-};
+pub use train::{Batch, EpochStats};

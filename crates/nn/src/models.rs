@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn resnet_trains_one_step() {
         use crate::loss::softmax_cross_entropy;
-        use crate::optim::{Optimizer, Sgd};
+        use crate::optim::Sgd;
         let mut rng = TensorRng::seed(6);
         let mut net = resnet(0.25, 10, &mut rng);
         let x = qsnc_tensor::init::uniform([2, 3, 32, 32], 0.0, 1.0, &mut rng);

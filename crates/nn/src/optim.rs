@@ -1,28 +1,13 @@
-//! First-order optimizers.
+//! The optimizer: stochastic gradient descent with momentum and weight
+//! decay, the one update rule every training flow runs (the paper trains
+//! with plain SGD on Eq. 2's regularized loss).
 //!
-//! Optimizer state (momentum buffers, Adam moments) is keyed by the position
-//! of each parameter in the `params()` enumeration, which is stable for a
-//! fixed network structure. Mutating the layer stack between steps resets
-//! the state via [`Optimizer::reset`].
+//! The momentum buffers are keyed by the position of each parameter in the
+//! `params()` enumeration, which is stable for a fixed network structure; a
+//! step over a different parameter count starts them again from zero.
 
 use crate::layer::Param;
 use qsnc_tensor::Tensor;
-
-/// A gradient-based parameter updater.
-pub trait Optimizer: std::fmt::Debug + Send {
-    /// Applies one update step to `params`, consuming their accumulated
-    /// gradients (the caller zeroes gradients afterwards).
-    fn step(&mut self, params: &mut [Param<'_>]);
-
-    /// Clears internal state (momentum/moment buffers).
-    fn reset(&mut self);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for step decay).
-    fn set_learning_rate(&mut self, lr: f32);
-}
 
 /// Stochastic gradient descent with optional momentum and weight decay.
 ///
@@ -61,10 +46,10 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [Param<'_>]) {
+    /// Applies one update step to `params`, consuming their accumulated
+    /// gradients (the caller zeroes gradients afterwards).
+    pub fn step(&mut self, params: &mut [Param<'_>]) {
         if self.velocity.len() != params.len() {
             self.velocity = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
         }
@@ -83,103 +68,13 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba), with decoupled weight decay on weights.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the standard β₁=0.9, β₂=0.999.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32) -> Self {
-        Adam::with_decay(lr, 0.0)
-    }
-
-    /// Adam with decoupled weight decay (AdamW-style) on weight tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn with_decay(lr: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [Param<'_>]) {
-        if self.m.len() != params.len() {
-            self.m = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
-            self.v = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
-            self.t = 0;
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            let wd = if p.is_weight { self.weight_decay } else { 0.0 };
-            let m = self.m[i].as_mut_slice();
-            let v = self.v[i].as_mut_slice();
-            for (j, (wi, &gi)) in p
-                .value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.iter())
-                .enumerate()
-            {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * gi;
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * gi * gi;
-                let m_hat = m[j] / bc1;
-                let v_hat = v[j] / bc2;
-                *wi -= self.lr * (m_hat / (v_hat.sqrt() + self.eps) + wd * *wi);
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (for step decay).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -188,7 +83,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    fn quad_step(opt: &mut dyn Optimizer, w: &mut Tensor, steps: usize) -> f32 {
+    fn quad_step(opt: &mut Sgd, w: &mut Tensor, steps: usize) -> f32 {
         // Minimize f(w) = ½‖w‖²; gradient = w.
         for _ in 0..steps {
             let mut g = w.clone();
@@ -218,14 +113,6 @@ mod tests {
         let plain = quad_step(&mut Sgd::new(0.01), &mut w1, 30);
         let momentum = quad_step(&mut Sgd::with_momentum(0.01, 0.9, 0.0), &mut w2, 30);
         assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
-    #[test]
-    fn adam_descends_quadratic() {
-        let mut w = Tensor::from_slice(&[1.0, -2.0, 3.0]);
-        let start = w.norm_l2();
-        let end = quad_step(&mut Adam::new(0.3), &mut w, 100);
-        assert!(end < start * 0.05, "start {start} end {end}");
     }
 
     #[test]
@@ -263,7 +150,7 @@ mod tests {
 
     #[test]
     fn lr_schedule_roundtrip() {
-        let mut opt = Adam::new(0.1);
+        let mut opt = Sgd::new(0.1);
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);

@@ -1,8 +1,8 @@
-//! Mini-batch training loop and evaluation helpers.
+//! One epoch of mini-batch SGD steps, and evaluation.
 
 use crate::layer::Mode;
 use crate::loss::{num_correct, softmax_cross_entropy};
-use crate::optim::Optimizer;
+use crate::optim::Sgd;
 use crate::sequential::Sequential;
 use qsnc_tensor::{parallel, Tensor};
 
@@ -66,7 +66,7 @@ pub struct EpochStats {
 /// `qsnc-quant`), so the loop only needs the data-term gradient here.
 pub fn train_epoch(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Sgd,
     batches: &[Batch],
     epoch: usize,
 ) -> EpochStats {
@@ -130,179 +130,10 @@ pub fn evaluate(net: &mut Sequential, batches: &[Batch]) -> f32 {
     correct as f32 / total as f32
 }
 
-/// Per-epoch training callback, invoked by [`Trainer`] after each epoch's
-/// statistics are computed.
-///
-/// Library code never writes to stderr on its own: progress reporting is the
-/// observer's job. [`StderrObserver`] reproduces the classic verbose lines,
-/// [`TelemetryObserver`] records time series into `qsnc-telemetry`, and
-/// callers can implement the trait to do both or neither.
-pub trait TrainObserver {
-    /// Whether [`Trainer::fit_with_observer`] should evaluate the test
-    /// batches after every epoch (an extra inference pass). Defaults to
-    /// `false`.
-    fn wants_test_accuracy(&self) -> bool {
-        false
-    }
-
-    /// Called after each epoch. `net` has finished its optimizer step,
-    /// `lr` is the learning rate the epoch ran with, and `test_acc` is
-    /// `Some` only when test accuracy was evaluated (it is `NaN` when the
-    /// caller supplied no test batches).
-    fn on_epoch(&mut self, net: &mut Sequential, stats: &EpochStats, lr: f32, test_acc: Option<f32>);
-}
-
-/// The default verbose observer: prints one progress line per epoch to
-/// stderr, in the same format the trainer used to emit directly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrObserver;
-
-impl TrainObserver for StderrObserver {
-    fn wants_test_accuracy(&self) -> bool {
-        true
-    }
-
-    fn on_epoch(&mut self, _net: &mut Sequential, stats: &EpochStats, lr: f32, test_acc: Option<f32>) {
-        match test_acc {
-            Some(acc) => eprintln!(
-                "epoch {:>3}  loss {:.4} (data {:.4} + reg {:.4})  train acc {:.2}%  test acc {:.2}%",
-                stats.epoch,
-                stats.loss,
-                stats.data_loss,
-                stats.reg_loss,
-                stats.accuracy * 100.0,
-                acc * 100.0
-            ),
-            None => eprintln!(
-                "epoch {:>3}  lr {:.5}  loss {:.4}  train acc {:.2}%",
-                stats.epoch,
-                lr,
-                stats.loss,
-                stats.accuracy * 100.0
-            ),
-        }
-    }
-}
-
-/// Observer recording per-epoch `train.loss` / `train.data_loss` /
-/// `train.reg_loss` / `train.accuracy` / `train.lr` (and, when evaluated,
-/// `train.test_accuracy`) series into [`qsnc_telemetry`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TelemetryObserver;
-
-impl TrainObserver for TelemetryObserver {
-    fn on_epoch(&mut self, _net: &mut Sequential, stats: &EpochStats, lr: f32, test_acc: Option<f32>) {
-        let epoch = stats.epoch as u64;
-        qsnc_telemetry::record_series("train.loss", epoch, stats.loss as f64);
-        qsnc_telemetry::record_series("train.data_loss", epoch, stats.data_loss as f64);
-        qsnc_telemetry::record_series("train.reg_loss", epoch, stats.reg_loss as f64);
-        qsnc_telemetry::record_series("train.accuracy", epoch, stats.accuracy as f64);
-        qsnc_telemetry::record_series("train.lr", epoch, lr as f64);
-        if let Some(acc) = test_acc {
-            if !acc.is_nan() {
-                qsnc_telemetry::record_series("train.test_accuracy", epoch, acc as f64);
-            }
-        }
-    }
-}
-
-/// Configuration for [`Trainer`].
-#[derive(Debug, Clone, Copy)]
-pub struct TrainConfig {
-    /// Number of passes over the training batches.
-    pub epochs: usize,
-    /// Multiply the learning rate by `lr_decay` every `lr_decay_every`
-    /// epochs (1.0 disables).
-    pub lr_decay: f32,
-    /// Epoch period of the learning-rate decay.
-    pub lr_decay_every: usize,
-    /// Print progress lines to stderr.
-    pub verbose: bool,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            epochs: 10,
-            lr_decay: 1.0,
-            lr_decay_every: 1,
-            verbose: false,
-        }
-    }
-}
-
-/// Drives multi-epoch training with the config's step learning-rate decay.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Trainer {
-    /// Training configuration.
-    pub config: TrainConfig,
-}
-
-impl Trainer {
-    /// Creates a trainer with the given configuration.
-    pub fn new(config: TrainConfig) -> Self {
-        Trainer { config }
-    }
-
-    /// Trains `net` for the configured number of epochs, returning per-epoch
-    /// statistics. `verbose` routes through [`StderrObserver`], which also
-    /// reports accuracy on `test_batches` when they are non-empty.
-    pub fn fit(
-        &self,
-        net: &mut Sequential,
-        opt: &mut dyn Optimizer,
-        train_batches: &[Batch],
-        test_batches: &[Batch],
-    ) -> Vec<EpochStats> {
-        let mut stderr = StderrObserver;
-        let observer: Option<&mut dyn TrainObserver> =
-            if self.config.verbose { Some(&mut stderr) } else { None };
-        self.fit_with_observer(net, opt, train_batches, test_batches, observer)
-    }
-
-    /// [`Trainer::fit`] with an explicit per-epoch observer.
-    ///
-    /// Test accuracy is evaluated only when the observer asks for it via
-    /// [`TrainObserver::wants_test_accuracy`]; with no test batches the
-    /// observer receives `Some(NaN)`, matching the old verbose output.
-    pub fn fit_with_observer(
-        &self,
-        net: &mut Sequential,
-        opt: &mut dyn Optimizer,
-        train_batches: &[Batch],
-        test_batches: &[Batch],
-        mut observer: Option<&mut dyn TrainObserver>,
-    ) -> Vec<EpochStats> {
-        let mut history = Vec::with_capacity(self.config.epochs);
-        for epoch in 0..self.config.epochs {
-            if epoch > 0 && self.config.lr_decay != 1.0 && epoch % self.config.lr_decay_every == 0
-            {
-                opt.set_learning_rate(opt.learning_rate() * self.config.lr_decay);
-            }
-            let stats = train_epoch(net, opt, train_batches, epoch);
-            if let Some(obs) = observer.as_deref_mut() {
-                let test_acc = if obs.wants_test_accuracy() {
-                    Some(if test_batches.is_empty() {
-                        f32::NAN
-                    } else {
-                        evaluate(net, test_batches)
-                    })
-                } else {
-                    None
-                };
-                obs.on_epoch(net, &stats, opt.learning_rate(), test_acc);
-            }
-            history.push(stats);
-        }
-        history
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Linear, Relu};
-    use crate::optim::Sgd;
     use qsnc_tensor::TensorRng;
 
     /// Two linearly separable blobs.
@@ -339,31 +170,12 @@ mod tests {
         let mut net = blob_net(&mut rng);
         let mut opt = Sgd::with_momentum(0.1, 0.9, 0.0);
         let before = evaluate(&mut net, &test);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 20,
-            ..TrainConfig::default()
-        });
-        let history = trainer.fit(&mut net, &mut opt, &train, &test);
+        let history: Vec<EpochStats> =
+            (0..20).map(|epoch| train_epoch(&mut net, &mut opt, &train, epoch)).collect();
         let after = evaluate(&mut net, &test);
         assert!(after > 0.95, "accuracy after training: {after} (before {before})");
         // Loss should broadly decrease.
         assert!(history.last().unwrap().loss < history.first().unwrap().loss);
-    }
-
-    #[test]
-    fn lr_decay_applies() {
-        let mut rng = TensorRng::seed(1);
-        let train = blob_batches(&mut rng, 2, 8);
-        let mut net = blob_net(&mut rng);
-        let mut opt = Sgd::new(1.0);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 3,
-            lr_decay: 0.5,
-            lr_decay_every: 1,
-            verbose: false,
-        });
-        trainer.fit(&mut net, &mut opt, &train, &[]);
-        assert!((opt.learning_rate() - 0.25).abs() < 1e-6);
     }
 
     #[test]

@@ -116,7 +116,7 @@ mod tests {
             let logits = net.forward(&batch.images, Mode::Train);
             let (_, grad) = qsnc_nn::loss::softmax_cross_entropy(&logits, &batch.labels);
             net.backward(&grad);
-            qsnc_nn::optim::Optimizer::step(&mut opt, &mut net.params());
+            opt.step(&mut net.params());
         }
         (net, vec![batch])
     }

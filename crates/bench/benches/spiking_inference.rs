@@ -41,7 +41,7 @@ fn bench_spiking_vs_software(c: &mut Criterion) {
 }
 
 /// Integer fast-path engine vs the exact float pipeline on the same
-/// compiled network. `int_engine` is the allocation-free `infer_into`
+/// compiled network. `int_engine` is the allocation-free `infer_batch_into`
 /// entry point; `float_reference` is the float oracle it is bit-identical
 /// to. Their ratio is the speedup the integer representation buys.
 fn bench_int_engine_vs_float(c: &mut Criterion) {
@@ -56,7 +56,7 @@ fn bench_int_engine_vs_float(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_lenet_4bit");
     group.sample_size(20);
     group.bench_function("int_engine", |b| {
-        b.iter(|| snn.infer_into(std::hint::black_box(&x), &mut out))
+        b.iter(|| snn.infer_batch_into(std::hint::black_box(&x), &mut out))
     });
     group.bench_function("float_reference", |b| {
         b.iter(|| snn.infer_reference(std::hint::black_box(&x)))

@@ -2,9 +2,10 @@
 //!
 //! Compiles the 4-bit LeNet onto the spiking substrate, warms the thread's
 //! scratch arena with one inference, then runs many more through
-//! [`SpikingNetwork::infer_into`] and reports the scratch-arena traffic:
-//! the number of takes and — the property under test — the number of
-//! **fresh allocations**, which must be zero in the steady state. Runs
+//! [`SpikingNetwork::infer_batch_into`] (one example, then a batch of 8)
+//! and reports the scratch-arena traffic: the number of takes and — the
+//! property under test — the number of **fresh allocations**, which must
+//! be zero in the steady state. Runs
 //! pinned to one thread, the same configuration the single-core deployment
 //! benchmarks measure.
 //!
@@ -48,11 +49,11 @@ fn main() {
     let (takes, allocs) = parallel::with_num_threads(1, || {
         let mut out = Vec::new();
         // Warm-up: the first call sizes every scratch buffer and `out`.
-        snn.infer_into(&x, &mut out);
+        snn.infer_batch_into(&x, &mut out);
         let base_takes = scratch::takes();
         let base_allocs = scratch::fresh_allocations();
         for _ in 0..iters {
-            snn.infer_into(&x, &mut out);
+            snn.infer_batch_into(&x, &mut out);
         }
         (
             scratch::takes() - base_takes,

@@ -86,8 +86,8 @@ fn main() {
     for _ in 0..8 {
         let x = init::uniform([1, 1, 28, 28], 0.0, 1.0, &mut rng);
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert!(snn.infer_into(&x, &mut a), "compiled engine lost its fast path");
-        assert!(loaded.network.infer_into(&x, &mut b), "loaded engine has no fast path");
+        assert!(snn.infer_batch_into(&x, &mut a), "compiled engine lost its fast path");
+        assert!(loaded.network.infer_batch_into(&x, &mut b), "loaded engine has no fast path");
         assert!(
             a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()),
             "loaded artifact is not bit-identical to the in-process engine"
@@ -104,7 +104,7 @@ fn main() {
             let t0 = Instant::now();
             let snn = compile(&net);
             let mut out = Vec::new();
-            snn.infer_into(&probe, &mut out);
+            snn.infer_batch_into(&probe, &mut out);
             t0.elapsed().as_secs_f64() * 1e6
         })
         .fold(f64::INFINITY, f64::min);
@@ -116,7 +116,7 @@ fn main() {
         let loaded = load_artifact(&path).expect("load artifact");
         let loaded_at = t0.elapsed().as_secs_f64() * 1e6;
         let mut out = Vec::new();
-        assert!(loaded.network.infer_into(&probe, &mut out));
+        assert!(loaded.network.infer_batch_into(&probe, &mut out));
         let total = t0.elapsed().as_secs_f64() * 1e6;
         if total < cold_us {
             cold_us = total;

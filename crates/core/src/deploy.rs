@@ -4,7 +4,6 @@
 use crate::config::QuantConfig;
 use crate::report::Table;
 use qsnc_memristor::{DeployConfig, HwModel, HwReport, ReliabilityConfig, SpikingNetwork};
-use qsnc_nn::train::Batch;
 use qsnc_nn::Sequential;
 use qsnc_tensor::TensorRng;
 
@@ -102,15 +101,6 @@ pub fn degradation_table(snn: &SpikingNetwork) -> Table {
     t
 }
 
-/// Accuracy of the deployed spiking system on test batches.
-pub fn snc_accuracy(
-    snn: &SpikingNetwork,
-    batches: &[Batch],
-    rng: Option<&mut TensorRng>,
-) -> f32 {
-    snn.evaluate(batches, rng)
-}
-
 /// Hardware speed/energy/area for a network's structure at `(M, N)` bits
 /// — one row of Table 5.
 pub fn hardware_report(net: &Sequential, m_bits: u32, n_bits: u32) -> HwReport {
@@ -142,7 +132,7 @@ mod tests {
             train_quant_aware(ModelKind::Lenet, 0.25, &settings, &quant, &train, &test, 7);
         let snn = deploy_to_snc(&model.net, &quant, None).expect("deploy");
         let test_batches = test.batches(40, None);
-        let hw_acc = snc_accuracy(&snn, &test_batches[..1], None);
+        let hw_acc = snn.evaluate(&test_batches[..1], None);
         // One batch of 40 examples: hardware accuracy should be within a
         // few examples of the software-quantized accuracy.
         assert!(

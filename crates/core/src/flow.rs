@@ -46,8 +46,9 @@ pub fn train_float(
 ) -> (Sequential, f32) {
     let mut rng = TensorRng::seed(seed);
     let mut net = qsnc_nn::models::build_model(kind, width, train_data.classes(), &mut rng);
-    fit(&mut net, settings, train_data, test_data, &mut rng);
-    let acc = evaluate(&mut net, &test_data.batches(settings.batch_size, None));
+    let test_batches = test_data.batches(settings.batch_size, None);
+    fit(&mut net, settings, train_data, &test_batches, &mut rng);
+    let acc = evaluate(&mut net, &test_batches);
     (net, acc)
 }
 
@@ -55,8 +56,8 @@ pub fn train_float(
 /// over the shuffled training batches, the learning rate multiplied by
 /// `lr_decay` before every `lr_decay_every`-th epoch.
 ///
-/// After each epoch, when verbose, it evaluates the test set and prints one
-/// progress line to stderr (test accuracy reads `NaN` on an empty test
+/// After each epoch, when verbose, it evaluates `test_batches` and prints
+/// one progress line to stderr (test accuracy reads `NaN` on an empty test
 /// set). When telemetry is recording it appends the `train.*` series (the
 /// rate the epoch ran with as `train.lr`; `train.test_accuracy` only when
 /// it was evaluated) and the epoch's activation-saturation rate of the QAT
@@ -67,12 +68,11 @@ fn fit(
     net: &mut Sequential,
     settings: &TrainSettings,
     train_data: &Dataset,
-    test_data: &Dataset,
+    test_batches: &[Batch],
     rng: &mut TensorRng,
 ) {
     let mut opt = Sgd::with_momentum(settings.lr, settings.momentum, settings.weight_decay);
     let train_batches = train_data.batches(settings.batch_size, Some(rng));
-    let test_batches = test_data.batches(settings.batch_size, None);
     for epoch in 0..settings.epochs {
         if epoch > 0 && settings.lr_decay != 1.0 && epoch % settings.lr_decay_every == 0 {
             opt.set_learning_rate(opt.learning_rate() * settings.lr_decay);
@@ -82,7 +82,7 @@ fn fit(
             if test_batches.is_empty() {
                 f32::NAN
             } else {
-                evaluate(net, &test_batches)
+                evaluate(net, test_batches)
             }
         });
         if let Some(acc) = test_acc {
@@ -166,8 +166,8 @@ pub fn train_quant_aware(
         ActivationQuantizer::new(quant.activation_bits),
         );
     // Phase 1: regularized training, quantization off.
-    fit(&mut net, settings, train_data, test_data, &mut rng);
     let test_batches = test_data.batches(settings.batch_size, None);
+    fit(&mut net, settings, train_data, &test_batches, &mut rng);
     let float_accuracy = evaluate(&mut net, &test_batches);
 
     // Phase 2: optional straight-through fine-tune with quantization on.
@@ -178,7 +178,7 @@ pub fn train_quant_aware(
             lr: settings.lr * 0.1,
             ..*settings
         };
-        fit(&mut net, &ft, train_data, test_data, &mut rng);
+        fit(&mut net, &ft, train_data, &test_batches, &mut rng);
     }
 
     // Phase 3: weight quantization (after fine-tuning, so deployed weights

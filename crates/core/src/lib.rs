@@ -48,7 +48,6 @@ pub use config::{QuantConfig, TrainSettings};
 pub use report::{telemetry_summary_tables, Report, Table};
 pub use deploy::{
     degradation_table, deploy_to_snc, deploy_to_snc_reliable, export_artifact, hardware_report,
-    snc_accuracy,
 };
 pub use flow::{
     calibrate_stage_maxima, direct_quantize, dynamic_fixed_baseline, train_float,

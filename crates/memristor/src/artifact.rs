@@ -45,7 +45,7 @@
 //!   checksum is verified before any section is parsed; sections may not
 //!   overlap. A corrupt or hostile file produces a typed [`ArtifactError`],
 //!   never a panic or an attacker-sized allocation.
-//! - **Bit-identical round trip**: the loaded engine's `infer_into` matches
+//! - **Bit-identical round trip**: the loaded engine's `infer_batch_into` matches
 //!   the in-process-compiled engine exactly — scales travel as raw `f32`
 //!   bits or exact `mantissa · 2^shift` pairs, threshold tables are copied
 //!   verbatim, and code packing is deterministic. Property tests in

@@ -29,9 +29,6 @@ pub(crate) struct ReliableProgramming<'a> {
     pub verify: bool,
     /// Degradation accounting, accumulated into by the programming pass.
     pub stats: &'a mut DegradationStats,
-    /// Faults *observed* during programming (write-verify failures and dead
-    /// lines), recorded for later fault-aware remapping.
-    pub observed: &'a mut FaultMap,
 }
 
 impl ReliableProgramming<'_> {
@@ -55,12 +52,6 @@ impl ReliableProgramming<'_> {
         if row_dead || col_dead {
             // No current through this line: differential is zero no matter
             // what; the weight is gone.
-            if row_dead {
-                self.observed.record_dead_row(i);
-            }
-            if col_dead {
-                self.observed.record_dead_col(j);
-            }
             self.stats.magnitude_lost += c.unsigned_abs() as f64;
             return (g_min, g_min);
         }
@@ -84,18 +75,10 @@ impl ReliableProgramming<'_> {
             return (plus.conductance, minus.conductance);
         }
         // Unrecoverable: cancel the pair so the cell reads as code 0 instead
-        // of an unbounded error, and remember it.
+        // of an unbounded error.
         self.stats.unrecoverable += 1;
         self.stats.masked += 1;
         self.stats.magnitude_lost += c.unsigned_abs() as f64;
-        let kind = match fault {
-            Some(f) => f,
-            // A merely-too-variable device: classify by where it ended up
-            // relative to mid-range.
-            None if plus.conductance > (g_min + g_max) / 2.0 => CellFault::StuckOn,
-            None => CellFault::StuckOff,
-        };
-        self.observed.record(i, j, kind);
         let g = plus.conductance.max(g_min);
         (g, g)
     }
@@ -171,8 +154,8 @@ impl Crossbar {
     /// - With `verify == true` every device runs the write-verify loop of
     ///   [`crate::program::program_device_verified`]; a cell whose devices
     ///   cannot both verify is **zero-masked** (minus device programmed to
-    ///   cancel the plus device exactly), charged to `stats.{unrecoverable,
-    ///   masked, magnitude_lost}`, and recorded in `faults.observed`.
+    ///   cancel the plus device exactly) and charged to
+    ///   `stats.{unrecoverable, masked, magnitude_lost}`.
     ///
     /// Healthy cells under naive programming take the same
     /// `Device::program` calls, plus device first, as a perfect array. With

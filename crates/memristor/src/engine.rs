@@ -231,25 +231,15 @@ impl IntEngine {
         Some(IntEngine { stages: compiled, input_quant })
     }
 
-    /// Runs integer inference on `[1, …]` input `x`, writing the float
-    /// output signal (channel-major, same layout as the float pipeline's
-    /// flattened output tensor) into `out` and returning its shape.
-    ///
-    /// `out` is cleared and resized; with a warm reused `out` and a warm
-    /// scratch arena the call performs zero heap allocations.
-    pub(crate) fn infer_into(&self, x: &Tensor, out: &mut Vec<f32>) -> SignalShape {
-        self.infer_batch_into(x, out)
-    }
-
-    /// Batched variant of [`Self::infer_into`]: `xs` is `[B, …]` and the
-    /// per-example output signals are written back-to-back into `out`
-    /// (`B · shape.len()` floats). Each example's arithmetic is the exact
-    /// integer computation of the single-example path — FC stages run one
-    /// `igemm` with `M = B`, conv stages stream examples through shared
-    /// scratch buffers — so every example stays bit-identical to
-    /// [`crate::SpikingNetwork::infer_reference`]. With a warm reused `out`
-    /// and a warm scratch arena, a fixed batch size performs zero heap
-    /// allocations.
+    /// Runs integer inference on the `[B, …]` input `xs`, writing the
+    /// per-example float output signals (channel-major, same layout as the
+    /// float pipeline's flattened output tensor) back-to-back into `out`
+    /// (`B · shape.len()` floats) and returning one example's shape. FC
+    /// stages run one `igemm` with `M = B`, conv stages stream examples
+    /// through shared scratch buffers, and every example stays
+    /// bit-identical to [`crate::SpikingNetwork::infer_reference`]. `out` is
+    /// cleared and resized; with a warm reused `out` and a warm scratch
+    /// arena, a fixed batch size performs zero heap allocations.
     pub(crate) fn infer_batch_into(&self, xs: &Tensor, out: &mut Vec<f32>) -> SignalShape {
         let dims = xs.dims();
         let batch = dims[0];

@@ -9,9 +9,8 @@
 //!
 //! - [`FaultMap`] — a persistent per-crossbar record of faulty cells,
 //!   either generated deterministically from seeded rates
-//!   ([`FaultMap::seeded`]) or accumulated from observed programming
-//!   failures ([`FaultMap::record`], fed by the write-verify loop in
-//!   [`crate::program`]).
+//!   ([`FaultMap::seeded`]) or recorded cell by cell
+//!   ([`FaultMap::record`]).
 //! - [`ReliabilityConfig`] / [`ProgramPolicy`] — how a deployment reacts:
 //!   ignore the faults ([`ProgramPolicy::Naive`]), detect-and-mask them
 //!   ([`ProgramPolicy::WriteVerify`]), or additionally steer important
@@ -113,11 +112,11 @@ impl Default for FaultRates {
 /// let b = FaultMap::seeded(32, 32, FaultRates::stuck(0.05), 7);
 /// assert_eq!(a.to_json().render(), b.to_json().render());
 ///
-/// // Maps can also be grown from observed programming failures.
-/// let mut observed = FaultMap::new(32, 32);
-/// observed.record(3, 17, CellFault::StuckOn);
-/// assert_eq!(observed.fault_at(3, 17), Some(CellFault::StuckOn));
-/// assert_eq!(observed.cell_fault_count(), 1);
+/// // Maps can also be grown cell by cell, e.g. from a characterization.
+/// let mut measured = FaultMap::new(32, 32);
+/// measured.record(3, 17, CellFault::StuckOn);
+/// assert_eq!(measured.fault_at(3, 17), Some(CellFault::StuckOn));
+/// assert!(measured.cell_is_faulty(3, 17) && !measured.cell_is_faulty(3, 18));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultMap {
@@ -224,30 +223,6 @@ impl FaultMap {
         self.dead_cols.contains(&col)
     }
 
-    /// Number of cell-level faults (dead lines not included).
-    pub fn cell_fault_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Total unusable cells: cell faults plus every cell on a dead line
-    /// (each cell counted once).
-    pub fn faulty_cell_count(&self) -> usize {
-        let mut n = 0;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if self.cell_is_faulty(r, c) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Number of dead lines (rows + cols).
-    pub fn dead_line_count(&self) -> usize {
-        self.dead_rows.len() + self.dead_cols.len()
-    }
-
     /// `true` when the map holds no faults at all.
     pub fn is_clean(&self) -> bool {
         self.cells.is_empty() && self.dead_rows.is_empty() && self.dead_cols.is_empty()
@@ -335,8 +310,7 @@ pub enum ProgramPolicy {
     Naive,
     /// Program-verify every device (see [`crate::program`]): retry failed
     /// writes with backoff toward adjacent conductance levels, then
-    /// zero-mask the cells that never verify and record them in the
-    /// observed [`FaultMap`].
+    /// zero-mask the cells that never verify.
     WriteVerify,
     /// [`ProgramPolicy::WriteVerify`] plus fault-aware column remapping:
     /// steer high-magnitude weight columns away from faulty cells using the
@@ -478,17 +452,23 @@ mod tests {
         assert_ne!(a, c, "different seeds must differ");
     }
 
+    /// Cells of `map` for which `pred` holds.
+    fn count_cells(map: &FaultMap, pred: impl Fn(usize, usize) -> bool) -> usize {
+        (0..map.rows())
+            .flat_map(|r| (0..map.cols()).map(move |c| (r, c)))
+            .filter(|&(r, c)| pred(r, c))
+            .count()
+    }
+
     #[test]
     fn seeded_rates_are_statistically_respected() {
         let map = FaultMap::seeded(128, 128, FaultRates::stuck(0.1), 1);
-        let frac = map.cell_fault_count() as f32 / (128.0 * 128.0);
+        let faults = count_cells(&map, |r, c| map.fault_at(r, c).is_some());
+        let frac = faults as f32 / (128.0 * 128.0);
         assert!((frac - 0.1).abs() < 0.01, "fault fraction {frac}");
         // Roughly even split between the two stuck kinds.
-        let on = (0..128)
-            .flat_map(|r| (0..128).map(move |c| (r, c)))
-            .filter(|&(r, c)| map.fault_at(r, c) == Some(CellFault::StuckOn))
-            .count();
-        let ratio = on as f32 / map.cell_fault_count() as f32;
+        let on = count_cells(&map, |r, c| map.fault_at(r, c) == Some(CellFault::StuckOn));
+        let ratio = on as f32 / faults as f32;
         assert!((ratio - 0.5).abs() < 0.05, "stuck-on ratio {ratio}");
     }
 
@@ -496,7 +476,7 @@ mod tests {
     fn zero_rates_yield_clean_map() {
         let map = FaultMap::seeded(64, 64, FaultRates::none(), 99);
         assert!(map.is_clean());
-        assert_eq!(map.faulty_cell_count(), 0);
+        assert_eq!(count_cells(&map, |r, c| map.cell_is_faulty(r, c)), 0);
     }
 
     #[test]
@@ -508,10 +488,11 @@ mod tests {
             assert!(map.cell_is_faulty(3, i));
             assert!(map.cell_is_faulty(i, 5));
         }
-        assert_eq!(map.dead_line_count(), 2);
+        assert_eq!(count_cells(&map, |r, _| map.row_is_dead(r)), 8);
+        assert_eq!(count_cells(&map, |_, c| map.col_is_dead(c)), 8);
         // 8 + 8 − 1 overlap.
-        assert_eq!(map.faulty_cell_count(), 15);
-        assert_eq!(map.cell_fault_count(), 0);
+        assert_eq!(count_cells(&map, |r, c| map.cell_is_faulty(r, c)), 15);
+        assert_eq!(count_cells(&map, |r, c| map.fault_at(r, c).is_some()), 0);
     }
 
     #[test]

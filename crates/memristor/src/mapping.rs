@@ -102,7 +102,7 @@ pub struct TiledMatrix {
     col_blocks: usize,
     tiles: Vec<Crossbar>,
     /// Present when the matrix was programmed through the reliability
-    /// layer: per-tile column assignments and observed fault maps.
+    /// layer: per-tile column assignments.
     remap: Option<RemapInfo>,
 }
 
@@ -113,10 +113,6 @@ struct RemapInfo {
     /// Per tile: `assign[j]` is the physical bitline holding logical
     /// column `j` (identity when no remapping happened).
     assignments: Vec<Vec<usize>>,
-    /// Per tile: faults observed while programming (write-verify failures
-    /// and dead lines) — a deployment can persist these and feed them back
-    /// as the ground-truth map of a later deploy.
-    observed: Vec<FaultMap>,
 }
 
 /// Magnitude of logical column `j` of a `rows × cols` row-major code tile —
@@ -245,7 +241,6 @@ impl TiledMatrix {
         let mut tiles = Vec::with_capacity(row_blocks * col_blocks);
         let mut remap = reliability.is_active().then(|| RemapInfo {
             assignments: Vec::with_capacity(row_blocks * col_blocks),
-            observed: Vec::with_capacity(row_blocks * col_blocks),
         });
         for rb in 0..row_blocks {
             for cb in 0..col_blocks {
@@ -303,7 +298,6 @@ impl TiledMatrix {
                         phys_codes[i * phys_cols + p] = tile_codes[i * cols + j];
                     }
                 }
-                let mut observed = FaultMap::new(rows, phys_cols);
                 tiles.push(Crossbar::program(
                     &phys_codes,
                     rows,
@@ -313,12 +307,10 @@ impl TiledMatrix {
                         map: &map,
                         verify: reliability.policy != ProgramPolicy::Naive,
                         stats: &mut stats,
-                        observed: &mut observed,
                     }),
                     rng.as_deref_mut(),
                 ));
                 info.assignments.push(assign);
-                info.observed.push(observed);
             }
         }
         if instrument {
@@ -330,13 +322,6 @@ impl TiledMatrix {
         }
         let tm = TiledMatrix { in_dim, out_dim, tile, row_blocks, col_blocks, tiles, remap };
         (tm, stats)
-    }
-
-    /// Per-tile fault maps observed while programming (write-verify
-    /// failures and dead lines), in block-row-major tile order. `None` for
-    /// matrices deployed without the reliability layer.
-    pub fn observed_faults(&self) -> Option<&[FaultMap]> {
-        self.remap.as_ref().map(|r| r.observed.as_slice())
     }
 
     /// Input dimension.
@@ -538,7 +523,6 @@ mod tests {
             None,
         );
         assert!(stats.is_clean());
-        assert!(reliable.observed_faults().is_none());
         let x: Vec<f32> = (0..in_dim).map(|i| (i % 7) as f32).collect();
         assert_eq!(
             plain.matvec_code_units(&x, None),

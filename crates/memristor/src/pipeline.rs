@@ -647,7 +647,7 @@ impl SpikingNetwork {
         if rng.is_none() {
             if let Some(engine) = &self.engine {
                 let mut out = Vec::new();
-                let shape = engine.infer_into(x, &mut out);
+                let shape = engine.infer_batch_into(x, &mut out);
                 return Tensor::from_vec(out, shape.dims());
             }
         }
@@ -661,27 +661,6 @@ impl SpikingNetwork {
         run_stages(&self.stages, &coded, &mut rng)
     }
 
-    /// Noise-free inference into a caller-owned buffer (flattened in the
-    /// same layout as [`Self::infer`]'s output tensor). On the integer fast
-    /// path this performs **zero heap allocations** once `out` and the
-    /// thread's scratch arena are warm; without a fast path it falls back
-    /// to [`Self::infer`] and copies. Returns `true` when the fast path ran.
-    pub fn infer_into(&self, x: &Tensor, out: &mut Vec<f32>) -> bool {
-        match &self.engine {
-            Some(engine) => {
-                let _span = qsnc_telemetry::span!("snc.infer");
-                engine.infer_into(x, out);
-                true
-            }
-            None => {
-                let logits = self.infer(x, None);
-                out.clear();
-                out.extend_from_slice(logits.as_slice());
-                false
-            }
-        }
-    }
-
     /// Noise-free **batched** inference into a caller-owned buffer: `xs` is
     /// a `[B, …]` tensor of `B` examples and the per-example output signals
     /// are written back-to-back into `out` (`out.len() / B` floats each, in
@@ -693,7 +672,9 @@ impl SpikingNetwork {
     /// buffers — and a warm fixed-batch-size call performs **zero heap
     /// allocations**. Without a fast path the examples fall back to
     /// [`Self::infer`] one at a time. Returns `true` when the fast path
-    /// ran. This is the entry point the `qsnc-serve` event loops drive.
+    /// ran. This is the one allocation-free entry point: the `qsnc-serve`
+    /// event loops drive it, and [`Self::evaluate`] calls it on `[1, …]`
+    /// examples.
     pub fn infer_batch_into(&self, xs: &Tensor, out: &mut Vec<f32>) -> bool {
         let batch = xs.dims()[0];
         if batch == 0 {
@@ -756,11 +737,10 @@ impl SpikingNetwork {
     }
 
     /// `true` when this network was loaded from a deployment artifact and
-    /// therefore has **only** the integer fast path: [`Self::infer`] without
-    /// noise, [`Self::infer_into`], [`Self::infer_batch_into`], and
-    /// [`Self::evaluate`] without noise all work; noisy inference and
-    /// [`Self::infer_reference`] panic because the float substrate was never
-    /// shipped.
+    /// therefore has **only** the integer fast path: [`Self::infer`],
+    /// [`Self::infer_batch_into`] and [`Self::evaluate`] without noise all
+    /// work; noisy inference and [`Self::infer_reference`] panic because the
+    /// float substrate was never shipped.
     pub fn is_artifact_only(&self) -> bool {
         self.stages.is_empty() && self.engine.is_some()
     }
@@ -845,7 +825,7 @@ impl SpikingNetwork {
                     &batch.images.as_slice()[ei * stride..(ei + 1) * stride],
                 );
                 let pred = if rng.is_none() && self.engine.is_some() {
-                    self.infer_into(ex, &mut logits);
+                    self.infer_batch_into(ex, &mut logits);
                     argmax_slice(&logits)
                 } else {
                     self.infer(ex, rng.as_deref_mut()).argmax()

@@ -5,8 +5,7 @@
 //! the aim level off toward an adjacent conductance level to compensate the
 //! observed signed error; devices that never verify within the retry budget
 //! (3 retries per device when a reliability-aware deploy programs a
-//! crossbar) are reported unrecoverable so the caller can zero-mask them and
-//! record the cell in its observed [`crate::FaultMap`].
+//! crossbar) are reported unrecoverable so the caller can zero-mask them.
 
 use crate::device::{Device, DeviceConfig};
 use qsnc_tensor::TensorRng;

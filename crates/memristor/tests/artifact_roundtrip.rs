@@ -3,7 +3,7 @@
 //! Two guarantees:
 //!
 //! 1. **Bit identity** — a compiled network written to an artifact and
-//!    loaded back produces `infer_into` outputs bit-identical to the
+//!    loaded back produces `infer_batch_into` outputs bit-identical to the
 //!    in-process engine, across the paper's whole `M`/`N` sweep
 //!    (property-tested).
 //! 2. **No panic, no over-allocation** — every structured corruption of a
@@ -75,8 +75,8 @@ proptest! {
             let x = qsnc_tensor::init::uniform([1, 1, 28, 28], 0.0, 1.0, &mut drng);
             let mut direct = Vec::new();
             let mut via_artifact = Vec::new();
-            prop_assert!(snn.infer_into(&x, &mut direct));
-            prop_assert!(loaded.network.infer_into(&x, &mut via_artifact));
+            prop_assert!(snn.infer_batch_into(&x, &mut direct));
+            prop_assert!(loaded.network.infer_batch_into(&x, &mut via_artifact));
             prop_assert_eq!(direct.len(), via_artifact.len());
             for (i, (&a, &b)) in direct.iter().zip(via_artifact.iter()).enumerate() {
                 prop_assert_eq!(
@@ -100,8 +100,8 @@ proptest! {
         ] {
             let mut direct = Vec::new();
             let mut via_artifact = Vec::new();
-            prop_assert!(snn.infer_into(&x, &mut direct));
-            prop_assert!(loaded.network.infer_into(&x, &mut via_artifact));
+            prop_assert!(snn.infer_batch_into(&x, &mut direct));
+            prop_assert!(loaded.network.infer_batch_into(&x, &mut via_artifact));
             for (&a, &b) in direct.iter().zip(via_artifact.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }

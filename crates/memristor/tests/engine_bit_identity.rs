@@ -50,7 +50,7 @@ fn assert_bit_identical(snn: &SpikingNetwork, x: &Tensor) -> Result<(), TestCase
         );
     }
     let mut buf = Vec::new();
-    let ran_fast = snn.infer_into(x, &mut buf);
+    let ran_fast = snn.infer_batch_into(x, &mut buf);
     prop_assert_eq!(ran_fast, snn.has_fast_path());
     prop_assert_eq!(buf.len(), reference.as_slice().len());
     for (&r, &f) in reference.iter().zip(buf.iter()) {
@@ -82,9 +82,9 @@ proptest! {
                 assert_bit_identical(&snn, &x)?;
             } else {
                 // Declined nets fall back to the conductance simulation;
-                // `infer_into` must report that and agree with `infer`.
+                // `infer_batch_into` must report that and agree with `infer`.
                 let mut buf = Vec::new();
-                prop_assert!(!snn.infer_into(&x, &mut buf));
+                prop_assert!(!snn.infer_batch_into(&x, &mut buf));
                 let slow = snn.infer(&x, None);
                 prop_assert_eq!(buf.as_slice(), slow.as_slice());
             }

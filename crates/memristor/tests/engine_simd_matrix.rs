@@ -108,6 +108,8 @@ fn batched_inference_bit_identical_across_simd_levels_and_threads() {
     }
 }
 
+/// One `[1, …]` example through `infer_batch_into`, the allocation-free
+/// entry point, at a second `(M, N)` pair.
 #[test]
 fn infer_into_bit_identical_across_simd_levels() {
     let mut rng = TensorRng::seed(23);
@@ -120,17 +122,21 @@ fn infer_into_bit_identical_across_simd_levels() {
 
     let mut oracle = Vec::new();
     let ran = simd::with_simd_level(SimdLevel::Scalar, || {
-        parallel::with_num_threads(1, || snn.infer_into(&x, &mut oracle))
+        parallel::with_num_threads(1, || snn.infer_batch_into(&x, &mut oracle))
     });
     assert!(ran);
 
     for level in all_levels() {
         let mut buf = Vec::new();
-        let ran = simd::with_simd_level(level, || snn.infer_into(&x, &mut buf));
+        let ran = simd::with_simd_level(level, || snn.infer_batch_into(&x, &mut buf));
         assert!(ran);
         assert_eq!(buf.len(), oracle.len());
         for (&r, &f) in oracle.iter().zip(buf.iter()) {
-            assert_eq!(r.to_bits(), f.to_bits(), "infer_into diverged at {level:?}");
+            assert_eq!(
+                r.to_bits(),
+                f.to_bits(),
+                "infer_batch_into diverged at {level:?}"
+            );
         }
     }
 }

@@ -42,11 +42,6 @@ impl Residual {
         &self.body
     }
 
-    /// Mutable access to the main path (used by quantization rewrites).
-    pub fn body_mut(&mut self) -> &mut Vec<Box<dyn Layer>> {
-        &mut self.body
-    }
-
     /// The layers of the shortcut path (empty means identity).
     pub fn shortcut_layers(&self) -> &[Box<dyn Layer>] {
         &self.shortcut

@@ -8,8 +8,8 @@
 //! equivalent: a [`Layer`] trait with exact backpropagation, the concrete
 //! layers in [`layers`], the [`Sequential`] container, softmax
 //! cross-entropy, SGD with momentum ([`optim`]), one epoch of mini-batch
-//! steps plus evaluation ([`train`]), and the three Table 1 topologies in
-//! [`models`]. The multi-epoch loop (learning-rate decay, progress lines,
+//! steps plus top-1 evaluation ([`train`]), and the three Table 1
+//! topologies in [`models`]. The multi-epoch loop (learning-rate decay, progress lines,
 //! training telemetry) is `qsnc_core`'s `fit`.
 //!
 //! Quantization-aware training is *not* here — `qsnc-quant` provides it by
@@ -33,7 +33,6 @@
 pub mod checkpoint;
 mod layer;
 pub mod layers;
-pub mod metrics;
 pub mod loss;
 pub mod models;
 pub mod optim;
@@ -44,7 +43,6 @@ pub use checkpoint::{
     checkpoint_digest, load_params, read_checkpoint, save_params, CheckpointError,
 };
 pub use layer::{Layer, LayerDesc, Mode, Param};
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use models::ModelKind;
 pub use sequential::Sequential;
 pub use train::{Batch, EpochStats};

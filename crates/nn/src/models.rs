@@ -39,15 +39,6 @@ impl ModelKind {
             ModelKind::Resnet => "Resnet",
         }
     }
-
-    /// Number of computation-unit layers in Table 5 (conv + FC stages).
-    pub fn table5_layer_count(self) -> usize {
-        match self {
-            ModelKind::Lenet => 4,
-            ModelKind::Alexnet => 8,
-            ModelKind::Resnet => 18,
-        }
-    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -305,12 +296,5 @@ mod tests {
         let full = lenet(1.0, 10, &mut rng).weight_count();
         let half = lenet(0.5, 10, &mut rng).weight_count();
         assert!(half < full);
-    }
-
-    #[test]
-    fn table5_layer_counts() {
-        assert_eq!(ModelKind::Lenet.table5_layer_count(), 4);
-        assert_eq!(ModelKind::Alexnet.table5_layer_count(), 8);
-        assert_eq!(ModelKind::Resnet.table5_layer_count(), 18);
     }
 }

@@ -62,20 +62,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Inserts a boxed layer at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > len()`.
-    pub fn insert_boxed(&mut self, index: usize, layer: Box<dyn Layer>) {
-        self.layers.insert(index, layer);
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()

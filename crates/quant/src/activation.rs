@@ -100,20 +100,6 @@ impl ActivationQuantizer {
     pub fn quantize(&self, x: &Tensor) -> Tensor {
         x.map(|v| self.quantize_value(v))
     }
-
-    /// Mean squared quantization error over a tensor.
-    pub fn quantization_mse(&self, x: &Tensor) -> f32 {
-        if x.is_empty() {
-            return 0.0;
-        }
-        x.iter()
-            .map(|&v| {
-                let q = self.quantize_value(v);
-                (q - v) * (q - v)
-            })
-            .sum::<f32>()
-            / x.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -185,9 +171,14 @@ mod tests {
     fn fewer_bits_means_more_error() {
         let mut rng = qsnc_tensor::TensorRng::seed(0);
         let x = qsnc_tensor::init::uniform([1000], 0.0, 1.0, &mut rng);
-        let e8 = ActivationQuantizer::calibrated(8, &x).quantization_mse(&x);
-        let e4 = ActivationQuantizer::calibrated(4, &x).quantization_mse(&x);
-        let e2 = ActivationQuantizer::calibrated(2, &x).quantization_mse(&x);
+        let mse = |bits| {
+            let q = ActivationQuantizer::calibrated(bits, &x);
+            x.iter()
+                .map(|&v| (q.quantize_value(v) - v).powi(2))
+                .sum::<f32>()
+                / x.len() as f32
+        };
+        let (e8, e4, e2) = (mse(8), mse(4), mse(2));
         assert!(e8 < e4 && e4 < e2, "e8={e8} e4={e4} e2={e2}");
     }
 }

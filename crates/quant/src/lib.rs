@@ -20,7 +20,9 @@
 //!
 //! Integration with `qsnc-nn` is through [`insert_signal_stages`] (splices
 //! fake-quantization layers after every ReLU) and
-//! [`quantize_network_weights`] (rewrites weights in place).
+//! [`quantize_network_weights`] (rewrites weights in place). As in the
+//! paper's Tables 2–5, one weight width `N` and one signal width `M` hold
+//! for the whole network.
 //!
 //! Device faults are not modelled here: stuck cells and dead lines belong
 //! to the crossbar the weights are programmed onto (`qsnc_memristor::fault`).
@@ -29,7 +31,6 @@
 
 mod activation;
 mod dynamic_fixed;
-pub mod mixed_precision;
 mod power_of_two;
 mod qat;
 mod regularizer;
@@ -38,9 +39,6 @@ mod weight_cluster;
 
 pub use activation::ActivationQuantizer;
 pub use dynamic_fixed::{dynamic_fixed_quantize, DynamicFixedPoint};
-pub use mixed_precision::{
-    apply_mixed_precision, assign_mixed_precision, PrecisionAssignment,
-};
 pub use power_of_two::{
     power_of_two_quantize, quantize_network_power_of_two, PowerOfTwoWeights,
 };

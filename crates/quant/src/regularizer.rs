@@ -144,11 +144,6 @@ impl ActivationRegularizer {
         }
         o.iter().map(|&x| self.value(x)).sum()
     }
-
-    /// Element-wise subgradient tensor.
-    pub fn tensor_grad(&self, o: &Tensor) -> Tensor {
-        o.map(|x| self.grad(x))
-    }
 }
 
 #[cfg(test)]
@@ -228,8 +223,6 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, -2.0, 9.0]);
         let expected: f32 = t.iter().map(|&x| r.value(x)).sum();
         assert!((r.tensor_value(&t) - expected).abs() < 1e-6);
-        let g = r.tensor_grad(&t);
-        assert_eq!(g.as_slice()[2], r.grad(9.0));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Quantizes one weight tensor at a time (leaving the rest in floating
 //! point) and measures the resulting accuracy, identifying which layers
-//! tolerate aggressive widths — the analysis behind mixed-precision
-//! assignments and the paper's observation that error injected early
-//! propagates (Eq. 4/5).
+//! tolerate aggressive widths — the paper's observation that error
+//! injected early propagates (Eq. 4/5).
 
 use crate::weight_cluster::{quantize_weights, WeightQuantMethod};
 use qsnc_nn::train::{evaluate, Batch};

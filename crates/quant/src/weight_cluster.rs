@@ -68,12 +68,14 @@ pub struct IntWeights {
 }
 
 impl IntWeights {
-    /// Builds the integer deployment form directly from a code/pitch pair —
-    /// the export path deployment artifacts take, where the codes come from
-    /// an already-compiled layer rather than a [`QuantizedWeights`].
+    /// Builds the integer deployment form from a code/pitch pair (such as
+    /// a [`QuantizedWeights`]' `codes` and `scale`) — the export path
+    /// deployment artifacts take.
     ///
-    /// Returns `None` when a code does not fit `i8` or the pitch is
-    /// zero/non-finite, mirroring [`QuantizedWeights::int_weights`].
+    /// Returns `None` when a code does not fit `i8` (only possible at
+    /// `N = 8`, where the inclusive bound `2^(N−1) = 128` exceeds
+    /// `i8::MAX`) or the pitch is zero/non-finite — callers fall back to
+    /// the float path in that case.
     pub fn from_codes(codes: &[i32], scale: f32) -> Option<IntWeights> {
         if !(scale.is_finite() && scale != 0.0) {
             return None;
@@ -110,24 +112,6 @@ fn decompose_scale(x: f32) -> (i32, i32) {
         m = -m;
     }
     (m, e)
-}
-
-impl QuantizedWeights {
-    /// Exports the integer deployment form: `i8` codes plus the exact
-    /// `mantissa · 2^shift` pitch decomposition.
-    ///
-    /// Returns `None` when a code does not fit `i8` (only possible at
-    /// `N = 8`, where the inclusive bound `2^(N−1) = 128` exceeds
-    /// `i8::MAX`) or the pitch is zero/non-finite — callers fall back to
-    /// the float path in that case.
-    pub fn int_weights(&self) -> Option<IntWeights> {
-        if !(self.scale.is_finite() && self.scale != 0.0) {
-            return None;
-        }
-        let codes: Option<Vec<i8>> = self.codes.iter().map(|&c| i8::try_from(c).ok()).collect();
-        let (mantissa, shift) = decompose_scale(self.scale);
-        Some(IntWeights { codes: codes?, mantissa, shift })
-    }
 }
 
 fn level_bound(bits: u32) -> i32 {
@@ -396,7 +380,7 @@ mod tests {
         let w = qsnc_tensor::init::normal([300], 0.0, 0.4, &mut rng);
         for bits in 2..=7 {
             let q = cluster_weights(&w, bits);
-            let iw = q.int_weights().expect("codes fit i8 for N ≤ 7");
+            let iw = IntWeights::from_codes(&q.codes, q.scale).expect("codes fit i8 for N ≤ 7");
             // Pitch reconstructs bit-for-bit and the mantissa is odd.
             assert_eq!(iw.scale().to_bits(), q.scale.to_bits(), "bits={bits}");
             assert_eq!(iw.mantissa.rem_euclid(2), 1, "mantissa must be odd");
@@ -414,11 +398,11 @@ mod tests {
         let w = Tensor::from_slice(&[5.0, -5.0, 0.1]);
         let q = direct_fixed_point(&w, 8);
         assert!(q.codes.contains(&128));
-        assert!(q.int_weights().is_none());
+        assert!(IntWeights::from_codes(&q.codes, q.scale).is_none());
         // But an N = 8 tensor whose codes all stay within i8 exports fine.
         let w = Tensor::from_slice(&[0.1, -0.2]);
         let q = direct_fixed_point(&w, 8);
-        assert!(q.int_weights().is_some());
+        assert!(IntWeights::from_codes(&q.codes, q.scale).is_some());
     }
 
     #[test]

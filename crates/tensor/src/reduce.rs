@@ -64,11 +64,6 @@ impl Tensor {
         self.variance().sqrt()
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f32 {
-        self.iter().map(|x| x.abs()).sum()
-    }
-
     /// L2 norm (Euclidean).
     pub fn norm_l2(&self) -> f32 {
         self.iter().map(|&x| x * x).sum::<f32>().sqrt()
@@ -130,65 +125,6 @@ impl Tensor {
     }
 }
 
-impl Tensor {
-    /// Generic reduction along `axis`: combines elements with `f` starting
-    /// from `init`, producing a tensor whose shape drops that axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn reduce_axis(&self, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let dims = self.dims();
-        assert!(axis < dims.len(), "axis {axis} out of range for rank {}", dims.len());
-        let axis_len = dims[axis];
-        let outer: usize = dims[..axis].iter().product();
-        let inner: usize = dims[axis + 1..].iter().product();
-        let mut out = vec![init; outer * inner];
-        let src = self.as_slice();
-        for o in 0..outer {
-            for a in 0..axis_len {
-                let base = (o * axis_len + a) * inner;
-                let dst = &mut out[o * inner..(o + 1) * inner];
-                for (d, &s) in dst.iter_mut().zip(&src[base..base + inner]) {
-                    *d = f(*d, s);
-                }
-            }
-        }
-        let mut new_dims: Vec<usize> = dims.to_vec();
-        new_dims.remove(axis);
-        Tensor::from_vec(out, new_dims)
-    }
-
-    /// Sum along `axis`, dropping it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn sum_axis(&self, axis: usize) -> Tensor {
-        self.reduce_axis(axis, 0.0, |acc, x| acc + x)
-    }
-
-    /// Mean along `axis`, dropping it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()` or the axis is empty.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.dims()[axis];
-        assert!(n > 0, "cannot take the mean of an empty axis");
-        self.sum_axis(axis).scale(1.0 / n as f32)
-    }
-
-    /// Maximum along `axis`, dropping it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max)
-    }
-}
-
 /// Numerically stable row-wise softmax on a `[rows, cols]` tensor.
 ///
 /// # Panics
@@ -228,7 +164,6 @@ mod tests {
         assert_eq!(t.min(), -2.0);
         assert_eq!(t.abs_max(), 3.0);
         assert_eq!(t.argmax(), 2);
-        assert_eq!(t.norm_l1(), 6.0);
         assert!((t.norm_l2() - 14.0f32.sqrt()).abs() < 1e-6);
         assert_eq!(t.sparsity(), 0.25);
         assert_eq!(t.count(|x| x > 0.0), 2);
@@ -274,42 +209,5 @@ mod tests {
     #[should_panic(expected = "argmax of empty tensor")]
     fn argmax_empty_panics() {
         Tensor::zeros([0]).argmax();
-    }
-
-    #[test]
-    fn sum_axis_each_axis() {
-        let t = Tensor::from_vec((1..=6).map(|v| v as f32).collect(), [2, 3]);
-        // Rows: [1,2,3] and [4,5,6].
-        let s0 = t.sum_axis(0);
-        assert_eq!(s0.dims(), &[3]);
-        assert_eq!(s0.as_slice(), &[5.0, 7.0, 9.0]);
-        let s1 = t.sum_axis(1);
-        assert_eq!(s1.dims(), &[2]);
-        assert_eq!(s1.as_slice(), &[6.0, 15.0]);
-    }
-
-    #[test]
-    fn mean_and_max_axis() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, 2.0, 4.0], [2, 2]);
-        assert_eq!(t.mean_axis(0).as_slice(), &[1.5, 4.5]);
-        assert_eq!(t.max_axis(1).as_slice(), &[5.0, 4.0]);
-    }
-
-    #[test]
-    fn axis_reduction_on_rank4() {
-        let t = Tensor::ones([2, 3, 4, 5]);
-        let r = t.sum_axis(1);
-        assert_eq!(r.dims(), &[2, 4, 5]);
-        assert!(r.iter().all(|&v| v == 3.0));
-        // Chaining reductions reaches the scalar total.
-        let total = t.sum_axis(0).sum_axis(0).sum_axis(0).sum_axis(0);
-        assert_eq!(total.len(), 1);
-        assert_eq!(total.as_slice()[0], 120.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "axis 2 out of range")]
-    fn bad_axis_panics() {
-        Tensor::zeros([2, 2]).sum_axis(2);
     }
 }

@@ -123,16 +123,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// Mutable reference to the element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of bounds.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics
@@ -284,13 +274,6 @@ mod tests {
         assert_eq!(t.at(&[0, 0, 0]), 0.0);
         assert_eq!(t.at(&[1, 2, 3]), 23.0);
         assert_eq!(t.at(&[1, 0, 2]), 14.0);
-    }
-
-    #[test]
-    fn at_mut_writes() {
-        let mut t = Tensor::zeros([2, 2]);
-        *t.at_mut(&[1, 1]) = 7.0;
-        assert_eq!(t.at(&[1, 1]), 7.0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 
 use qsnc::core::report::{pct, pct_delta, Table};
 use qsnc::core::{
-    deploy_to_snc, direct_quantize, snc_accuracy, train_float, train_quant_aware, QuantConfig,
-    TrainSettings,
+    deploy_to_snc, direct_quantize, train_float, train_quant_aware, QuantConfig, TrainSettings,
 };
 use qsnc::data::synth_digits;
 use qsnc::nn::ModelKind;
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = four_bit_model.expect("4-bit model trained above");
     let quant = QuantConfig::paper(4, 4);
     let snn = deploy_to_snc(&model.net, &quant, None)?;
-    let hw_acc = snc_accuracy(&snn, &test_batches[..2], None);
+    let hw_acc = snn.evaluate(&test_batches[..2], None);
     println!(
         "4-bit spiking deployment: {} crossbars, accuracy {} (software-quantized: {})",
         snn.crossbar_count(),

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qsnc::core::{deploy_to_snc, snc_accuracy, train_quant_aware, QuantConfig, TrainSettings};
+use qsnc::core::{deploy_to_snc, train_quant_aware, QuantConfig, TrainSettings};
 use qsnc::data::synth_digits;
 use qsnc::nn::ModelKind;
 use qsnc::tensor::TensorRng;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snn.device_count()
     );
     let sample = test.batches(100, None);
-    let hw_acc = snc_accuracy(&snn, &sample[..1], None);
+    let hw_acc = snn.evaluate(&sample[..1], None);
     println!("spiking-system accuracy on 100 examples: {:.2}%", hw_acc * 100.0);
 
     // 4. Hardware payoff versus the 8-bit dynamic fixed-point baseline.

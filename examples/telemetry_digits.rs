@@ -14,7 +14,7 @@
 //! recording.
 
 use qsnc::core::report::pct;
-use qsnc::core::{deploy_to_snc, snc_accuracy, train_quant_aware, QuantConfig, TrainSettings};
+use qsnc::core::{deploy_to_snc, train_quant_aware, QuantConfig, TrainSettings};
 use qsnc::data::synth_digits;
 use qsnc::nn::ModelKind;
 use qsnc::telemetry::{self, TelemetryMode};
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // counters, crossbar tiling utilization.
     let snn = deploy_to_snc(&model.net, &quant, None)?;
     let test_batches = test.batches(64, None);
-    let hw_acc = snc_accuracy(&snn, &test_batches[..1], None);
+    let hw_acc = snn.evaluate(&test_batches[..1], None);
     eprintln!(
         "spiking deployment: {} crossbars, accuracy {}",
         snn.crossbar_count(),

@@ -14,9 +14,7 @@
 //!
 //! Every run is deterministic given `--seed`.
 
-use qsnc::core::{
-    deploy_to_snc, export_artifact, snc_accuracy, train_quant_aware, QuantConfig, TrainSettings,
-};
+use qsnc::core::{deploy_to_snc, export_artifact, train_quant_aware, QuantConfig, TrainSettings};
 use qsnc::data::{synth_digits, synth_objects, Dataset};
 use qsnc::memristor::{network_geometry, ExecutionMode, HwModel};
 use qsnc::nn::train::evaluate;
@@ -266,7 +264,7 @@ fn cmd_deploy(args: &Args) -> Result<(), String> {
     let mut rng = TensorRng::seed(seed);
     let (_, test) = dataset_for(kind, examples, &mut rng).split(0.8);
     let sample = test.batches(100, None);
-    let acc = snc_accuracy(&snn, &sample[..1], None);
+    let acc = snn.evaluate(&sample[..1], None);
     println!("spiking accuracy on 100 examples: {:.2}%", acc * 100.0);
     Ok(())
 }

@@ -156,7 +156,7 @@ fn served_artifact_replies_bit_identical_to_in_process_engine() {
         .iter()
         .map(|x| {
             let mut out = Vec::new();
-            assert!(snn.infer_into(x, &mut out));
+            assert!(snn.infer_batch_into(x, &mut out));
             out
         })
         .collect();

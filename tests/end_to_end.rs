@@ -2,8 +2,7 @@
 //! deploy pipeline, exercised end to end on the digit task.
 
 use qsnc::core::{
-    deploy_to_snc, direct_quantize, snc_accuracy, train_float, train_quant_aware, QuantConfig,
-    TrainSettings,
+    deploy_to_snc, direct_quantize, train_float, train_quant_aware, QuantConfig, TrainSettings,
 };
 use qsnc::data::synth_digits;
 use qsnc::memristor::{crossbars_for_layer, HwModel};
@@ -35,7 +34,7 @@ fn full_pipeline_digits_4bit() {
     // Deployment: software-quantized and spiking accuracies agree.
     let snn = deploy_to_snc(&model.net, &quant, None).expect("deploy");
     let sample = test.batches(50, None);
-    let hw_acc = snc_accuracy(&snn, &sample[..1], None);
+    let hw_acc = snn.evaluate(&sample[..1], None);
     assert!(
         (hw_acc - model.quantized_accuracy).abs() < 0.1,
         "spiking {hw_acc} vs software {}",
@@ -147,7 +146,7 @@ fn device_noise_degrades_gracefully() {
 
     // Ideal deployment.
     let snn = deploy_to_snc(&model.net, &quant, None).expect("deploy");
-    let ideal = snc_accuracy(&snn, &sample[..1], None);
+    let ideal = snn.evaluate(&sample[..1], None);
 
     // Deployment with strong programming variation.
     let mut cfg = qsnc::memristor::DeployConfig::paper(4, 4);
@@ -155,7 +154,7 @@ fn device_noise_degrades_gracefully() {
     let mut noise_rng = TensorRng::seed(99);
     let snn_noisy = qsnc::memristor::SpikingNetwork::compile(&model.net, &cfg, Some(&mut noise_rng))
         .expect("compile");
-    let noisy = snc_accuracy(&snn_noisy, &sample[..1], None);
+    let noisy = snn_noisy.evaluate(&sample[..1], None);
 
     // Noise can only plausibly hurt; it must not *improve* accuracy by a
     // wide margin, and the system should still be usable.

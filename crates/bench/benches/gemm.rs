@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm_conv, matmul, matmul_serial, parallel,
+    conv2d, gemm, gemm_serial, igemm_conv, matmul, matmul_serial, parallel,
     set_gemm_kernel, Conv2dSpec, GemmKernel, PackedCodes, SimdLevel, Tensor,
 };
 use rand::{Rng, SeedableRng};
@@ -180,7 +180,9 @@ fn bench_igemm_vs_float(c: &mut Criterion) {
 /// the engine runs ([`igemm_conv`] on an `[8, 28, 28]` image, lowering
 /// included) and the f32 GEMM forced to scalar and (when the machine has
 /// it) AVX2, one thread throughout. Each integer row is that level's one
-/// conv route.
+/// conv route. A third group times the training forward [`conv2d`] at
+/// LeNet conv1 (the benchmark's width 0.5: 3 filters of 5×5, padding 2)
+/// over a batch of 16 images at each level.
 fn bench_simd_levels(c: &mut Criterion) {
     let (out, k, pix) = (16usize, 200usize, 576usize);
     let mut rng = rand::rngs::StdRng::seed_from_u64(60);
@@ -222,6 +224,23 @@ fn bench_simd_levels(c: &mut Criterion) {
                 qsnc_tensor::with_simd_level(level, || {
                     out_f.fill(0.0);
                     gemm_serial(out, k, pix, &codes_f, &cols_f, &mut out_f);
+                })
+            })
+        });
+    }
+    group.finish();
+
+    let images = mat(16, 28 * 28, 61, 3).into_reshaped([16, 1, 28, 28]);
+    let filters = mat(3, 5 * 5, 62, 0).into_reshaped([3, 1, 5, 5]);
+    let bias = mat(1, 3, 63, 0).into_reshaped([3]);
+    let mut group = c.benchmark_group("conv2d_simd_levels");
+    for &(label, level) in &levels {
+        group.bench_function(label, |bch| {
+            bch.iter(|| {
+                qsnc_tensor::with_simd_level(level, || {
+                    parallel::with_num_threads(1, || {
+                        conv2d(&images, &filters, Some(&bias), Conv2dSpec::new(5, 1, 2))
+                    })
                 })
             })
         });

@@ -9,8 +9,8 @@
 //!
 //! - [`FaultMap`] — a persistent per-crossbar record of faulty cells,
 //!   either generated deterministically from seeded rates
-//!   ([`FaultMap::seeded`]) or recorded cell by cell
-//!   ([`FaultMap::record`]).
+//!   ([`FaultMap::seeded`]) or rebuilt from a stored characterization
+//!   ([`FaultMap::from_json`]).
 //! - [`ReliabilityConfig`] / [`ProgramPolicy`] — how a deployment reacts:
 //!   ignore the faults ([`ProgramPolicy::Naive`]), detect-and-mask them
 //!   ([`ProgramPolicy::WriteVerify`]), or additionally steer important
@@ -106,15 +106,20 @@ impl Default for FaultRates {
 ///
 /// ```
 /// use qsnc_memristor::{CellFault, FaultMap, FaultRates};
+/// use qsnc_telemetry::json::Json;
 ///
 /// // Seeded generation is deterministic: same seed, same map.
 /// let a = FaultMap::seeded(32, 32, FaultRates::stuck(0.05), 7);
 /// let b = FaultMap::seeded(32, 32, FaultRates::stuck(0.05), 7);
 /// assert_eq!(a.to_json().render(), b.to_json().render());
 ///
-/// // Maps can also be grown cell by cell, e.g. from a characterization.
-/// let mut measured = FaultMap::new(32, 32);
-/// measured.record(3, 17, CellFault::StuckOn);
+/// // A stored characterization rebuilds the map it was taken from.
+/// let doc = Json::parse(
+///     r#"{"rows": 32, "cols": 32, "cells": [{"row": 3, "col": 17, "kind": "stuck_on"}],
+///         "dead_rows": [], "dead_cols": []}"#,
+/// )
+/// .unwrap();
+/// let measured = FaultMap::from_json(&doc).unwrap();
 /// assert_eq!(measured.fault_at(3, 17), Some(CellFault::StuckOn));
 /// assert!(measured.cell_is_faulty(3, 17) && !measured.cell_is_faulty(3, 18));
 /// ```
@@ -166,29 +171,6 @@ impl FaultMap {
             }
         }
         map
-    }
-
-    /// Records an observed cell fault (e.g. a write-verify failure). A
-    /// later record for the same cell overwrites the earlier one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates lie outside the crossbar.
-    pub fn record(&mut self, row: usize, col: usize, fault: CellFault) {
-        assert!(row < self.rows && col < self.cols, "cell ({row}, {col}) outside crossbar");
-        self.cells.insert((row, col), fault);
-    }
-
-    /// Marks a whole wordline as dead.
-    pub fn record_dead_row(&mut self, row: usize) {
-        assert!(row < self.rows, "row {row} outside crossbar");
-        self.dead_rows.insert(row);
-    }
-
-    /// Marks a whole bitline as dead.
-    pub fn record_dead_col(&mut self, col: usize) {
-        assert!(col < self.cols, "col {col} outside crossbar");
-        self.dead_cols.insert(col);
     }
 
     /// Wordline count.
@@ -479,11 +461,17 @@ mod tests {
         assert_eq!(count_cells(&map, |r, c| map.cell_is_faulty(r, c)), 0);
     }
 
+    /// Rebuilds a map from its stored form.
+    fn parse_map(doc: &str) -> Option<FaultMap> {
+        FaultMap::from_json(&Json::parse(doc).expect("parse"))
+    }
+
     #[test]
     fn dead_lines_mark_whole_rows_and_cols() {
-        let mut map = FaultMap::new(8, 8);
-        map.record_dead_row(3);
-        map.record_dead_col(5);
+        let map = parse_map(
+            r#"{"rows": 8, "cols": 8, "cells": [], "dead_rows": [3], "dead_cols": [5]}"#,
+        )
+        .expect("restore");
         for i in 0..8 {
             assert!(map.cell_is_faulty(3, i));
             assert!(map.cell_is_faulty(i, 5));
@@ -508,18 +496,12 @@ mod tests {
 
     #[test]
     fn from_json_rejects_out_of_range_cells() {
-        let mut map = FaultMap::new(4, 4);
-        map.record(3, 3, CellFault::StuckOn);
-        let mut doc = map.to_json();
-        // Shrink the declared dims below the recorded cell.
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "rows" {
-                    *v = Json::Num(2.0);
-                }
-            }
-        }
-        assert!(FaultMap::from_json(&doc).is_none());
+        let cell = r#""cells": [{"row": 3, "col": 3, "kind": "stuck_on"}],
+            "dead_rows": [], "dead_cols": []"#;
+        let map = parse_map(&format!(r#"{{"rows": 4, "cols": 4, {cell}}}"#)).expect("in range");
+        assert_eq!(map.fault_at(3, 3), Some(CellFault::StuckOn));
+        // Declared dims below the recorded cell.
+        assert!(parse_map(&format!(r#"{{"rows": 2, "cols": 4, {cell}}}"#)).is_none());
     }
 
     #[test]

@@ -21,16 +21,24 @@ use qsnc_tensor::{
 ///
 /// The AVX2 weight-gradient chains cover 8 taps of a kernel row each, so
 /// only kernels wider than 8 split a row into a full chunk and a partial
-/// one; the last three geometries exercise that split.
-const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 8] = [
+/// one; the 9×9, 11×11 and 17×17 geometries exercise that split. The
+/// forward chains cover 8 output pixels of a row each and run 8 chains at
+/// a time through every filter: an output width that is a multiple of 8
+/// fills every lane, a narrower one leaves lanes unstored, and a chain
+/// count (`oh · ⌈ow/8⌉`) that is not a multiple of 8 ends in a partial
+/// group.
+const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 11] = [
     (1, 3, 5, 1, 2, 28),  // LeNet conv1
     (3, 8, 5, 1, 0, 14),  // LeNet conv2
-    (2, 4, 3, 1, 1, 8),   // 3×3, same padding
+    (2, 4, 3, 1, 1, 8),   // 3×3, same padding: width 8, one group
     (3, 4, 3, 2, 1, 9),   // strided 3×3
     (4, 6, 1, 2, 0, 8),   // 1×1 stride-2 projection
     (2, 3, 9, 1, 0, 13),  // 9×9: one full chunk and one lone tap
     (1, 4, 11, 2, 2, 17), // strided 11×11: chunks of 8 and 3
     (2, 2, 17, 1, 1, 19), // 17×17: two full chunks and a lone tap
+    (3, 1, 3, 1, 1, 16),  // one filter; width 16, four full groups
+    (2, 5, 5, 1, 2, 7),   // five filters; width 7: seven chains, a partial group
+    (4, 5, 3, 2, 1, 16),  // five filters, strided 3×3 to width 8
 ];
 
 /// Uniform values in `[-1, 1)` with every third entry exactly zero, the

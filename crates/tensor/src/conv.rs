@@ -1,25 +1,23 @@
 //! Convolution lowering: zero padding, im2col / col2im, the convolution and
 //! its training gradients, and a direct reference convolution.
 //!
-//! Layers in `qsnc-nn` run [`conv2d`] forward (each image lowered to columns
-//! and multiplied by the filters) and train through [`conv2d_weight_grad`]
-//! and [`conv2d_input_grad`], which need no batch column matrix and are
-//! bit-identical to the products over one: `g · im2col(x)ᵀ` and
-//! `col2im(Wᵀ · g)`. Those products, [`im2col`] and [`col2im`] stay as the
-//! tests' oracles (the float spiking pipeline also lowers through
-//! [`im2col`]); the direct [`conv2d_direct`] implementation is the oracle
-//! for [`conv2d`], and the form the crossbar mapper mirrors (each filter
-//! becomes one crossbar column over an im2col'd input vector).
+//! Layers in `qsnc-nn` run [`conv2d`] forward and train through
+//! [`conv2d_weight_grad`] and [`conv2d_input_grad`]. None of the three
+//! builds a column matrix, and each is bit-identical to the product over
+//! one: `W · im2col(x)`, `g · im2col(x)ᵀ` and `col2im(Wᵀ · g)`. Those
+//! products, [`im2col`] and [`col2im`] stay as the tests' oracles (the float
+//! spiking pipeline also lowers through [`im2col`]); the direct
+//! [`conv2d_direct`] implementation is the oracle for [`conv2d`], and the
+//! form the crossbar mapper mirrors (each filter becomes one crossbar
+//! column over an im2col'd input vector).
 //!
 //! Three paths here parallelize over the [`crate::parallel`] workers:
 //! [`im2col`] partitions the rows of the column matrix (each row is filled
 //! by exactly one thread), and [`conv2d`] and [`conv2d_input_grad`]
 //! partition the batch, giving each worker a contiguous run of images whose
-//! slice of the output it alone writes — which also spares [`conv2d`] the
-//! `[f, n, ·]` → `[n, f, ·]` reorder pass the batched lowering needed. All
-//! are pure scatters into disjoint output regions, so results do not depend
-//! on the thread count. [`conv2d_weight_grad`] sums across the batch and
-//! runs serially.
+//! slice of the output it alone writes. All are pure scatters into disjoint
+//! output regions, so results do not depend on the thread count.
+//! [`conv2d_weight_grad`] sums across the batch and runs serially.
 
 use crate::linalg::gemm_serial;
 use crate::parallel;
@@ -172,34 +170,6 @@ pub fn im2col(x: &Tensor, spec: Conv2dSpec) -> Tensor {
     Tensor::from_vec(cols, [rows, cols_n])
 }
 
-/// Lowers one already-padded image `[c, hp, wp]` to `[c·k·k, oh·ow]` columns.
-/// `(hp, wp)` is the padded input size, `(oh, ow)` the output map size.
-fn im2col_image(
-    src: &[f32],
-    c: usize,
-    (hp, wp): (usize, usize),
-    (oh, ow): (usize, usize),
-    spec: Conv2dSpec,
-    cols: &mut [f32],
-) {
-    let k = spec.kernel;
-    let pix = oh * ow;
-    for ic in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let src_off = (ic * hp + oy * spec.stride + ky) * wp + kx;
-                    let dst_off = row * pix + oy * ow;
-                    for ox in 0..ow {
-                        cols[dst_off + ox] = src[src_off + ox * spec.stride];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Scatters a `[c·k·k, n·oh·ow]` column matrix back to a `[n, c, h, w]`
 /// image, accumulating overlaps. Adjoint of [`im2col`]; used by the
 /// convolution backward pass.
@@ -249,17 +219,20 @@ pub fn col2im(
     unpad2d(&padded_t, spec.padding)
 }
 
-/// Convolves `x` `[n, c, h, w]` with filters `w` `[f, c, k, k]` via
-/// im2col + GEMM, adding per-filter `bias` `[f]` if provided.
+/// Convolves `x` `[n, c, h, w]` with filters `w` `[f, c, k, k]`, adding
+/// per-filter `bias` `[f]` if provided.
 ///
 /// Returns `[n, f, oh, ow]`.
 ///
-/// The batch is partitioned across the [`crate::parallel`] workers: each
-/// worker lowers its images to columns and multiplies straight into that
-/// image's `[f, oh·ow]` slice of the output, which is both the parallel axis
-/// and what lets this path skip the `[f, n, ·]` → `[n, f, ·]` reorder the
-/// batched lowering required. Per-output-element accumulation order matches
-/// the batched form, so results are bit-identical at any thread count.
+/// **Bit-identical** to `W[f, c·k·k] · im2col(x)` plus bias, without the
+/// column matrix. Each image is copied into a zero-padded, stride
+/// phase-split scratch image, and the direct kernel
+/// `simd::ConvForward::run` runs every output as one lane of a chain that
+/// starts at `+0.0` and adds `w · x` in ascending `(ic, ky, kx)`, a
+/// separate multiply and add per term, then the bias — the product's
+/// operation sequence. The batch is partitioned across the
+/// [`crate::parallel`] workers, each writing its images' slice of the
+/// output, so the thread count cannot change a bit.
 ///
 /// # Panics
 ///
@@ -277,39 +250,27 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSp
     assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
     assert_eq!(k, k2, "conv2d kernels must be square");
     assert_eq!(k, spec.kernel, "spec kernel disagrees with weight");
+    if let Some(b) = bias {
+        assert_eq!(b.len(), f, "conv2d bias length mismatch");
+    }
 
-    let oh = spec.output_size(h);
-    let ow = spec.output_size(w);
-    let padded = pad2d(x, spec.padding);
-    let (hp, wp) = (padded.dims()[2], padded.dims()[3]);
-    let ckk = c * k * k;
-    let pix = oh * ow;
-    let src = padded.as_slice();
-    let ws = weight.as_slice();
-    let bs = bias.map(Tensor::as_slice);
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let pad = spec.padding;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let geom = simd::ConvGeom { c, k, hp, wp, oh, ow, stride: spec.stride };
+    let fwd = simd::ConvForward::new(geom, pad, f, weight.as_slice());
+    let level = simd::simd_level();
+    let (xs, bs, pix) = (x.as_slice(), bias.map(Tensor::as_slice), oh * ow);
 
     let mut out = vec![0.0f32; n * f * pix];
     parallel::par_bands_mut(&mut out, n, f * pix, |img0, imgs, chunk| {
-        // Column buffer from the thread-local scratch arena, reused across
-        // this worker's images (fully overwritten by each lowering) and —
-        // on the serial path, where the thread persists — across calls.
-        let mut cols = crate::scratch::take_f32(ckk * pix);
+        // Zeroed once: every image rewrites the same positions.
+        let mut padded = crate::scratch::take_f32(fwd.input_len());
         for i in 0..imgs {
-            let img_src = &src[(img0 + i) * c * hp * wp..(img0 + i + 1) * c * hp * wp];
-            im2col_image(img_src, c, (hp, wp), (oh, ow), spec, &mut cols);
-            let out_img = &mut chunk[i * f * pix..(i + 1) * f * pix];
-            // [f, c·k·k] × [c·k·k, oh·ow] → [f, oh·ow], already image-major.
-            gemm_serial(f, ckk, pix, ws, &cols, out_img);
-            if let Some(b) = bs {
-                for fi in 0..f {
-                    let bv = b[fi];
-                    for v in &mut out_img[fi * pix..(fi + 1) * pix] {
-                        *v += bv;
-                    }
-                }
-            }
+            fwd.load(&xs[(img0 + i) * c * h * w..(img0 + i + 1) * c * h * w], &mut padded);
+            fwd.run(level, bs, &padded, &mut chunk[i * f * pix..(i + 1) * f * pix]);
         }
-        crate::scratch::put_f32(cols);
+        crate::scratch::put_f32(padded);
     });
     Tensor::from_vec(out, [n, f, oh, ow])
 }
@@ -581,6 +542,50 @@ mod tests {
             assert_eq!(fast.dims(), slow.dims());
             for (a, bv) in fast.iter().zip(slow.iter()) {
                 assert!((a - bv).abs() < 1e-4, "{a} vs {bv}");
+            }
+        }
+    }
+
+    #[test]
+    fn conv2d_bit_identical_to_column_product_at_every_level() {
+        // `W · im2col(x)` plus bias, reordered to `[n, f, oh, ow]`. Strides
+        // wider than the kernel skip rows and phases of the padded copy.
+        for &(n, c, h, w, f, k, stride, pad, biased) in &[
+            (2, 1, 28, 28, 3, 5, 1, 2, true),
+            (3, 3, 14, 13, 8, 5, 1, 0, false),
+            (2, 4, 16, 16, 5, 3, 2, 1, true),
+            (2, 3, 9, 11, 4, 1, 3, 1, true),
+            (1, 2, 10, 7, 2, 2, 3, 0, false),
+            (1, 1, 5, 5, 9, 5, 1, 0, true),
+        ] {
+            let x = rand_tensor(&[n, c, h, w], 19);
+            let mut wt = rand_tensor(&[f, c, k, k], 23);
+            // Zero weights are skipped; the chains must not notice.
+            for v in wt.as_mut_slice().iter_mut().step_by(4) {
+                *v = 0.0;
+            }
+            let b = rand_tensor(&[f], 29);
+            let spec = Conv2dSpec::new(k, stride, pad);
+            let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+            let prod = crate::linalg::matmul_naive(&wt.reshape([f, c * k * k]), &im2col(&x, spec));
+            let mut want = vec![0.0f32; n * f * oh * ow];
+            for (j, &v) in prod.iter().enumerate() {
+                let (fi, col) = (j / (n * oh * ow), j % (n * oh * ow));
+                let (img, p) = (col / (oh * ow), col % (oh * ow));
+                want[(img * f + fi) * oh * ow + p] = if biased { v + b.as_slice()[fi] } else { v };
+            }
+            for level in [simd::SimdLevel::Scalar, simd::SimdLevel::Avx2] {
+                for threads in [1, 3] {
+                    let got = simd::with_simd_level(level, || {
+                        parallel::with_num_threads(threads, || {
+                            conv2d(&x, &wt, biased.then_some(&b), spec)
+                        })
+                    });
+                    assert_eq!(got.dims(), &[n, f, oh, ow]);
+                    for (i, (a, e)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(a.to_bits(), e.to_bits(), "{level:?} {threads}t k={k} s={stride} #{i}");
+                    }
+                }
             }
         }
     }

@@ -11,8 +11,10 @@
 //!   arithmetic.
 //! - Element-wise arithmetic and operator overloads (`arith`).
 //! - Blocked GEMM, mat-vec, transpose, outer products ([`linalg`]).
-//! - Convolution lowering: [`pad2d`], [`im2col`], [`col2im`], [`conv2d`]
-//!   plus a direct reference convolution ([`conv`]).
+//! - Convolution: [`conv2d`] and its training gradients as direct kernels
+//!   over a zero-padded copy of each image, bit-identical to the
+//!   [`im2col`] / [`col2im`] products they replace, plus [`pad2d`] and a
+//!   direct reference convolution ([`conv`]).
 //! - Reductions, histograms and a stable softmax ([`reduce`]).
 //! - Deterministic RNG and Xavier/He initializers ([`init`]).
 //! - Integer GEMM over packed `i8` weight codes for the quantized fast

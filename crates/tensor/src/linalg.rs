@@ -1,8 +1,11 @@
 //! Dense linear algebra: GEMM, matrix-vector products, and transposes.
 //!
 //! The blocked GEMM here is the computational core of the whole simulator:
-//! convolution lowers to it via im2col, fully connected layers call it
-//! directly, and the memristor crossbar model validates against it.
+//! fully connected layers call it directly ([`gemm_bt`] forward, [`matmul`]
+//! backward), the convolution input gradient runs its `Wᵀ · g` product per
+//! image, and the memristor crossbar model validates against it. The
+//! convolution forward and weight gradient have their own direct kernels
+//! (`crate::conv`) and never reach it.
 //!
 //! [`gemm`] and [`matmul`] partition output rows across the worker threads
 //! configured in [`crate::parallel`]. Each thread runs the same blocked
@@ -403,30 +406,50 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
 ///
 /// Each output element starts from its current value and accumulates in
 /// ascending `k` — the same per-element order as [`gemm_band`], so the two
-/// forms are bit-identical on equal inputs.
+/// forms are bit-identical on equal inputs. Four output columns advance per
+/// pass, four independent chains sharing each `a[i, k]` load and, under
+/// `SkipZeros`, its zero test. With `k = 0` the sum is empty and `c` is
+/// left as it is.
 fn gemm_bt_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
+    if k == 0 {
+        return;
+    }
     let skip = kernel == GemmKernel::SkipZeros;
     for i0 in (0..mb).step_by(BLOCK) {
         let i_end = (i0 + BLOCK).min(mb);
         for j0 in (0..n).step_by(BLOCK) {
             let j_end = (j0 + BLOCK).min(n);
+            let bblock = &bt[j0 * k..j_end * k];
             for i in i0..i_end {
                 let arow = &a[i * k..(i + 1) * k];
-                for j in j0..j_end {
-                    let brow = &bt[j * k..(j + 1) * k];
-                    let mut acc = c[i * n + j];
-                    if skip {
-                        for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                            if av != 0.0 {
-                                acc += av * bv;
-                            }
+                let crow = &mut c[i * n + j0..i * n + j_end];
+                let mut quads = bblock.chunks_exact(4 * k);
+                for (cq, rows) in crow.chunks_exact_mut(4).zip(&mut quads) {
+                    let (b0, rest) = rows.split_at(k);
+                    let (b1, rest) = rest.split_at(k);
+                    let (b2, b3) = rest.split_at(k);
+                    let mut acc = [cq[0], cq[1], cq[2], cq[3]];
+                    for ((((&av, &v0), &v1), &v2), &v3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+                        if skip && av == 0.0 {
+                            continue;
                         }
-                    } else {
-                        for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                            acc += av * bv;
-                        }
+                        acc[0] += av * v0;
+                        acc[1] += av * v1;
+                        acc[2] += av * v2;
+                        acc[3] += av * v3;
                     }
-                    c[i * n + j] = acc;
+                    cq.copy_from_slice(&acc);
+                }
+                let tail = crow.len() - crow.len() % 4;
+                for (cv, brow) in crow[tail..].iter_mut().zip(quads.remainder().chunks_exact(k)) {
+                    let mut acc = *cv;
+                    for (&av, &bv) in arow.iter().zip(brow) {
+                        if skip && av == 0.0 {
+                            continue;
+                        }
+                        acc += av * bv;
+                    }
+                    *cv = acc;
                 }
             }
         }
@@ -802,27 +825,37 @@ mod tests {
 
     #[test]
     fn gemm_bt_bit_identical_to_gemm_with_transpose() {
-        for &(m, k, n) in &[(1, 400, 10), (3, 5, 7), (65, 65, 65), (128, 32, 100)] {
-            let a = rand_mat(m, k, 41, 3);
-            let bt = rand_mat(n, k, 42, 0);
-            let b = transpose(&bt);
-            let mut via_gemm = vec![0.5f32; m * n];
-            let mut via_bt = vec![0.5f32; m * n];
-            gemm(m, k, n, a.as_slice(), b.as_slice(), &mut via_gemm);
-            gemm_bt(m, k, n, a.as_slice(), bt.as_slice(), &mut via_bt);
-            for (x, y) in via_gemm.iter().zip(via_bt.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n}");
-            }
-            // And the parallel split is bit-identical too.
-            for threads in [2, 3] {
-                let mut par = vec![0.5f32; m * n];
-                crate::parallel::with_num_threads(threads, || {
-                    gemm_bt(m, k, n, a.as_slice(), bt.as_slice(), &mut par);
-                });
-                for (x, y) in par.iter().zip(via_bt.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+        // Both kernels pinned in turn: the bands advance four columns per
+        // pass, so n = 1…9 covers every column-group remainder, and n = 65
+        // and 100 cover a partial column block; k = 0 is the empty sum.
+        let _guard = KERNEL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut shapes = vec![(1, 400, 10), (65, 65, 65), (128, 32, 100), (4, 0, 6)];
+        shapes.extend((1..=9).map(|n| (3, 5, n)));
+        for kernel in [GemmKernel::Dense, GemmKernel::SkipZeros] {
+            set_gemm_kernel(kernel);
+            for &(m, k, n) in &shapes {
+                let a = rand_mat(m, k, 41, 3);
+                let bt = rand_mat(n, k, 42, 0);
+                let b = transpose(&bt);
+                let mut via_gemm = vec![0.5f32; m * n];
+                let mut via_bt = vec![0.5f32; m * n];
+                gemm(m, k, n, a.as_slice(), b.as_slice(), &mut via_gemm);
+                gemm_bt(m, k, n, a.as_slice(), bt.as_slice(), &mut via_bt);
+                for (x, y) in via_gemm.iter().zip(via_bt.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{kernel:?} m={m} k={k} n={n}");
+                }
+                // And the parallel split is bit-identical too.
+                for threads in [2, 3] {
+                    let mut par = vec![0.5f32; m * n];
+                    crate::parallel::with_num_threads(threads, || {
+                        gemm_bt(m, k, n, a.as_slice(), bt.as_slice(), &mut par);
+                    });
+                    for (x, y) in par.iter().zip(via_bt.iter()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{kernel:?} threads={threads}");
+                    }
                 }
             }
         }
+        reset_gemm_kernel_for_tests();
     }
 }

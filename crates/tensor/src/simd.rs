@@ -2,7 +2,7 @@
 //!
 //! There are two tiers: AVX2 when the CPU has it, portable scalar Rust
 //! otherwise (which the compiler still auto-vectorizes with x86-64's
-//! baseline SSE2). Four kernel families live here, all selected through
+//! baseline SSE2). Five kernel families live here, all selected through
 //! [`simd_level`]:
 //!
 //! - **Integer dot tiles** (`dot_tiles`): `i16 × i16 → i32` dot products
@@ -26,6 +26,12 @@
 //!   pixel in the GEMM's order, with the vector lanes over the `kx` taps of
 //!   one kernel row (8 on AVX2, 1 scalar) and four chains in flight —
 //!   bit-identical at both tiers for the same reason.
+//! - **`f32` convolution forward chains** (`ConvForward`): one chain per
+//!   eight consecutive output pixels of one row, advanced tap by tap in
+//!   ascending `(ic, ky, kx)` from `+0.0`, eight chains in flight, each
+//!   group run through every filter; the vector lanes run over the output
+//!   pixels at both tiers, so the forward is bit-identical to the product
+//!   `W · im2col(x)`.
 //!
 //! # Dispatch
 //!
@@ -376,11 +382,11 @@ pub(crate) struct ConvGeom {
     pub stride: usize,
 }
 
-/// One accumulation chain: its window origin `x` in the padded image, its
-/// first output `out`, and how many of its lanes are real taps (the rest
-/// are computed, never stored).
+/// One accumulation chain of the convolution kernels: its origin `x` in the
+/// padded image, its first output `out`, and how many of its lanes are real
+/// (the rest are computed, never stored).
 #[derive(Debug, Clone, Copy, Default)]
-struct WgradChain {
+struct ConvChain {
     x: usize,
     out: usize,
     lanes: usize,
@@ -442,12 +448,12 @@ pub(crate) fn conv_weight_grad_image(
         if terms.is_empty() {
             continue;
         }
-        let mut group = [WgradChain::default(); 4];
+        let mut group = [ConvChain::default(); 4];
         let mut len = 0;
         for ic in 0..c {
             for ky in 0..k {
                 for kx0 in (0..k).step_by(lanes) {
-                    group[len] = WgradChain {
+                    group[len] = ConvChain {
                         x: (ic * hp + ky) * wp + kx0,
                         out: ((fi * c + ic) * k + ky) * k + kx0,
                         lanes: lanes.min(k - kx0),
@@ -481,7 +487,7 @@ pub(crate) fn conv_weight_grad_image(
 /// not exceed [`detected_simd`].
 unsafe fn run_wgrad_group(
     level: SimdLevel,
-    group: &[WgradChain; 4],
+    group: &[ConvChain; 4],
     len: usize,
     terms: &[(f32, usize)],
     x: &[f32],
@@ -489,7 +495,7 @@ unsafe fn run_wgrad_group(
 ) {
     let mut chains = *group;
     for slot in &mut chains[len..] {
-        *slot = WgradChain { lanes: 0, ..group[0] };
+        *slot = ConvChain { lanes: 0, ..group[0] };
     }
     match level {
         #[cfg(target_arch = "x86_64")]
@@ -501,7 +507,7 @@ unsafe fn run_wgrad_group(
 }
 
 /// Scalar tier of the weight-gradient chains: one tap per chain.
-fn wgrad4_scalar(chains: &[WgradChain; 4], terms: &[(f32, usize)], x: &[f32], dw: &mut [f32]) {
+fn wgrad4_scalar(chains: &[ConvChain; 4], terms: &[(f32, usize)], x: &[f32], dw: &mut [f32]) {
     let mut acc = chains.map(|ch| dw[ch.out]);
     for &(gv, xo) in terms {
         for (a, ch) in acc.iter_mut().zip(chains) {
@@ -512,6 +518,266 @@ fn wgrad4_scalar(chains: &[WgradChain; 4], terms: &[(f32, usize)], x: &[f32], dw
         if ch.lanes > 0 {
             dw[ch.out] = *a;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 convolution forward chains
+// ---------------------------------------------------------------------------
+
+/// Output pixels one forward chain covers, one per lane, at both tiers:
+/// consecutive `ox` of one output row.
+const CONV_LANES: usize = 8;
+
+/// Forward chains one group keeps in flight: eight vector accumulators,
+/// enough independent adds to hide their latency on AVX2.
+const CONV_CHAINS: usize = 8;
+
+/// A convolution forward prepared once per call and shared by all its
+/// images: the kernel's input layout, the plan that copies an image into
+/// it, and each filter's nonzero terms.
+///
+/// The input is the image zero padded and phase split, `[c, hp, s, wq]`
+/// with `wq = ⌈wp/s⌉`: padded column `X` of a row sits at phase `X mod s`,
+/// index `X div s`, and `CONV_LANES − 1` floats of slack follow. Tap
+/// `(ic, ky, kx)` of output `(oy, ox)` reads padded pixel
+/// `(oy·s + ky, ox·s + kx)`, so it sits at row `oy·s + ky`, phase
+/// `kx mod s`, index `ox + kx div s`: a chain origin plus a per-tap
+/// offset, with consecutive `ox` adjacent at every stride. At stride 1 the
+/// input is the plain padded image.
+pub(crate) struct ConvForward {
+    geom: ConvGeom,
+    /// Zero padding on every border.
+    pad: usize,
+    /// `(w[fi, ic, ky, kx], offset)` for every nonzero weight, filter-major,
+    /// in ascending `(ic, ky, kx)`.
+    terms: Vec<(f32, usize)>,
+    /// `terms[ends[fi − 1]..ends[fi]]` are filter `fi`'s terms.
+    ends: Vec<usize>,
+    /// Floats a chain reads from its origin: the furthest tap offset plus
+    /// `CONV_LANES`.
+    reach: usize,
+    /// One run per stride phase: `(first index in the row's phase
+    /// block, first source column, count)`, source columns `s` apart.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl ConvForward {
+    /// Prepares the forward of the `f` filters `weights` `[f, c, k, k]` over
+    /// images padded by `pad` to `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` disagrees with `geom` or a window overruns the
+    /// padded image.
+    pub(crate) fn new(geom: ConvGeom, pad: usize, f: usize, weights: &[f32]) -> Self {
+        let ConvGeom { c, k, hp, wp, oh, ow, stride: s } = geom;
+        assert!(
+            (oh - 1) * s + k <= hp && (ow - 1) * s + k <= wp && hp >= 2 * pad && wp >= 2 * pad,
+            "conv forward window overruns the padded image"
+        );
+        let (w, wq) = (wp - 2 * pad, wp.div_ceil(s));
+        let mut offsets = Vec::with_capacity(c * k * k);
+        for ic in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    offsets.push(((ic * hp + ky) * s + kx % s) * wq + kx / s);
+                }
+            }
+        }
+        assert_eq!(weights.len(), f * offsets.len(), "conv weight length mismatch");
+        let mut terms = Vec::with_capacity(weights.len());
+        let mut ends = Vec::with_capacity(f);
+        for fi in 0..f {
+            let filter = &weights[fi * offsets.len()..(fi + 1) * offsets.len()];
+            let nonzero = filter.iter().zip(&offsets).filter(|(&wv, _)| wv != 0.0);
+            terms.extend(nonzero.map(|(&wv, &t)| (wv, t)));
+            ends.push(terms.len());
+        }
+        let runs = (0..s)
+            .filter_map(|phase| {
+                let j0 = pad.saturating_sub(phase).div_ceil(s);
+                let col0 = phase + j0 * s - pad;
+                (col0 < w).then(|| (phase * wq + j0, col0, (w - col0).div_ceil(s)))
+            })
+            .collect();
+        let reach = offsets.iter().max().map_or(0, |&t| t + CONV_LANES);
+        ConvForward { geom, pad, terms, ends, reach, runs }
+    }
+
+    /// Length of the kernel's input, slack included.
+    pub(crate) fn input_len(&self) -> usize {
+        let ConvGeom { c, hp, wp, stride: s, .. } = self.geom;
+        c * hp * s * wp.div_ceil(s) + CONV_LANES - 1
+    }
+
+    /// Copies one `[c, h, w]` image into `x`, the kernel's input. Padding
+    /// and slack are left as they are, so a zeroed buffer serves every
+    /// image of a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `img` or `x` is shorter than the geometry implies.
+    pub(crate) fn load(&self, img: &[f32], x: &mut [f32]) {
+        let ConvGeom { hp, wp, stride: s, .. } = self.geom;
+        let (h, w, wq) = (hp - 2 * self.pad, wp - 2 * self.pad, wp.div_ceil(s));
+        for (ic, plane) in img.chunks_exact(h * w).enumerate() {
+            for (y, src) in plane.chunks_exact(w).enumerate() {
+                let base = (ic * hp + y + self.pad) * s * wq;
+                for &(d0, col0, cnt) in &self.runs {
+                    let dst = &mut x[base + d0..base + d0 + cnt];
+                    if s == 1 {
+                        dst.copy_from_slice(src);
+                    } else {
+                        for (m, d) in dst.iter_mut().enumerate() {
+                            *d = src[col0 + m * s];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Filter count.
+    fn filters(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Filter `fi`'s terms.
+    fn filter(&self, fi: usize) -> &[(f32, usize)] {
+        let start = if fi == 0 { 0 } else { self.ends[fi - 1] };
+        &self.terms[start..self.ends[fi]]
+    }
+
+    /// One image of the forward: `out[fi, oy, ox] = Σ w · x`, then plus
+    /// `bias[fi]`, from `x` filled by [`Self::load`] into the `[f, oh·ow]`
+    /// output `out`.
+    ///
+    /// Each output is one lane of a chain that starts at `+0.0` and adds
+    /// `w · x` tap by tap in ascending `(ic, ky, kx)`, a separate multiply
+    /// and add per term (never FMA), then the bias: the operation sequence
+    /// of the product `W · im2col(x)` plus bias, so the result is
+    /// bit-identical to it at both tiers. Zero weights are skipped: such a
+    /// term adds ±0 to a chain that starts at `+0.0` and so is never `−0.0`,
+    /// which changes no bit (the argument behind
+    /// [`crate::GemmKernel::SkipZeros`]). A chain's lanes are eight
+    /// consecutive `ox` of one output row; the chains run eight at a time,
+    /// each group through every filter in turn, and lanes past the row end
+    /// are computed but not stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree with the geometry.
+    pub(crate) fn run(&self, level: SimdLevel, bias: Option<&[f32]>, x: &[f32], out: &mut [f32]) {
+        let ConvGeom { wp, oh, ow, stride: s, .. } = self.geom;
+        let level = level.min(detected_simd());
+        let wq = wp.div_ceil(s);
+        assert_eq!(out.len(), self.filters() * oh * ow, "conv forward output length mismatch");
+        assert!(bias.is_none_or(|b| b.len() == self.filters()), "conv forward bias length mismatch");
+        // The furthest read is the last lane of the last chain at the last
+        // tap: inside the layout because every window fits the padded image
+        // (checked in `new`), since `(ow − 1)·s + k ≤ wp` gives
+        // `ow − 1 + (k − 1) div s < ⌈wp/s⌉`.
+        assert!(x.len() >= self.input_len(), "conv forward input lacks lane slack");
+
+        let mut group = [ConvChain::default(); CONV_CHAINS];
+        let mut len = 0;
+        for oy in 0..oh {
+            for ox0 in (0..ow).step_by(CONV_LANES) {
+                group[len] = ConvChain {
+                    x: oy * s * s * wq + ox0,
+                    out: oy * ow + ox0,
+                    lanes: CONV_LANES.min(ow - ox0),
+                };
+                len += 1;
+                if len == CONV_CHAINS {
+                    // SAFETY: the asserts here and in `new` keep every lane
+                    // of every chain built here, at every term's offset,
+                    // inside `x`; `level` is clamped to detection.
+                    unsafe { run_forward_group(level, &group, len, self, bias, x, out) };
+                    len = 0;
+                }
+            }
+        }
+        if len > 0 {
+            // SAFETY: as above.
+            unsafe { run_forward_group(level, &group, len, self, bias, x, out) };
+        }
+    }
+}
+
+/// Runs the first `len` chains of `group` through every filter; the unused
+/// slots repeat chain 0 and are not stored.
+///
+/// # Safety
+///
+/// For each of the first `len` chains and each term `(w, t)`, `x` must hold
+/// `CONV_LANES` floats from `chain.x + t`, and `level` must not exceed
+/// [`detected_simd`].
+unsafe fn run_forward_group(
+    level: SimdLevel,
+    group: &[ConvChain; CONV_CHAINS],
+    len: usize,
+    fwd: &ConvForward,
+    bias: Option<&[f32]>,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    let mut chains = *group;
+    for slot in &mut chains[len..] {
+        *slot = ConvChain { lanes: 0, ..group[0] };
+    }
+    let pix = fwd.geom.oh * fwd.geom.ow;
+    for fi in 0..fwd.filters() {
+        let (fterms, b) = (fwd.filter(fi), bias.map(|b| b[fi]));
+        let out_f = &mut out[fi * pix..(fi + 1) * pix];
+        match level {
+            // SAFETY: forwarded caller contract (the unused slots repeat
+            // chain 0's reads); `out_f` is bounds-checked inside.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::forward8_avx2(&chains, fterms, b, x.as_ptr(), out_f),
+            _ => forward8_scalar(&chains, fterms, fwd.reach, b, x, out_f),
+        }
+    }
+}
+
+/// Scalar tier of the forward chains: the same eight chains of
+/// `CONV_LANES` lanes, in portable Rust.
+///
+/// Each window is read through a pointer, bounded up front by one check
+/// per chain (its origin plus `reach` lies inside `x`) and one per term
+/// (its offset plus `CONV_LANES` lies inside `reach`). A bounds check per
+/// read inside the loop made LeNet conv1 and conv2 a third slower at this
+/// tier on a 2-vCPU x86-64 host, and perfbench `train_deploy` 8% slower.
+fn forward8_scalar(
+    chains: &[ConvChain; CONV_CHAINS],
+    terms: &[(f32, usize)],
+    reach: usize,
+    bias: Option<f32>,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    assert!(chains.iter().all(|ch| ch.x + reach <= x.len()), "forward chain window overruns the input");
+    assert!(terms.iter().all(|&(_, t)| t + CONV_LANES <= reach), "forward term past the chain window");
+    let xp = chains.map(|ch| x[ch.x..].as_ptr());
+    let mut acc = [[0.0f32; CONV_LANES]; CONV_CHAINS];
+    for &(wv, t) in terms {
+        for (a, p) in acc.iter_mut().zip(xp) {
+            // SAFETY: `ch.x + t + CONV_LANES ≤ ch.x + reach ≤ x.len()` by
+            // the two asserts, so the window lies inside `x`.
+            let xs = unsafe { &*(p.add(t) as *const [f32; CONV_LANES]) };
+            for (av, &xv) in a.iter_mut().zip(xs) {
+                *av += wv * xv;
+            }
+        }
+    }
+    for (a, ch) in acc.iter_mut().zip(chains) {
+        if let Some(b) = bias {
+            for av in a.iter_mut() {
+                *av += b;
+            }
+        }
+        out[ch.out..ch.out + ch.lanes].copy_from_slice(&a[..ch.lanes]);
     }
 }
 
@@ -901,7 +1167,7 @@ mod x86 {
     /// `dw`; the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn wgrad4_avx2(
-        chains: &[super::WgradChain; 4],
+        chains: &[super::ConvChain; 4],
         terms: &[(f32, usize)],
         x: *const f32,
         dw: &mut [f32],
@@ -926,6 +1192,50 @@ mod x86 {
             let mut buf = [0.0f32; 8];
             _mm256_storeu_ps(buf.as_mut_ptr(), acc);
             dw[ch.out..ch.out + ch.lanes].copy_from_slice(&buf[..ch.lanes]);
+        }
+    }
+
+    /// AVX2 forward chains: the eight chains of
+    /// [`super::ConvForward::run`] over one filter's terms, one 8-lane
+    /// vector each. Lane `l` of chain `j` accumulates `w · x[x_j + t + l]`
+    /// for each term `(w, t)`, then adds the bias.
+    ///
+    /// # Safety
+    ///
+    /// For every chain and term, `x` must be readable 8 floats wide at
+    /// `x_j + t`, and the chain's first `lanes` outputs must lie inside
+    /// `out`; the CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn forward8_avx2(
+        chains: &[super::ConvChain; super::CONV_CHAINS],
+        terms: &[(f32, usize)],
+        bias: Option<f32>,
+        x: *const f32,
+        out: &mut [f32],
+    ) {
+        let xp = chains.map(|ch| x.add(ch.x));
+        let mut acc = [_mm256_setzero_ps(); super::CONV_CHAINS];
+        for &(wv, t) in terms {
+            let wb = _mm256_set1_ps(wv);
+            for (a, p) in acc.iter_mut().zip(xp) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wb, _mm256_loadu_ps(p.add(t))));
+            }
+        }
+        // Lane `l` is stored when `l < lanes`: the mask is the window
+        // `[8 − lanes, 16 − lanes)` of eight all-ones words then eight zeros.
+        const MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        for (a, ch) in acc.into_iter().zip(chains) {
+            let a = match bias {
+                Some(b) => _mm256_add_ps(a, _mm256_set1_ps(b)),
+                None => a,
+            };
+            assert!(ch.lanes <= 8 && ch.out + ch.lanes <= out.len(), "forward store overruns");
+            if ch.lanes == 8 {
+                _mm256_storeu_ps(out.as_mut_ptr().add(ch.out), a);
+            } else {
+                let mask = _mm256_loadu_si256(MASKS.as_ptr().add(8 - ch.lanes) as *const __m256i);
+                _mm256_maskstore_ps(out.as_mut_ptr().add(ch.out), mask, a);
+            }
         }
     }
 

@@ -1,14 +1,11 @@
-//! GEMM microbenchmarks: serial vs parallel row-banded execution, and the
-//! Dense vs SkipZeros inner kernels on dense and mostly-zero left operands.
-//!
-//! These measurements justify the `GemmKernel::Auto` heuristic (sample the
-//! left operand, skip zero terms only when they are common) and report the
-//! speedup of the thread-parallel path over the single-thread oracle.
+//! GEMM microbenchmarks: the thread-parallel `f32` GEMM against its
+//! single-thread oracle, its thread scaling on a conv-shaped product, the
+//! integer conv against the float GEMM, and each SIMD level's kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    conv2d, gemm, gemm_serial, igemm_conv, matmul, matmul_serial, parallel,
-    set_gemm_kernel, Conv2dSpec, GemmKernel, PackedCodes, SimdLevel, Tensor,
+    conv2d, gemm, gemm_serial, igemm_conv, matmul, matmul_serial, parallel, Conv2dSpec,
+    PackedCodes, SimdLevel, Tensor,
 };
 use rand::{Rng, SeedableRng};
 
@@ -41,58 +38,6 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         bch.iter(|| matmul(std::hint::black_box(&a), std::hint::black_box(&b)))
     });
     group.finish();
-}
-
-/// Dense vs SkipZeros kernels on a dense left operand: measures the cost of
-/// the skip branch when it never fires.
-fn bench_kernels_dense_input(c: &mut Criterion) {
-    let n = 192;
-    let a = mat(n, n, 20, 0);
-    let b = mat(n, n, 21, 0);
-    let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("gemm_kernel_dense_input");
-    for (label, kernel) in [("dense", GemmKernel::Dense), ("skipzeros", GemmKernel::SkipZeros)] {
-        group.bench_function(label, |bch| {
-            set_gemm_kernel(kernel);
-            bch.iter(|| {
-                out.fill(0.0);
-                gemm_serial(n, n, n, a.as_slice(), b.as_slice(), &mut out);
-            })
-        });
-    }
-    group.finish();
-    set_gemm_kernel(GemmKernel::Auto);
-}
-
-/// Dense vs SkipZeros kernels on a ~90%-zero left operand (quantized ReLU
-/// activations): measures the payoff of skipping zero terms.
-fn bench_kernels_sparse_input(c: &mut Criterion) {
-    let n = 192;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(30);
-    let data = (0..n * n)
-        .map(|_| {
-            if rng.gen_range(0.0f32..1.0) < 0.9 {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        })
-        .collect();
-    let a = Tensor::from_vec(data, [n, n]);
-    let b = mat(n, n, 31, 0);
-    let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("gemm_kernel_sparse90_input");
-    for (label, kernel) in [("dense", GemmKernel::Dense), ("skipzeros", GemmKernel::SkipZeros)] {
-        group.bench_function(label, |bch| {
-            set_gemm_kernel(kernel);
-            bch.iter(|| {
-                out.fill(0.0);
-                gemm_serial(n, n, n, a.as_slice(), b.as_slice(), &mut out);
-            })
-        });
-    }
-    group.finish();
-    set_gemm_kernel(GemmKernel::Auto);
 }
 
 /// Parallel speedup as the thread count grows, on a conv-shaped product
@@ -251,8 +196,6 @@ fn bench_simd_levels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_serial_vs_parallel,
-    bench_kernels_dense_input,
-    bench_kernels_sparse_input,
     bench_thread_scaling,
     bench_igemm_vs_float,
     bench_simd_levels

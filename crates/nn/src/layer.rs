@@ -137,6 +137,11 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// A copy of the layer's most recent output, when the layer chooses to
     /// expose one (used for activation histograms, Fig. 4 of the paper).
+    ///
+    /// Layers record the tap on [`Mode::Eval`] forwards only, so training
+    /// pays no copy per step; a [`Mode::Train`] forward clears it, so a tap
+    /// read after training is `None` rather than stale. Run an Eval forward
+    /// before reading it.
     fn output_tap(&self) -> Option<Tensor> {
         None
     }

@@ -6,8 +6,8 @@ use qsnc_tensor::Tensor;
 /// Rectified linear unit: `max(x, 0)`.
 ///
 /// ReLU outputs are the "inter-layer signals" the paper's Neuron Convergence
-/// regularizer acts on; the layer therefore exposes its most recent output
-/// through [`Layer::output_tap`] so experiment code can histogram it
+/// regularizer acts on; the layer therefore exposes its most recent Eval
+/// output through [`Layer::output_tap`] so experiment code can histogram it
 /// (Fig. 4).
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
@@ -43,8 +43,10 @@ impl Layer for Relu {
         let y = x.relu();
         if mode == Mode::Train {
             self.mask = Some(x.iter().map(|&v| v > 0.0).collect());
+            self.tap = None;
+        } else {
+            self.tap = Some(y.clone());
         }
-        self.tap = Some(y.clone());
         y
     }
 
@@ -137,9 +139,14 @@ mod tests {
     #[test]
     fn relu_tap_exposes_output() {
         let mut layer = Relu::new();
-        layer.forward(&Tensor::from_slice(&[-1.0, 3.0]), Mode::Eval);
+        let x = Tensor::from_slice(&[-1.0, 3.0]);
+        layer.forward(&x, Mode::Eval);
         let tap = layer.output_tap().expect("tap");
         assert_eq!(tap.as_slice(), &[0.0, 3.0]);
+        // Only Eval records it; a training forward clears it rather than
+        // leave a stale snapshot.
+        layer.forward(&x, Mode::Train);
+        assert_eq!(layer.output_tap(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully connected (dense) layer.
 
 use crate::layer::{Layer, LayerDesc, Mode, Param};
-use qsnc_tensor::{gemm_bt, matmul, transpose, Tensor, TensorRng};
+use qsnc_tensor::{matmul, transpose, Tensor, TensorRng};
 
 /// A fully connected layer: `y = x · Wᵀ + b` over `[n, in]` inputs.
 ///
@@ -123,31 +123,18 @@ impl Layer for Linear {
             self.in_features,
             x.dims()[1]
         );
-        // W is stored [out, in]: gemm_bt consumes it as the transposed
-        // operand directly, so no [in, out] copy is materialized per call.
-        let n = x.dims()[0];
-        let mut out = vec![0.0f32; n * self.out_features];
-        gemm_bt(
-            n,
-            self.in_features,
-            self.out_features,
-            x.as_slice(),
-            self.weight.as_slice(),
-            &mut out,
-        );
-        let bias = self.bias.as_slice();
-        for r in 0..n {
-            for (o, &b) in out[r * self.out_features..(r + 1) * self.out_features]
-                .iter_mut()
-                .zip(bias.iter())
-            {
+        // W is stored [out, in]; the transposed copy lets the product run on
+        // the SIMD GEMM, which beats a dot-product loop over W's rows.
+        let mut out = matmul(x, &transpose(&self.weight));
+        for row in out.as_mut_slice().chunks_exact_mut(self.out_features) {
+            for (o, &b) in row.iter_mut().zip(self.bias.as_slice()) {
                 *o += b;
             }
         }
         if mode == Mode::Train {
             self.cached_input = Some(x.clone());
         }
-        Tensor::from_vec(out, [n, self.out_features])
+        out
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -62,30 +62,36 @@ impl Layer for MaxPool2d {
         let k = self.spec.kernel;
         let s = self.spec.stride;
         let xs = x.as_slice();
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-        let mut arg = vec![0usize; n * c * oh * ow];
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        // Only backward reads the argmax, so only a training forward builds it.
+        let mut arg = (mode == Mode::Train).then(|| vec![0usize; out.len()]);
         for in_ in 0..n {
             for ic in 0..c {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let oidx = ((in_ * c + ic) * oh + oy) * ow + ox;
+                        let (mut max, mut at) = (f32::NEG_INFINITY, 0);
                         for ky in 0..k {
                             for kx in 0..k {
                                 let iy = oy * s + ky;
                                 let ix = ox * s + kx;
                                 let iidx = ((in_ * c + ic) * h + iy) * w + ix;
-                                if xs[iidx] > out[oidx] {
-                                    out[oidx] = xs[iidx];
-                                    arg[oidx] = iidx;
+                                if xs[iidx] > max {
+                                    max = xs[iidx];
+                                    at = iidx;
                                 }
                             }
+                        }
+                        out[oidx] = max;
+                        if let Some(arg) = arg.as_mut() {
+                            arg[oidx] = at;
                         }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
-            self.argmax = Some(arg);
+        if arg.is_some() {
+            self.argmax = arg;
             self.input_dims = Some([n, c, h, w]);
         }
         Tensor::from_vec(out, [n, c, oh, ow])
@@ -245,6 +251,27 @@ mod tests {
         pool.forward(&x, Mode::Train);
         let dx = pool.backward(&Tensor::from_vec(vec![5.0], [1, 1, 1, 1]));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_eval_and_train_outputs_are_bit_identical() {
+        let vals = [
+            -0.5, 3.0, -0.0, 0.0, 2.0, 7.5, -1.0, 7.5, 1.0, -2.0, 4.0, 0.25, -3.0, 6.0, 5.0, -0.0,
+        ];
+        let x = Tensor::from_vec(vals.repeat(2), [2, 1, 4, 4]);
+        let mut pool = MaxPool2d::new(3, 1);
+        let eval = pool.forward(&x, Mode::Eval);
+        let train = pool.forward(&x, Mode::Train);
+        let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&eval), bits(&train));
+        // Train still caches what backward needs, and an Eval forward in
+        // between leaves that cache alone.
+        pool.forward(&x, Mode::Eval);
+        let dx = pool.backward(&Tensor::ones([2, 1, 2, 2]));
+        assert_eq!(dx.dims(), x.dims());
+        assert_eq!(dx.sum(), 8.0);
+        // The two 7.5s tie; the first in scan order takes every window's grad.
+        assert_eq!(dx.at(&[0, 0, 1, 1]), 4.0);
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub struct SignalStage {
     switch: QuantSwitch,
     cached_input: Option<Tensor>,
     last_reg_loss: f32,
+    /// Output of the last Eval forward; cleared by a Train forward.
     tap: Option<Tensor>,
     /// Signals seen since the last [`SignalStage::reset_saturation_stats`].
     stat_elements: u64,
@@ -166,8 +167,10 @@ impl Layer for SignalStage {
         };
         if mode == Mode::Train {
             self.cached_input = Some(x.clone());
+            self.tap = None;
+        } else {
+            self.tap = Some(y.clone());
         }
-        self.tap = Some(y.clone());
         y
     }
 
@@ -355,6 +358,16 @@ mod tests {
         let x = Tensor::from_slice(&[0.3, 7.6, 99.0]);
         let y = s.forward(&x, Mode::Eval);
         assert_eq!(y.as_slice(), &[0.0, 8.0, 15.0]);
+    }
+
+    #[test]
+    fn stage_tap_is_recorded_only_on_eval() {
+        let (mut s, _) = stage(4, 0.0, true);
+        let x = Tensor::from_slice(&[0.3, 7.6]);
+        let y = s.forward(&x, Mode::Eval);
+        assert_eq!(s.output_tap(), Some(y));
+        s.forward(&x, Mode::Train);
+        assert_eq!(s.output_tap(), None);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! the synaptic products need no floating point at all. [`PackedCodes`]
 //! stores a layer's code matrix transposed once into the `[in, out]` layout
 //! the inner loop streams through, and [`igemm`] runs the same cache-blocked
-//! loop nest as the `f32` [`crate::gemm`]. The integer kernels are always
-//! dense: a zero term costs less to compute than to test, so the `f32`
-//! GEMM's [`crate::GemmKernel`] zero-skip policy does not apply here.
+//! loop nest as the `f32` [`crate::gemm`]. Like it, the integer kernels are
+//! always dense: a zero term costs less to compute than to test.
 //!
 //! [`igemm_conv`] runs a convolution on one integer image, lowering the
 //! image itself, so no caller ever builds a column matrix.
@@ -482,7 +481,6 @@ pub fn igemm_conv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::{reset_gemm_kernel_for_tests, set_gemm_kernel, GemmKernel, KERNEL_TEST_LOCK};
 
     fn naive(m: usize, k: usize, n: usize, a: &[i32], codes: &[i32]) -> Vec<i32> {
         // codes in [out, in] = [n, k] layout, matching try_pack's input.
@@ -630,29 +628,5 @@ mod tests {
         let mut got = vec![0i32; 2];
         let wide = [7, i16::MAX as i32 + 1];
         assert!(!lower_conv_pairs(&wide, 1, (1, 2), Conv2dSpec::new(1, 1, 0), &mut got));
-    }
-
-    #[test]
-    fn integer_kernels_ignore_gemm_kernel_setting() {
-        // The f32 kernel policy must not reach the integer entry points:
-        // every setting gives the same exact products.
-        let mut seed = 23u64;
-        let (m, k, n) = (128, 32, 100);
-        let a: Vec<i32> = (0..m * k)
-            .map(|i| if i % 2 == 0 { 0 } else { (pseudo(&mut seed) % 16) as i32 })
-            .collect();
-        let codes: Vec<i32> = (0..n * k).map(|_| (pseudo(&mut seed) % 17) as i32 - 8).collect();
-        let packed = PackedCodes::try_pack(&codes, n, k).unwrap();
-        let expect = naive(m, k, n, &a, &codes);
-        let _guard = KERNEL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for kernel in [GemmKernel::Auto, GemmKernel::Dense, GemmKernel::SkipZeros] {
-            set_gemm_kernel(kernel);
-            for threads in [1, 3] {
-                let mut c = vec![0i32; m * n];
-                crate::parallel::with_num_threads(threads, || igemm(m, k, n, &a, &packed, &mut c));
-                assert_eq!(c, expect, "{kernel:?} threads={threads}");
-            }
-        }
-        reset_gemm_kernel_for_tests();
     }
 }

@@ -10,7 +10,7 @@
 //! - [`Shape`] / [`Tensor`]: row-major dense storage with explicit index
 //!   arithmetic.
 //! - Element-wise arithmetic and operator overloads (`arith`).
-//! - Blocked GEMM, mat-vec, transpose, outer products ([`linalg`]).
+//! - Blocked GEMM and transpose ([`linalg`]).
 //! - Convolution: [`conv2d`] and its training gradients as direct kernels
 //!   over a zero-padded copy of each image, bit-identical to the
 //!   [`im2col`] / [`col2im`] products they replace, plus [`pad2d`] and a
@@ -59,10 +59,7 @@ pub use conv::{
 };
 pub use igemm::{igemm, igemm_conv, PackedCodes};
 pub use init::TensorRng;
-pub use linalg::{
-    dot, gemm, gemm_bt, gemm_kernel, gemm_serial, matmul, matmul_naive, matmul_serial, matvec,
-    outer, set_gemm_kernel, transpose, GemmKernel,
-};
+pub use linalg::{gemm, gemm_serial, matmul, matmul_naive, matmul_serial, transpose};
 pub use parallel::{num_threads, par_tiles, set_num_threads, with_num_threads};
 pub use simd::{detected_simd, set_simd_level, simd_level, with_simd_level, SimdLevel};
 pub use reduce::softmax_rows;

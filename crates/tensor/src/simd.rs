@@ -404,9 +404,9 @@ struct ConvChain {
 /// pixel and stored back, so called image by image this is the
 /// ascending-`k` chain of the product `g · im2col(x)ᵀ`, bit for bit, at
 /// every level. Pixels where `g` is zero are skipped: such a term adds ±0
-/// to a chain that starts at `+0.0` and so is never `−0.0`, which changes
-/// no bit (the argument behind [`crate::GemmKernel::SkipZeros`]). Each
-/// filter's nonzero terms are gathered once and shared by all its chains.
+/// to a chain that starts at `+0.0`, and a chain of `+0.0` plus products is
+/// never `−0.0`, so adding ±0 to it changes no bit. Each filter's nonzero
+/// terms are gathered once and shared by all its chains.
 /// A lane covers one `kx` tap: the AVX2 tier loads the window row with one
 /// unaligned load per term (chunked for kernels wider than 8 taps) and
 /// advances four chains at once to hide the add latency.
@@ -658,9 +658,9 @@ impl ConvForward {
     /// and add per term (never FMA), then the bias: the operation sequence
     /// of the product `W · im2col(x)` plus bias, so the result is
     /// bit-identical to it at both tiers. Zero weights are skipped: such a
-    /// term adds ±0 to a chain that starts at `+0.0` and so is never `−0.0`,
-    /// which changes no bit (the argument behind
-    /// [`crate::GemmKernel::SkipZeros`]). A chain's lanes are eight
+    /// term adds ±0 to a chain that starts at `+0.0`, and a chain of `+0.0`
+    /// plus products is never `−0.0`, so adding ±0 to it changes no bit. A
+    /// chain's lanes are eight
     /// consecutive `ox` of one output row; the chains run eight at a time,
     /// each group through every filter in turn, and lanes past the row end
     /// are computed but not stored.

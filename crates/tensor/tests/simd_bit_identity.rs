@@ -246,6 +246,70 @@ proptest! {
     }
 }
 
+/// The `f32` GEMM has no zero-skip branch: on a left operand that is
+/// mostly exact zeros (quantized ReLU activations) every `0 · b` term is
+/// still added. From a `+0.0` output that changes no bit, so every level and
+/// thread count must match both the scalar single-thread run and a
+/// reference loop that skips those terms. The shapes are the LeNet fully
+/// connected products of a batch-32 training step (forward, weight and
+/// input gradient), which cross the parallel split, plus odd edges; the
+/// right operand is signed, so skipped terms would have been `±0`.
+#[test]
+fn f32_gemm_on_mostly_zero_lhs_matches_scalar_bitwise() {
+    let shapes =
+        [(32, 200, 42), (42, 32, 200), (32, 42, 200), (32, 42, 10), (7, 13, 9), (1, 70, 5)];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+    for &(m, k, n) in &shapes {
+        // Two-thirds exact zeros, whole zero rows included; the rest signed.
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| {
+                if i / k % 5 == 4 || rng.gen_range(0..3) > 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                }
+            })
+            .collect();
+        let zeros = a.iter().filter(|&&v| v == 0.0).count();
+        assert!(zeros * 10 >= a.len() * 6 && a.iter().any(|&v| v < 0.0), "m={m} k={k}");
+        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+
+        let mut skipped = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let av = a[i * k + kk];
+                    if av != 0.0 {
+                        acc += av * b[kk * n + j];
+                    }
+                }
+                skipped[i * n + j] = acc;
+            }
+        }
+        let mut oracle = vec![0.0f32; m * n];
+        simd::with_simd_level(SimdLevel::Scalar, || {
+            parallel::with_num_threads(1, || gemm(m, k, n, &a, &b, &mut oracle));
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&oracle), bits(&skipped), "zero terms moved a bit (m={m} k={k} n={n})");
+
+        for level in std::iter::once(SimdLevel::Scalar).chain(hw_levels()) {
+            for threads in [1usize, 2, 3] {
+                let mut c = vec![0.0f32; m * n];
+                simd::with_simd_level(level, || {
+                    parallel::with_num_threads(threads, || gemm(m, k, n, &a, &b, &mut c));
+                });
+                assert_eq!(
+                    bits(&c),
+                    bits(&oracle),
+                    "gemm diverged at {level:?} x {threads} threads (m={m} k={k} n={n})"
+                );
+            }
+        }
+    }
+}
+
 /// Deterministic spot check that every SIMD conv route computes the same
 /// arithmetic as the scalar im2col oracle, accumulating into a non-zero
 /// output (the GEMMs add into `c`). The geometries are the served LeNet's

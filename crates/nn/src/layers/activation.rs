@@ -40,14 +40,24 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let y = x.relu();
-        if mode == Mode::Train {
-            self.mask = Some(x.iter().map(|&v| v > 0.0).collect());
-            self.tap = None;
-        } else {
+        if mode == Mode::Eval {
+            let y = x.relu();
             self.tap = Some(y.clone());
+            return y;
         }
-        y
+        // Output and mask in one pass, reusing the last mask's buffer.
+        let mut data = vec![0.0f32; x.len()];
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.clear();
+        mask.resize(x.len(), false);
+        for ((y, m), &v) in data.iter_mut().zip(mask.iter_mut()).zip(x.iter()) {
+            // `Tensor::relu`'s expression, so Train and Eval agree bitwise.
+            *y = v.max(0.0);
+            *m = v > 0.0;
+        }
+        self.mask = Some(mask);
+        self.tap = None;
+        Tensor::from_vec(data, x.dims())
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -89,7 +89,8 @@ impl Sequential {
     /// contributes to the `nn.forward.elements` / `nn.forward.zeros`
     /// sparsity counters.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = x.clone();
+        // `None` until the first layer has run on the caller's `x`.
+        let mut h: Option<Tensor> = None;
         let instrument = qsnc_telemetry::enabled();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let _span = if instrument {
@@ -100,8 +101,9 @@ impl Sequential {
             } else {
                 None
             };
-            h = layer.forward(&h, mode);
+            h = Some(layer.forward(h.as_ref().unwrap_or(x), mode));
         }
+        let h = h.unwrap_or_else(|| x.clone());
         if instrument {
             let zeros = h.iter().filter(|&&v| v == 0.0).count() as u64;
             qsnc_telemetry::counter_add("nn.forward.elements", h.len() as u64);
@@ -118,7 +120,8 @@ impl Sequential {
     /// When telemetry is recording, each layer's wall-clock time is tracked
     /// under the span `nn.backward.{index:02}.{name}`.
     pub fn backward(&mut self, grad: &Tensor) {
-        let mut g = grad.clone();
+        // `None` until the last layer has run on the caller's `grad`.
+        let mut g: Option<Tensor> = None;
         let instrument = qsnc_telemetry::enabled();
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let _span = if instrument {
@@ -129,10 +132,11 @@ impl Sequential {
             } else {
                 None
             };
+            let upstream = g.as_ref().unwrap_or(grad);
             if i == 0 {
-                layer.backward_params(&g);
+                layer.backward_params(upstream);
             } else {
-                g = layer.backward(&g);
+                g = Some(layer.backward(upstream));
             }
         }
     }

@@ -81,14 +81,15 @@ impl ActivationQuantizer {
     }
 
     /// Quantizes one value (returns the dequantized representative).
+    #[inline]
     pub fn quantize_value(&self, x: f32) -> f32 {
-        let level = (x * self.scale).round().clamp(0.0, self.max_level() as f32);
-        level / self.scale
+        round_clamp(x * self.scale, self.max_level() as f32) / self.scale
     }
 
     /// The integer spike count for one value.
+    #[inline]
     pub fn spike_count(&self, x: f32) -> u32 {
-        (x * self.scale).round().clamp(0.0, self.max_level() as f32) as u32
+        round_clamp(x * self.scale, self.max_level() as f32) as u32
     }
 
     /// Reconstructs an activation from a spike count.
@@ -98,13 +99,123 @@ impl ActivationQuantizer {
 
     /// Quantizes a whole tensor (dequantized representatives).
     pub fn quantize(&self, x: &Tensor) -> Tensor {
-        x.map(|v| self.quantize_value(v))
+        // Copied out of `self` so the loop holds them in registers: through
+        // `&self` they are reloaded per element and the loop stays scalar.
+        let (scale, max) = (self.scale, self.max_level() as f32);
+        x.map(|v| round_clamp(v * scale, max) / scale)
+    }
+}
+
+/// `u.round().clamp(0.0, max)`, bit for bit, for an integral `max` in
+/// `1..=2^16 − 1`: ties round away from zero, NaN passes through, and
+/// `u` in `(−0.5, −0.0]` keeps its `−0.0`.
+///
+/// Built from adds and selects, so a loop over it vectorizes: `f32::round`
+/// is a libm call per element on baseline x86-64, and a saturating
+/// `as i32` truncation does not vectorize either. Clamping `u` into
+/// `[−1, max]` first changes no result (every `u ≤ −0.5` ends at `0.0`,
+/// every `u ≥ max` at `max`).
+#[inline(always)]
+fn round_clamp(u: f32, max: f32) -> f32 {
+    /// `2^23`: from here up the f32 spacing is 1.
+    const SNAP: f32 = 8_388_608.0;
+    // `max`/`min` drop a NaN `u`; the last line puts it back.
+    let c = u.max(-1.0).min(max);
+    // Round to nearest, ties to even, exact for `0 ≤ c < 2^23`; `c − even`
+    // is then exact, and a tie rounded down moves up, away from zero.
+    let even = (c + SNAP) - SNAP;
+    let away = if c - even == 0.5 { even + 1.0 } else { even };
+    // Below zero the result is a zero: `−0.0` for `c` in `(−0.5, −0.0]`.
+    let r = if c > 0.0 {
+        away
+    } else if c > -0.5 {
+        0.0f32.copysign(c)
+    } else {
+        0.0
+    };
+    if u.is_nan() {
+        u
+    } else {
+        r
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rounding `round_clamp` replaces, kept as its oracle.
+    fn libm_round_clamp(u: f32, max: f32) -> f32 {
+        u.round().clamp(0.0, max)
+    }
+
+    fn same_bits(a: f32, b: f32) -> bool {
+        // NaN payloads are the platform's business; NaN-ness is ours.
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn round_clamp_matches_libm_round_bit_for_bit() {
+        let mut probes: Vec<f32> = vec![
+            0.0,
+            -0.0,
+            -0.25,
+            -0.49999997,
+            -0.5,
+            -0.50000006,
+            -1e-30,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            8_388_608.0, // 2^23: every float from here up is an integer
+            8_388_607.5,
+            16_777_216.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // k ± 0.5 and their neighbouring ulps, for every level.
+        for k in -3..=70_000i32 {
+            for half in [k as f32 - 0.5, k as f32 + 0.5, k as f32] {
+                probes.extend([
+                    half,
+                    f32::from_bits(half.to_bits().wrapping_add(1)),
+                    f32::from_bits(half.to_bits().wrapping_sub(1)),
+                ]);
+            }
+        }
+        // Strided bit patterns over the whole f32 space, NaNs included.
+        probes.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        for bits in [1u32, 2, 4, 8, 16] {
+            let max = ((1u32 << bits) - 1) as f32;
+            for &u in &probes {
+                let (got, want) = (round_clamp(u, max), libm_round_clamp(u, max));
+                assert!(
+                    same_bits(got, want),
+                    "M={bits} u={u:e} ({:#x}): {got:e} vs {want:e}",
+                    u.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quantizer_rounding_matches_libm_round() {
+        for q in [
+            ActivationQuantizer::new(4),
+            ActivationQuantizer::with_scale(8, 3.7),
+            ActivationQuantizer::with_scale(2, 0.3),
+        ] {
+            let max = q.max_level() as f32;
+            for i in 0..100_000u32 {
+                let x = f32::from_bits(i.wrapping_mul(2_654_435_761));
+                let want = libm_round_clamp(x * q.scale(), max);
+                assert!(same_bits(q.quantize_value(x), want / q.scale()), "x={x:e}");
+                assert_eq!(q.spike_count(x), want as u32, "x={x:e}");
+            }
+        }
+    }
 
     #[test]
     fn rounds_to_integers_at_unit_scale() {

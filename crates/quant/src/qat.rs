@@ -54,13 +54,21 @@ impl QuantSwitch {
 /// straight-through estimator (gradient passes unchanged inside the
 /// representable range, is zeroed where the signal was clamped) plus the
 /// regularizer's subgradient scaled by `λ`.
+///
+/// A training forward keeps one byte per signal for backward, not the
+/// signal: its regularizer-gradient class (`signal_code`) and the
+/// STE clamp bit. Backward is then `(clamped ? 0 : g) + table[class]`,
+/// with `table[class] = λ·rg'(o)` evaluated once per call at one value of
+/// each class — the same product, bit for bit, as evaluating it per
+/// element.
 #[derive(Debug, Clone)]
 pub struct SignalStage {
     regularizer: ActivationRegularizer,
     lambda: f32,
     quantizer: ActivationQuantizer,
     switch: QuantSwitch,
-    cached_input: Option<Tensor>,
+    /// One `signal_code` per signal of the last Train forward.
+    codes: Option<Vec<u8>>,
     last_reg_loss: f32,
     /// Output of the last Eval forward; cleared by a Train forward.
     tap: Option<Tensor>,
@@ -85,7 +93,7 @@ impl SignalStage {
             lambda,
             quantizer,
             switch,
-            cached_input: None,
+            codes: None,
             last_reg_loss: 0.0,
             tap: None,
             stat_elements: 0,
@@ -143,15 +151,16 @@ impl Layer for SignalStage {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         self.last_reg_loss = self.lambda * self.regularizer.tensor_value(x);
         let theta = self.regularizer.threshold();
-        let mut saturated = 0u64;
-        let mut zeros = 0u64;
-        for &v in x.iter() {
-            if v.abs() >= theta {
-                saturated += 1;
+        let (mut saturated, mut zeros) = (0u64, 0u64);
+        // `u32` tallies per block vectorize four to a register, `u64` two.
+        for block in x.as_slice().chunks(1 << 30) {
+            let (mut s, mut z) = (0u32, 0u32);
+            for &v in block {
+                s += (v.abs() >= theta) as u32;
+                z += (v == 0.0) as u32;
             }
-            if v == 0.0 {
-                zeros += 1;
-            }
+            saturated += s as u64;
+            zeros += z as u64;
         }
         self.stat_elements += x.len() as u64;
         self.stat_saturated += saturated;
@@ -166,7 +175,11 @@ impl Layer for SignalStage {
             x.clone()
         };
         if mode == Mode::Train {
-            self.cached_input = Some(x.clone());
+            let upper = self.quantizer.max_level() as f32 / self.quantizer.scale();
+            let mut codes = self.codes.take().unwrap_or_default();
+            codes.clear();
+            codes.extend(x.iter().map(|&v| signal_code(v, theta, upper)));
+            self.codes = Some(codes);
             self.tap = None;
         } else {
             self.tap = Some(y.clone());
@@ -175,24 +188,31 @@ impl Layer for SignalStage {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
+        let codes = self
+            .codes
             .as_ref()
             .expect("signal-stage backward called before training-mode forward");
-        assert_eq!(grad.len(), x.len(), "signal-stage grad length mismatch");
-        let quantizing = self.switch.is_enabled();
-        let upper = self.quantizer.max_level() as f32 / self.quantizer.scale();
-        let data: Vec<f32> = grad
+        assert_eq!(grad.len(), codes.len(), "signal-stage grad length mismatch");
+        // STE: the clamp region has zero data gradient, while quantizing.
+        let clamp = if self.switch.is_enabled() { CLAMPED } else { 0 };
+        let theta = self.regularizer.threshold();
+        let mut table = [0.0f32; 8];
+        for (class, o) in [
+            (ZERO, 0.0),
+            (INSIDE, 0.5 * theta),
+            (INSIDE | NEGATIVE, -0.5 * theta),
+            (OUTSIDE, theta),
+            (OUTSIDE | NEGATIVE, -theta),
+            (NAN, f32::NAN),
+        ] {
+            table[class as usize] = self.lambda * self.regularizer.grad(o);
+        }
+        let data = grad
             .iter()
-            .zip(x.iter())
-            .map(|(&g, &xi)| {
-                // STE: clamp region has zero data gradient.
-                let pass = if quantizing && (xi < 0.0 || xi > upper) {
-                    0.0
-                } else {
-                    g
-                };
-                pass + self.lambda * self.regularizer.grad(xi)
+            .zip(codes)
+            .map(|(&g, &code)| {
+                let pass = if code & clamp != 0 { 0.0 } else { g };
+                pass + table[(code & CLASS) as usize]
             })
             .collect();
         Tensor::from_vec(data, grad.dims())
@@ -205,6 +225,39 @@ impl Layer for SignalStage {
     fn output_tap(&self) -> Option<Tensor> {
         self.tap.clone()
     }
+}
+
+// `signal_code` layout: bits 0–2 are the regularizer-gradient class,
+// bit 3 the STE clamp bit. Within a class `rg'` is one value.
+const CLASS: u8 = 0b0111;
+/// `o == ±0`: `rg'` is 0 there (the kink).
+const ZERO: u8 = 0;
+/// `0 < |o| < θ`.
+const INSIDE: u8 = 1;
+/// `|o| ≥ θ`.
+const OUTSIDE: u8 = 2;
+/// Added to `INSIDE`/`OUTSIDE` for `o < 0`.
+const NEGATIVE: u8 = 4;
+/// `o` is NaN: `rg'` is NaN for the kinds that read the sign.
+const NAN: u8 = 7;
+/// `o < 0` or `o > upper`: the quantizer clamps `o`.
+const CLAMPED: u8 = 0b1000;
+
+/// The byte a training forward keeps per signal `o`, for threshold
+/// `θ = 2^(M−1)` and quantizer range top `upper`.
+#[inline(always)]
+fn signal_code(o: f32, theta: f32, upper: f32) -> u8 {
+    // Comparisons only, so a loop over it vectorizes; each is false on NaN.
+    let a = o.abs();
+    let negative = o < 0.0;
+    let class = if o.is_nan() {
+        NAN
+    } else {
+        (INSIDE * (o != 0.0 && a < theta) as u8)
+            | (OUTSIDE * (a >= theta) as u8)
+            | (NEGATIVE * negative as u8)
+    };
+    class | (CLAMPED * (negative || o > upper) as u8)
 }
 
 fn insert_stages_in_stack(

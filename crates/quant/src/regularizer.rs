@@ -138,11 +138,30 @@ impl ActivationRegularizer {
     }
 
     /// Total penalty over a tensor of signals (the paper's `R_g(O^i)`).
+    ///
+    /// Summed in eight fixed lanes (element `i` into lane `i mod 8`, then
+    /// a fixed pairwise combine), so the order is the same on every target
+    /// and SIMD level and the loop is not one serial add chain. It may
+    /// differ from a serial sum in its last bits.
     pub fn tensor_value(&self, o: &Tensor) -> f32 {
         if self.kind == RegKind::None {
             return 0.0;
         }
-        o.iter().map(|&x| self.value(x)).sum()
+        // A copy, so the loop keeps the fields in registers.
+        let reg = *self;
+        let mut lanes = [0.0f32; 8];
+        let chunks = o.as_slice().chunks_exact(8);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &x) in lanes.iter_mut().zip(chunk) {
+                *lane += reg.value(x);
+            }
+        }
+        for (lane, &x) in lanes.iter_mut().zip(tail) {
+            *lane += reg.value(x);
+        }
+        let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+        ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
     }
 }
 
@@ -223,6 +242,55 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, -2.0, 9.0]);
         let expected: f32 = t.iter().map(|&x| r.value(x)).sum();
         assert!((r.tensor_value(&t) - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn lane_sum_agrees_with_serial_sum() {
+        // Every kind and bit width, and lengths that leave every tail size.
+        let mut rng = qsnc_tensor::TensorRng::seed(11);
+        for kind in [
+            RegKind::L1,
+            RegKind::TruncatedL1,
+            RegKind::NeuronConvergence,
+        ] {
+            for bits in [1, 2, 4, 8] {
+                let r = ActivationRegularizer::new(kind, bits, 0.1);
+                let hi = 2.0 * r.threshold();
+                for len in (1..=40).chain([1000]) {
+                    let t = qsnc_tensor::init::uniform([len], -hi, hi, &mut rng);
+                    let serial: f32 = t.iter().map(|&x| r.value(x)).sum();
+                    let lanes = r.tensor_value(&t);
+                    assert!(
+                        (lanes - serial).abs() <= 1e-6 * serial.abs(),
+                        "{kind} M={bits} len={len}: {lanes} vs serial {serial}"
+                    );
+                }
+                // A [32, 3, 28, 28] signal, LeNet's first stage. Here the
+                // serial f32 sum itself drifts from the exact sum by up to
+                // ~8e-6 relative, so the lane sum is held to the exact one.
+                let t = qsnc_tensor::init::uniform([75_264], -hi, hi, &mut rng);
+                let exact: f64 = t.iter().map(|&x| r.value(x) as f64).sum();
+                let lanes = r.tensor_value(&t) as f64;
+                assert!(
+                    (lanes - exact).abs() <= 2e-6 * exact,
+                    "{kind} M={bits}: {lanes} vs exact {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sum_order_is_fixed() {
+        // Element i lands in lane i mod 8 and the lanes combine pairwise:
+        // a large value in lane 0 absorbs lane 0's small ones only.
+        let r = ActivationRegularizer::new(RegKind::L1, 4, 0.1);
+        let mut xs = vec![0.0f32; 16];
+        xs[0] = 1.0e8;
+        xs[8] = 4.0; // same lane: lost under 1e8's ulp (8)
+        xs[1] = 3.0;
+        xs[9] = 3.0; // lane 1 holds 6 before meeting lane 0
+        let t = Tensor::from_vec(xs, [16]);
+        assert_eq!(r.tensor_value(&t), (1.0e8f32 + 4.0) + 6.0);
     }
 
     #[test]

@@ -9,7 +9,10 @@ use qsnc_nn::{models, Layer, Mode};
 use qsnc_quant::{
     insert_signal_stages, ActivationQuantizer, ActivationRegularizer, QuantSwitch, SignalStage,
 };
-use qsnc_tensor::{init, TensorRng};
+use qsnc_tensor::{
+    conv2d_input_grad, conv2d_weight_grad, detected_simd, init, parallel, with_simd_level,
+    Conv2dSpec, SimdLevel, Tensor, TensorRng,
+};
 
 fn bench_lenet_step(c: &mut Criterion) {
     let mut rng = TensorRng::seed(0);
@@ -91,6 +94,62 @@ fn bench_qat_layers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The training backward of LeNet ×0.5's two convolutions at batch 32 on
+/// one thread, at each SIMD level: the weight and bias gradients
+/// (`conv2d_weight_grad`, rows `conv1_dw_db` and `conv2_dw_db`) and the
+/// input gradient (`conv2d_input_grad`, rows `conv1_dx` and `conv2_dx`).
+/// The output gradient is 3 in 4 zero, one entry per 2×2 block, as after a
+/// max-pool.
+fn bench_conv_backward(c: &mut Criterion) {
+    let mut rng = TensorRng::seed(4);
+    let levels: Vec<(&str, SimdLevel)> = [("scalar", SimdLevel::Scalar), ("avx2", SimdLevel::Avx2)]
+        .into_iter()
+        .filter(|&(_, l)| l <= detected_simd())
+        .collect();
+    let mut group = c.benchmark_group("conv_backward");
+    // (layer, input channels, filters, input edge, padding): 5×5 kernels.
+    for (layer, in_c, f, edge, pad) in [("conv1", 1, 3, 28, 2), ("conv2", 3, 8, 14, 0)] {
+        let spec = Conv2dSpec::new(5, 1, pad);
+        let o = spec.output_size(edge);
+        // A ReLU output: about 40% zeros.
+        let x = init::uniform([32, in_c, edge, edge], -0.7, 1.0, &mut rng).relu();
+        let weight = init::uniform([f, in_c, 5, 5], -0.3, 0.3, &mut rng);
+        let values = init::uniform([32, f, o, o], -1.0, 1.0, &mut rng);
+        let picks = init::uniform([32 * f * (o / 2) * (o / 2)], 0.0, 4.0, &mut rng);
+        let mut g = vec![0.0f32; 32 * f * o * o];
+        let mut pick = picks.iter();
+        for plane in 0..32 * f {
+            for by in 0..o / 2 {
+                for bx in 0..o / 2 {
+                    let at = *pick.next().expect("one pick per block") as usize;
+                    let i = (plane * o + by * 2 + at / 2) * o + bx * 2 + at % 2;
+                    g[i] = values.as_slice()[i];
+                }
+            }
+        }
+        let g = Tensor::from_vec(g, [32, f, o, o]);
+        for &(label, level) in &levels {
+            group.bench_function(format!("{layer}_dw_db/{label}"), |b| {
+                b.iter(|| {
+                    with_simd_level(level, || {
+                        parallel::with_num_threads(1, || conv2d_weight_grad(&x, &g, spec))
+                    })
+                })
+            });
+            group.bench_function(format!("{layer}_dx/{label}"), |b| {
+                b.iter(|| {
+                    with_simd_level(level, || {
+                        parallel::with_num_threads(1, || {
+                            conv2d_input_grad(&g, &weight, (edge, edge), spec)
+                        })
+                    })
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_resnet_forward(c: &mut Criterion) {
     let mut rng = TensorRng::seed(2);
     let mut net = models::resnet(0.25, 10, &mut rng);
@@ -108,6 +167,7 @@ criterion_group!(
     bench_lenet_step,
     bench_qat_overhead,
     bench_qat_layers,
+    bench_conv_backward,
     bench_resnet_forward
 );
 criterion_main!(benches);

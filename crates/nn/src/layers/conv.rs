@@ -91,18 +91,12 @@ impl Conv2d {
         let f = self.out_channels;
         let (oh, ow) = (self.spec.output_size(h), self.spec.output_size(w));
         assert_eq!(grad.dims(), &[n, f, oh, ow], "conv2d grad shape mismatch");
-        let pix = oh * ow;
-
-        self.grad_weight += &conv2d_weight_grad(x, grad, self.spec);
-
-        // db: each filter's gradient summed image by image, pixel by pixel —
+        // dW and db in one pass over the gradient: each filter's bias chain
+        // runs image by image, pixel by pixel, beside its weight chains —
         // the row sums of the gradient laid out `[f, n·oh·ow]`.
-        let gs = grad.as_slice();
-        for (fi, gb) in self.grad_bias.as_mut_slice().iter_mut().enumerate() {
-            *gb += (0..n)
-                .flat_map(|i| &gs[(i * f + fi) * pix..(i * f + fi + 1) * pix])
-                .sum::<f32>();
-        }
+        let (dw, db) = conv2d_weight_grad(x, grad, self.spec);
+        self.grad_weight += &dw;
+        self.grad_bias += &db;
 
         (h, w)
     }

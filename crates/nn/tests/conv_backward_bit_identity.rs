@@ -7,8 +7,10 @@
 //! `dx = col2im(Wᵀ · g)`, with `g` the output gradient laid out
 //! `[f, n·oh·ow]`; and that the training-mode forward equals both the
 //! evaluation-mode forward and `W · im2col(x)` plus bias, and that
-//! `backward_params` (no input gradient) leaves the same `dW` and `db`.
-//! Each case runs at every SIMD level and at one and three worker threads.
+//! `backward_params` (no input gradient) leaves the same `dW` and `db`; and
+//! that a second step accumulates into the first one's gradients, with the
+//! bias gradient of an all-zero gradient plane a `+0.0`. Each case runs at
+//! every SIMD level and at one and three worker threads.
 
 use qsnc_nn::layers::Conv2d;
 use qsnc_nn::{Layer, Mode};
@@ -19,14 +21,18 @@ use qsnc_tensor::{
 
 /// `(in_channels, out_channels, kernel, stride, padding, input edge)`.
 ///
-/// The AVX2 weight-gradient chains cover 8 taps of a kernel row each, so
-/// only kernels wider than 8 split a row into a full chunk and a partial
-/// one; the 9×9, 11×11 and 17×17 geometries exercise that split. The
-/// forward chains cover 8 output pixels of a row each and run 8 chains at
-/// a time through every filter: an output width that is a multiple of 8
+/// The weight-gradient chains cover 8 taps of a kernel row each, so only
+/// kernels wider than 8 split a row into a full chunk and a partial one;
+/// the 9×9, 11×11 and 17×17 geometries exercise that split. A filter's row
+/// chains run in blocks of at most 8: LeNet conv1's 5 rows are one block,
+/// conv2's 15 split 8 + 7, and the wide kernels need three or more blocks.
+/// The forward chains cover 8 output pixels of a row each and run 8 chains
+/// at a time through every filter: an output width that is a multiple of 8
 /// fills every lane, a narrower one leaves lanes unstored, and a chain
 /// count (`oh · ⌈ow/8⌉`) that is not a multiple of 8 ends in a partial
-/// group.
+/// group. The input-gradient accumulators cover 16 input columns of one
+/// stride phase: widths 7, 8 and 13 leave lanes unstored, 17, 19 and 28
+/// need a second accumulator, and stride 2 gives each row two phases.
 const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 11] = [
     (1, 3, 5, 1, 2, 28),  // LeNet conv1
     (3, 8, 5, 1, 0, 14),  // LeNet conv2
@@ -104,13 +110,31 @@ fn column_oracle(layer: &Conv2d, x: &Tensor, g: &Tensor) -> Expected {
     let g_cols = to_columns(g);
     // The layer accumulates into zeroed gradients: start from zero here too.
     let mut dw = Tensor::zeros(layer.weight().dims());
-    dw += &matmul(&g_cols, &transpose(&cols)).into_reshaped(layer.weight().dims());
-    let mut db = vec![0.0f32; f];
-    for (fi, v) in db.iter_mut().enumerate() {
-        *v += g_cols.as_slice()[fi * n * oh * ow..(fi + 1) * n * oh * ow].iter().sum::<f32>();
-    }
+    dw += &weight_product(layer, &cols, &g_cols);
+    let mut db = Tensor::zeros([f]);
+    add_row_sums(&mut db, &g_cols);
     let dx = col2im(&matmul(&transpose(&w_mat), &g_cols), n, c, h, w, spec);
-    Expected { y: Tensor::from_vec(y, [n, f, oh, ow]), dw, db: Tensor::from_slice(&db), dx }
+    Expected {
+        y: Tensor::from_vec(y, [n, f, oh, ow]),
+        dw,
+        db,
+        dx,
+    }
+}
+
+/// `g · im2col(x)ᵀ` in the weight's shape.
+fn weight_product(layer: &Conv2d, cols: &Tensor, g_cols: &Tensor) -> Tensor {
+    matmul(g_cols, &transpose(cols)).into_reshaped(layer.weight().dims())
+}
+
+/// `db[fi] += Σ g_cols[fi, ·]`, each row summed by `Iterator::sum`.
+fn add_row_sums(db: &mut Tensor, g_cols: &Tensor) {
+    let len = g_cols.dims()[1];
+    for (fi, v) in db.as_mut_slice().iter_mut().enumerate() {
+        *v += g_cols.as_slice()[fi * len..(fi + 1) * len]
+            .iter()
+            .sum::<f32>();
+    }
 }
 
 fn levels() -> Vec<SimdLevel> {
@@ -163,6 +187,88 @@ fn conv_training_step_is_bit_identical_to_the_column_formulation() {
                     let params = layer.params();
                     assert_bits(&format!("{case}: params-only dW"), params[0].grad, &want.dw);
                     assert_bits(&format!("{case}: params-only db"), params[1].grad, &want.db);
+                }
+            }
+        }
+    }
+}
+
+/// A second step accumulates into the first one's gradients, and a filter
+/// whose gradient is zero everywhere keeps a `+0.0` bias gradient.
+///
+/// The bias chain is folded into the weight-gradient pass and starts at
+/// `+0.0`, while `Iterator::sum` over `f32` starts at `−0.0`: over an
+/// all-`−0.0` gradient the two differ, and they agree only once added into
+/// a gradient that is not `−0.0`. Filter 0's gradient here is all `+0.0`
+/// and filter 1's all `−0.0`, in every image. Both `backward` and
+/// `backward_params` run two steps without `zero_grad` between them,
+/// against the column formulation advanced the same way.
+#[test]
+fn conv_gradients_accumulate_and_keep_the_sign_of_zero() {
+    for (gi, &(c, f, k, s, p, edge)) in GEOMETRIES.iter().enumerate() {
+        if f < 2 {
+            continue;
+        }
+        let n = 3;
+        let mut rng = TensorRng::seed(700 + gi as u64);
+        let mut layer = Conv2d::new("c", c, f, Conv2dSpec::new(k, s, p), &mut rng);
+        let x = sparse_uniform(&[n, c, edge, edge], &mut rng);
+        let o = layer.spec().output_size(edge);
+        let mut g = sparse_uniform(&[n, f, o, o], &mut rng);
+        for (plane, chunk) in g.as_mut_slice().chunks_exact_mut(o * o).enumerate() {
+            match plane % f {
+                0 => chunk.fill(0.0),
+                1 => chunk.fill(-0.0),
+                _ => {}
+            }
+        }
+        let once = column_oracle(&layer, &x, &g);
+        let cols = im2col(&x, layer.spec());
+        let g_cols = to_columns(&g);
+        let mut dw_twice = once.dw.clone();
+        dw_twice += &weight_product(&layer, &cols, &g_cols);
+        let mut db_twice = once.db.clone();
+        add_row_sums(&mut db_twice, &g_cols);
+        for db in [&once.db, &db_twice] {
+            assert_eq!(
+                db.as_slice()[0].to_bits(),
+                0.0f32.to_bits(),
+                "oracle db of a +0 filter"
+            );
+            assert_eq!(
+                db.as_slice()[1].to_bits(),
+                0.0f32.to_bits(),
+                "oracle db of a -0 filter"
+            );
+        }
+
+        for level in levels() {
+            for threads in [1, 3] {
+                for params_only in [false, true] {
+                    let case = format!(
+                        "geometry {gi}, {level:?}, {threads} threads, params only: {params_only}"
+                    );
+                    let step = |layer: &mut Conv2d| {
+                        with_simd_level(level, || {
+                            with_num_threads(threads, || {
+                                layer.forward(&x, Mode::Train);
+                                if params_only {
+                                    layer.backward_params(&g);
+                                } else {
+                                    layer.backward(&g);
+                                }
+                            })
+                        })
+                    };
+                    layer.zero_grad();
+                    step(&mut layer);
+                    let params = layer.params();
+                    assert_bits(&format!("{case}: step 1 dW"), params[0].grad, &once.dw);
+                    assert_bits(&format!("{case}: step 1 db"), params[1].grad, &once.db);
+                    step(&mut layer);
+                    let params = layer.params();
+                    assert_bits(&format!("{case}: step 2 dW"), params[0].grad, &dw_twice);
+                    assert_bits(&format!("{case}: step 2 db"), params[1].grad, &db_twice);
                 }
             }
         }

@@ -4,22 +4,26 @@
 //! Layers in `qsnc-nn` run [`conv2d`] forward and train through
 //! [`conv2d_weight_grad`] and [`conv2d_input_grad`]. None of the three
 //! builds a column matrix, and each is bit-identical to the product over
-//! one: `W · im2col(x)`, `g · im2col(x)ᵀ` and `col2im(Wᵀ · g)`. Those
+//! one: `W · im2col(x)`, `g · im2col(x)ᵀ` (with the bias gradient as `g`
+//! times a column of ones) and `col2im(Wᵀ · g)`, for finite operands (the
+//! kernels skip or border with zero terms, which the products multiply
+//! out; `0 · ∞` is NaN there and absent here). Those
 //! products, [`im2col`] and [`col2im`] stay as the tests' oracles (the float
 //! spiking pipeline also lowers through [`im2col`]); the direct
 //! [`conv2d_direct`] implementation is the oracle for [`conv2d`], and the
 //! form the crossbar mapper mirrors (each filter becomes one crossbar
 //! column over an im2col'd input vector).
 //!
-//! Three paths here parallelize over the [`crate::parallel`] workers:
+//! Four paths here parallelize over the [`crate::parallel`] workers:
 //! [`im2col`] partitions the rows of the column matrix (each row is filled
 //! by exactly one thread), and [`conv2d`] and [`conv2d_input_grad`]
 //! partition the batch, giving each worker a contiguous run of images whose
 //! slice of the output it alone writes. All are pure scatters into disjoint
 //! output regions, so results do not depend on the thread count.
-//! [`conv2d_weight_grad`] sums across the batch and runs serially.
+//! [`conv2d_weight_grad`] sums across the batch, so it partitions the
+//! filters instead: each worker runs its filters' chains through every
+//! image and writes only their weight and bias gradients, both in one pass.
 
-use crate::linalg::gemm_serial;
 use crate::parallel;
 use crate::simd;
 use crate::tensor::Tensor;
@@ -230,7 +234,10 @@ pub fn col2im(
 /// `simd::ConvForward::run` runs every output as one lane of a chain that
 /// starts at `+0.0` and adds `w · x` in ascending `(ic, ky, kx)`, a
 /// separate multiply and add per term, then the bias — the product's
-/// operation sequence. The batch is partitioned across the
+/// operation sequence. **Finite operands only:** zero weights are skipped,
+/// which changes no bit while every input pixel is finite (a zero weight
+/// over an infinite pixel gives NaN in the product and nothing here). The
+/// batch is partitioned across the
 /// [`crate::parallel`] workers, each writing its images' slice of the
 /// output, so the thread count cannot change a bit.
 ///
@@ -275,23 +282,30 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSp
     Tensor::from_vec(out, [n, f, oh, ow])
 }
 
-/// Weight gradient of [`conv2d`]: `x` `[n, c, h, w]` is the layer input and
-/// `grad` `[n, f, oh, ow]` the gradient of its output; returns `[f, c, k, k]`.
+/// Weight and bias gradients of [`conv2d`]: `x` `[n, c, h, w]` is the
+/// layer input and `grad` `[n, f, oh, ow]` the gradient of its output;
+/// returns `dW` `[f, c, k, k]` and `db` `[f]`.
 ///
-/// **Bit-identical** to `matmul(g, transpose(im2col(x)))` reshaped, with
-/// `g` the `[f, n·oh·ow]` reorder of `grad`, without either matrix. That
-/// product adds each term to its output in ascending `k`, starting from
-/// `+0.0`, with a separate multiply and add; here `k` runs over the output
-/// pixels, image-major. The direct kernel `simd::conv_weight_grad_image`
-/// advances the same chain one image at a time, reading each window straight
-/// from a zero-padded copy of the image, one `kx` tap per vector lane. The
-/// chains run across the batch, so this kernel is serial and the thread
-/// count cannot touch its result.
+/// **Bit-identical** to `matmul(g, transpose(im2col(x)))` reshaped, and to
+/// `g` times a column of ones, with `g` the `[f, n·oh·ow]` reorder of
+/// `grad`, without either matrix. That product adds each term to its
+/// output in ascending `k`, starting from `+0.0`, with a separate multiply
+/// and add; here `k` runs over the output pixels, image-major. The direct
+/// kernel `simd::conv_weight_grad_image` advances the same chains one image
+/// at a time, reading each window straight from a zero-padded copy of the
+/// image, one `kx` tap per vector lane, with each filter's bias chain
+/// advanced in the same pass. **Finite operands only:** zero gradients are
+/// skipped, which changes no bit while every input pixel is finite (a zero
+/// gradient over an infinite pixel gives NaN in the product and nothing
+/// here). The chains run across the batch but never across filters, so
+/// the filters are split into contiguous runs across the
+/// [`crate::parallel`] workers, each running its run through the whole
+/// batch, and the thread count cannot change a bit.
 ///
 /// # Panics
 ///
 /// Panics on rank mismatches or if `grad` disagrees with the geometry.
-pub fn conv2d_weight_grad(x: &Tensor, grad: &Tensor, spec: Conv2dSpec) -> Tensor {
+pub fn conv2d_weight_grad(x: &Tensor, grad: &Tensor, spec: Conv2dSpec) -> (Tensor, Tensor) {
     assert_eq!(x.shape().rank(), 4, "conv2d_weight_grad input must be [n,c,h,w]");
     assert_eq!(grad.shape().rank(), 4, "conv2d_weight_grad grad must be [n,f,oh,ow]");
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
@@ -304,24 +318,47 @@ pub fn conv2d_weight_grad(x: &Tensor, grad: &Tensor, spec: Conv2dSpec) -> Tensor
     let level = simd::simd_level();
     let (xs, gs) = (x.as_slice(), grad.as_slice());
 
-    let mut dw = vec![0.0f32; f * c * k * k];
-    // One padded image plus the vector tail the last window's load reads;
-    // the border and the tail stay zero, only the interior is rewritten.
-    let mut padded = crate::scratch::take_f32(c * hp * wp + simd::wgrad_lanes(level) - 1);
-    let mut terms = Vec::with_capacity(oh * ow);
-    for img in 0..n {
-        for ic in 0..c {
-            for y in 0..h {
-                let src_off = ((img * c + ic) * h + y) * w;
-                let dst_off = (ic * hp + y + pad) * wp + pad;
-                padded[dst_off..dst_off + w].copy_from_slice(&xs[src_off..src_off + w]);
+    // Chains never cross filters: each worker takes a run of filters
+    // through the whole batch, with its own padded copy of each image (the
+    // border and the vector tail the last window's load reads stay zero;
+    // only the interior is rewritten).
+    let filters: Vec<usize> = (0..f).collect();
+    let shards = parallel::par_map_shards(&filters, |f0, band| {
+        let nf = band.len();
+        let (mut dw, mut db) = (vec![0.0f32; nf * c * k * k], vec![0.0f32; nf]);
+        let mut padded = crate::scratch::take_f32(c * hp * wp + simd::WGRAD_LANES - 1);
+        let mut scratch = simd::WgradScratch::new(geom);
+        for img in 0..n {
+            for ic in 0..c {
+                for y in 0..h {
+                    let src_off = ((img * c + ic) * h + y) * w;
+                    let dst_off = (ic * hp + y + pad) * wp + pad;
+                    padded[dst_off..dst_off + w].copy_from_slice(&xs[src_off..src_off + w]);
+                }
             }
+            let g_band = &gs[(img * f + f0) * oh * ow..(img * f + f0 + nf) * oh * ow];
+            simd::conv_weight_grad_image(
+                level,
+                geom,
+                g_band,
+                &padded,
+                &mut dw,
+                &mut db,
+                &mut scratch,
+            );
         }
-        let g_img = &gs[img * f * oh * ow..(img + 1) * f * oh * ow];
-        simd::conv_weight_grad_image(level, geom, g_img, &padded, &mut dw, &mut terms);
+        crate::scratch::put_f32(padded);
+        (dw, db)
+    });
+    let (mut dw, mut db) = (Vec::with_capacity(f * c * k * k), Vec::with_capacity(f));
+    for (band_dw, band_db) in shards {
+        dw.extend(band_dw);
+        db.extend(band_db);
     }
-    crate::scratch::put_f32(padded);
-    Tensor::from_vec(dw, [f, c, k, k])
+    (
+        Tensor::from_vec(dw, [f, c, k, k]),
+        Tensor::from_vec(db, [f]),
+    )
 }
 
 /// Input gradient of [`conv2d`]: `grad` `[n, f, oh, ow]` is the gradient of
@@ -329,14 +366,17 @@ pub fn conv2d_weight_grad(x: &Tensor, grad: &Tensor, spec: Conv2dSpec) -> Tensor
 /// size; returns `[n, c, h, w]`.
 ///
 /// **Bit-identical** to `col2im(matmul(transpose(W), g), …)` with `g` the
-/// `[f, n·oh·ow]` reorder of `grad`, without either batch matrix. Each
-/// image's `[c·k·k, oh·ow]` slice of `Wᵀ·g` comes from the same GEMM (one
-/// ascending-`f` chain from `+0.0` per element), and its tap rows
-/// `r = (ic, ky, kx)` are scatter-added into a zero padded image in
-/// descending order. The batched `col2im` adds the contributions to one
-/// padded element in ascending output-pixel order; within a channel a later
-/// output pixel reaches that element through a smaller `(ky, kx)`, at any
-/// stride, so that order is descending `r`, the order used here. Images are
+/// `[f, n·oh·ow]` reorder of `grad`, without either matrix. The batched
+/// `col2im` adds the contributions to one padded element in ascending
+/// output-pixel order; within a channel a later output pixel reaches that
+/// element through a smaller `(ky, kx)`, at any stride, so that order is
+/// descending tap. The direct kernel `simd::ConvInputGrad::run` gives each
+/// interior element an accumulator lane from `+0.0` and adds every tap's
+/// contribution in that order, each computed as the product's ascending-`f`
+/// chain from `+0.0`, reading a zero-bordered copy of the image's gradient.
+/// **Finite operands only:** a tap whose output column lies outside the map
+/// reads that border and adds `+0.0`, which changes no bit for finite
+/// weights (a non-finite weight times the border's zero is NaN). Images are
 /// split across the [`crate::parallel`] workers, each owning its slice of
 /// the result, so the thread count cannot change a bit.
 ///
@@ -361,62 +401,30 @@ pub fn conv2d_input_grad(
     let pad = spec.padding;
     let (hp, wp) = (h + 2 * pad, w + 2 * pad);
     let geom = simd::ConvGeom { c, k, hp, wp, oh, ow, stride: spec.stride };
-    let (ckk, pix) = (c * k * k, oh * ow);
-    // Wᵀ `[c·k·k, f]`: each tap's filter weights side by side.
-    let ws = weight.as_slice();
-    let mut wt = vec![0.0f32; ckk * f];
-    for (r, taps) in wt.chunks_exact_mut(f).enumerate() {
-        for (fi, t) in taps.iter_mut().enumerate() {
-            *t = ws[fi * ckk + r];
-        }
-    }
-    let gs = grad.as_slice();
+    let plan = simd::ConvInputGrad::new(geom, pad, f, weight.as_slice());
+    let level = simd::simd_level();
+    let (gs, pix) = (grad.as_slice(), oh * ow);
 
     let mut out = vec![0.0f32; n * c * h * w];
     parallel::par_bands_mut(&mut out, n, c * h * w, |img0, imgs, chunk| {
-        let mut padded = crate::scratch::take_f32(c * hp * wp);
-        let mut dcols = crate::scratch::take_f32(ckk * pix);
+        // Zeroed once: every image rewrites the same positions.
+        let mut gpad = crate::scratch::take_f32(plan.grad_len());
+        let mut acc = Vec::new();
         for i in 0..imgs {
-            let g_img = &gs[(img0 + i) * f * pix..(img0 + i + 1) * f * pix];
-            dcols.fill(0.0);
-            gemm_serial(ckk, f, pix, &wt, g_img, &mut dcols);
-            scatter_rows_descending(geom, &dcols, &mut padded);
-            let dst_img = &mut chunk[i * c * h * w..(i + 1) * c * h * w];
-            for ic in 0..c {
-                for y in 0..h {
-                    let src_off = (ic * hp + y + pad) * wp + pad;
-                    dst_img[(ic * h + y) * w..(ic * h + y + 1) * w]
-                        .copy_from_slice(&padded[src_off..src_off + w]);
-                }
-            }
+            plan.load(
+                &gs[(img0 + i) * f * pix..(img0 + i + 1) * f * pix],
+                &mut gpad,
+            );
+            plan.run(
+                level,
+                &gpad,
+                &mut chunk[i * c * h * w..(i + 1) * c * h * w],
+                &mut acc,
+            );
         }
-        crate::scratch::put_f32(dcols);
-        crate::scratch::put_f32(padded);
+        crate::scratch::put_f32(gpad);
     });
     Tensor::from_vec(out, [n, c, h, w])
-}
-
-/// Scatter-adds one image's `[c·k·k, oh·ow]` column gradient into the
-/// zero-padded image gradient `padded` `[c, hp, wp]`, tap rows in
-/// descending order.
-fn scatter_rows_descending(geom: simd::ConvGeom, dcols: &[f32], padded: &mut [f32]) {
-    let simd::ConvGeom { k, hp, wp, oh, ow, stride: s, .. } = geom;
-    padded.fill(0.0);
-    for (r, row) in dcols.chunks_exact(oh * ow).enumerate().rev() {
-        let (ic, ky, kx) = (r / (k * k), (r / k) % k, r % k);
-        for (oy, src) in row.chunks_exact(ow).enumerate() {
-            let dst = &mut padded[(ic * hp + oy * s + ky) * wp + kx..];
-            if s == 1 {
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d += v;
-                }
-            } else {
-                for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
-                    *d += v;
-                }
-            }
-        }
-    }
 }
 
 /// Direct (nested-loop) convolution; reference oracle for [`conv2d`].
@@ -587,6 +595,38 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_skipping_is_exact_only_for_finite_operands() {
+        // The kernels skip zero terms: zero gradients in `dW`, zero weights
+        // in the forward. That changes no bit while the other operand is
+        // finite. Over an infinite pixel the column products add `0 · ∞`,
+        // which is NaN, and the kernels add nothing: the contract is
+        // finite operands, and these two cases pin what lies outside it.
+        let spec = Conv2dSpec::new(1, 1, 0);
+        let x = Tensor::from_vec(vec![f32::INFINITY, 3.0], [1, 1, 1, 2]);
+        let g = Tensor::from_vec(vec![0.0, 0.5], [1, 1, 1, 2]);
+        let product = crate::linalg::matmul_naive(
+            &g.reshape([1, 2]),
+            &crate::linalg::transpose(&im2col(&x, spec)),
+        );
+        assert!(product.as_slice()[0].is_nan());
+        for level in [simd::SimdLevel::Scalar, simd::SimdLevel::Avx2] {
+            let (dw, db) = simd::with_simd_level(level, || conv2d_weight_grad(&x, &g, spec));
+            assert_eq!(dw.as_slice(), &[1.5], "{level:?}");
+            assert_eq!(db.as_slice(), &[0.5], "{level:?}");
+        }
+
+        let spec = Conv2dSpec::new(2, 1, 0);
+        let x = Tensor::from_vec(vec![f32::INFINITY, 2.0, 0.0, 0.0], [1, 1, 2, 2]);
+        let wt = Tensor::from_vec(vec![0.0, 2.0, 0.0, 0.0], [1, 1, 2, 2]);
+        let product = crate::linalg::matmul_naive(&wt.reshape([1, 4]), &im2col(&x, spec));
+        assert!(product.as_slice()[0].is_nan());
+        for level in [simd::SimdLevel::Scalar, simd::SimdLevel::Avx2] {
+            let y = simd::with_simd_level(level, || conv2d(&x, &wt, None, spec));
+            assert_eq!(y.as_slice(), &[4.0], "{level:?}");
         }
     }
 

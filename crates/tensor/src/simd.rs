@@ -2,7 +2,7 @@
 //!
 //! There are two tiers: AVX2 when the CPU has it, portable scalar Rust
 //! otherwise (which the compiler still auto-vectorizes with x86-64's
-//! baseline SSE2). Five kernel families live here, all selected through
+//! baseline SSE2). Six kernel families live here, all selected through
 //! [`simd_level`]:
 //!
 //! - **Integer dot tiles** (`dot_tiles`): `i16 × i16 → i32` dot products
@@ -24,14 +24,20 @@
 //! - **`f32` convolution weight-gradient chains**
 //!   (`conv_weight_grad_image`): one output per chain, advanced pixel by
 //!   pixel in the GEMM's order, with the vector lanes over the `kx` taps of
-//!   one kernel row (8 on AVX2, 1 scalar) and four chains in flight —
-//!   bit-identical at both tiers for the same reason.
+//!   one kernel row at both tiers; a filter's row chains run in blocks of
+//!   up to eight with its bias chain beside them — bit-identical at both
+//!   tiers for the same reason.
 //! - **`f32` convolution forward chains** (`ConvForward`): one chain per
 //!   eight consecutive output pixels of one row, advanced tap by tap in
 //!   ascending `(ic, ky, kx)` from `+0.0`, eight chains in flight, each
 //!   group run through every filter; the vector lanes run over the output
 //!   pixels at both tiers, so the forward is bit-identical to the product
 //!   `W · im2col(x)`.
+//! - **`f32` convolution input-gradient chains** (`ConvInputGrad`): one
+//!   accumulator per sixteen input columns of one stride phase, adding
+//!   each tap's ascending-`f` chain in descending `(ky, kx)` from `+0.0`,
+//!   four taps in flight, so the input gradient is bit-identical to
+//!   `col2im(Wᵀ · g)`.
 //!
 //! # Dispatch
 //!
@@ -354,13 +360,32 @@ pub(crate) unsafe fn gemm_tile_f32(
 // f32 convolution weight-gradient chains
 // ---------------------------------------------------------------------------
 
-/// Taps one weight-gradient chain covers at `level`: consecutive `kx` of
-/// one kernel row, one per vector lane.
-pub(crate) fn wgrad_lanes(level: SimdLevel) -> usize {
-    match level {
-        SimdLevel::Avx2 => 8,
-        SimdLevel::Scalar => 1,
-    }
+/// Taps one weight-gradient chain covers, one per lane, at both tiers:
+/// consecutive `kx` of one kernel row.
+pub(crate) const WGRAD_LANES: usize = 8;
+
+/// Most weight-gradient row chains one block keeps in registers. Each term
+/// costs a chain one multiply and one add, so four chains already keep
+/// AVX2's two vector ports busy behind the add latency; eight leave room
+/// in the sixteen registers for the broadcast term, a product and the bias
+/// chain. A filter with more rows splits into blocks of near-equal size.
+const WGRAD_CHAINS: usize = 8;
+
+/// Calls `$kernel::<N>(args)` for the runtime chain count `$n` in `1..=8`.
+macro_rules! with_chain_count {
+    ($n:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $n {
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            5 => $kernel::<5>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            7 => $kernel::<7>($($arg),*),
+            8 => $kernel::<8>($($arg),*),
+            n => unreachable!("{n} chains in one block"),
+        }
+    };
 }
 
 /// Geometry of one zero-padded convolution input and its output map.
@@ -392,24 +417,80 @@ struct ConvChain {
     lanes: usize,
 }
 
-/// Adds one image's contribution to a convolution weight gradient:
-/// `dw[fi, ic, ky, kx] += g[fi, p] · x[ic, oy·s + ky, ox·s + kx]` for every
-/// output pixel `p = (oy, ox)` in ascending order, with a separate multiply
-/// and add per term (never FMA).
+/// One nonzero weight-gradient term: the gradient `g` of an output pixel
+/// and the offset `x` of its window in the padded image.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GradTerm {
+    g: f32,
+    x: u32,
+}
+
+/// Workspace of [`conv_weight_grad_image`], shared by the images of one
+/// geometry: each output pixel's window offset, and a filter's compacted
+/// terms.
+#[derive(Debug)]
+pub(crate) struct WgradScratch {
+    offsets: Vec<u32>,
+    terms: Vec<GradTerm>,
+}
+
+impl WgradScratch {
+    /// The workspace for `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window offset of the padded image overflows `u32`.
+    pub(crate) fn new(geom: ConvGeom) -> Self {
+        let ConvGeom {
+            c,
+            hp,
+            wp,
+            oh,
+            ow,
+            stride,
+            ..
+        } = geom;
+        assert!(
+            u32::try_from(c * hp * wp).is_ok(),
+            "wgrad window offsets overflow u32"
+        );
+        let offsets = (0..oh)
+            .flat_map(|oy| (0..ow).map(move |ox| ((oy * wp + ox) * stride) as u32))
+            .collect();
+        WgradScratch {
+            offsets,
+            terms: vec![GradTerm::default(); oh * ow],
+        }
+    }
+}
+
+/// Adds one image's contribution to a convolution's weight and bias
+/// gradients: `dw[fi, ic, ky, kx] += g[fi, p] · x[ic, oy·s + ky, ox·s + kx]`
+/// and `db[fi] += g[fi, p]` for every output pixel `p = (oy, ox)` in
+/// ascending order, with a separate multiply and add per term (never FMA).
 ///
 /// `g` is the image's `[f, oh·ow]` output gradient, `x` its zero-padded
-/// `[c, hp, wp]` input followed by at least `wgrad_lanes(level) − 1` floats
-/// of slack, `dw` the `[f, c, k, k]` accumulator, and `terms` workspace.
-/// Each output element is one chain loaded from `dw`, advanced pixel by
-/// pixel and stored back, so called image by image this is the
-/// ascending-`k` chain of the product `g · im2col(x)ᵀ`, bit for bit, at
-/// every level. Pixels where `g` is zero are skipped: such a term adds ±0
-/// to a chain that starts at `+0.0`, and a chain of `+0.0` plus products is
-/// never `−0.0`, so adding ±0 to it changes no bit. Each filter's nonzero
-/// terms are gathered once and shared by all its chains.
-/// A lane covers one `kx` tap: the AVX2 tier loads the window row with one
-/// unaligned load per term (chunked for kernels wider than 8 taps) and
-/// advances four chains at once to hide the add latency.
+/// `[c, hp, wp]` input followed by at least `WGRAD_LANES − 1` floats of
+/// slack, `dw` the `[f, c, k, k]` and `db` the `[f]` accumulator, and
+/// `scratch` the workspace built for `geom`. Each output element is one
+/// chain loaded from `dw` or `db`, advanced pixel by pixel and stored back,
+/// so called image by image this is the ascending-`k` chain of the product
+/// `g · im2col(x)ᵀ`, and of `g` times a column of ones, bit for bit, at
+/// both tiers.
+///
+/// Pixels where `g` is zero are skipped. **Finite operands only:** such a
+/// term adds `0 · x`, which is `±0` for finite `x`, to a chain that starts
+/// at `+0.0`; a chain of `+0.0` plus products is never `−0.0`, so adding
+/// `±0` changes no bit. A zero gradient over an infinite or NaN pixel
+/// would add NaN in the product and nothing here.
+///
+/// Each filter's nonzero terms are compacted without a branch (every
+/// pixel's term is written, and the end advances by `g ≠ 0`; the AVX2 tier
+/// packs four pixels per step). Its row chains, one per `(ic, ky)` and
+/// chunk of `WGRAD_LANES` taps along `kx`, then run over them in blocks of
+/// at most `WGRAD_CHAINS`, with no idle slots; the first block also
+/// advances the bias chain. Lanes past `k` are computed and never stored.
 ///
 /// # Panics
 ///
@@ -420,105 +501,150 @@ pub(crate) fn conv_weight_grad_image(
     g: &[f32],
     x: &[f32],
     dw: &mut [f32],
-    terms: &mut Vec<(f32, usize)>,
+    db: &mut [f32],
+    scratch: &mut WgradScratch,
 ) {
     let ConvGeom { c, k, hp, wp, oh, ow, stride } = geom;
     let level = level.min(detected_simd());
-    let lanes = wgrad_lanes(level);
-    let f = dw.len() / (c * k * k);
+    let f = db.len();
     assert_eq!(dw.len(), f * c * k * k, "wgrad output length mismatch");
     assert_eq!(g.len(), f * oh * ow, "wgrad gradient length mismatch");
-    // The furthest read is lane `lanes − 1` at the last window of the last
-    // row of the last channel: `c·hp·wp − 1 + lanes − 1`.
-    assert!(x.len() + 1 >= c * hp * wp + lanes, "wgrad input lacks lane slack");
+    // The furthest read is the last lane at the last window of the last
+    // row of the last channel: `c·hp·wp − 1 + WGRAD_LANES − 1`.
+    assert!(
+        x.len() + 1 >= c * hp * wp + WGRAD_LANES,
+        "wgrad input lacks lane slack"
+    );
     assert!(
         (oh - 1) * stride + k <= hp && (ow - 1) * stride + k <= wp,
         "wgrad window overruns the padded image"
     );
 
+    let chunks = k.div_ceil(WGRAD_LANES);
+    let rows = c * k * chunks;
+    let blocks = rows.div_ceil(WGRAD_CHAINS);
+    let WgradScratch { offsets, terms } = scratch;
+    assert!(
+        offsets.len() == oh * ow && terms.len() == oh * ow,
+        "wgrad workspace of another geometry"
+    );
     for (fi, plane) in g.chunks_exact(oh * ow).enumerate() {
-        terms.clear();
-        for (oy, grow) in plane.chunks_exact(ow).enumerate() {
-            for (ox, &gv) in grow.iter().enumerate() {
-                if gv != 0.0 {
-                    terms.push((gv, (oy * wp + ox) * stride));
-                }
-            }
-        }
-        if terms.is_empty() {
+        let live = match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `plane`, `offsets` and `terms` have the same length;
+            // `level` is clamped to detection.
+            SimdLevel::Avx2 => unsafe { x86::compact_terms_avx2(plane, offsets, terms) },
+            _ => compact_terms(plane, offsets, terms),
+        };
+        if live == 0 {
             continue;
         }
-        let mut group = [ConvChain::default(); 4];
-        let mut len = 0;
-        for ic in 0..c {
-            for ky in 0..k {
-                for kx0 in (0..k).step_by(lanes) {
-                    group[len] = ConvChain {
-                        x: (ic * hp + ky) * wp + kx0,
-                        out: ((fi * c + ic) * k + ky) * k + kx0,
-                        lanes: lanes.min(k - kx0),
-                    };
-                    len += 1;
-                    if len == 4 {
-                        // SAFETY: the asserts above bound every window row,
-                        // read `lanes` wide from any term's origin, inside
-                        // `x`, for every chain built here; `level` is clamped
-                        // to detection.
-                        unsafe { run_wgrad_group(level, &group, 4, terms, x, dw) };
-                        len = 0;
-                    }
-                }
+        let mut row = 0;
+        for b in 0..blocks {
+            let len = rows / blocks + usize::from(b < rows % blocks);
+            let mut block = [ConvChain::default(); WGRAD_CHAINS];
+            for (chain, r) in block.iter_mut().zip(row..row + len) {
+                let (ic_ky, kx0) = (r / chunks, r % chunks * WGRAD_LANES);
+                *chain = ConvChain {
+                    x: ((ic_ky / k) * hp + ic_ky % k) * wp + kx0,
+                    out: (fi * c * k + ic_ky) * k + kx0,
+                    lanes: WGRAD_LANES.min(k - kx0),
+                };
             }
-        }
-        if len > 0 {
-            // SAFETY: as above.
-            unsafe { run_wgrad_group(level, &group, len, terms, x, dw) };
+            row += len;
+            // Every block runs the bias chain; only the first one's is kept.
+            let mut spare = db[fi];
+            let bias = if b == 0 { &mut db[fi] } else { &mut spare };
+            // SAFETY: the asserts above bound every window row, read
+            // `WGRAD_LANES` wide from any term's origin, inside `x`, for
+            // every chain built here; `level` is clamped to detection.
+            unsafe {
+                with_chain_count!(
+                    len,
+                    run_wgrad_block(level, &block, &terms[..live], x, dw, bias)
+                )
+            };
         }
     }
 }
 
-/// Runs the first `len` chains of `group` over `terms`; the unused slots
-/// repeat chain 0 and are not stored.
+/// Writes `(g[p], offsets[p])` for every `p` with `g[p] ≠ 0` to the front
+/// of `terms`, in ascending `p`, and returns how many: every pixel's term is
+/// written, and the end advances by `g ≠ 0` (NaN counts as nonzero).
+fn compact_terms(g: &[f32], offsets: &[u32], terms: &mut [GradTerm]) -> usize {
+    let mut live = 0;
+    for (&gv, &x) in g.iter().zip(offsets) {
+        terms[live] = GradTerm { g: gv, x };
+        live += usize::from(gv != 0.0);
+    }
+    live
+}
+
+/// Runs the first `N` chains of `block` and the bias chain `db` over
+/// `terms` at `level`.
 ///
 /// # Safety
 ///
-/// For each of the first `len` chains and each term `(gv, xo)`, `x` must
-/// hold `wgrad_lanes(level)` floats from `chain.x + xo`, and `level` must
-/// not exceed [`detected_simd`].
-unsafe fn run_wgrad_group(
+/// For each of the first `N` chains and each term, `x` must hold
+/// `WGRAD_LANES` floats from `chain.x + term.x`, and `level` must not
+/// exceed [`detected_simd`].
+unsafe fn run_wgrad_block<const N: usize>(
     level: SimdLevel,
-    group: &[ConvChain; 4],
-    len: usize,
-    terms: &[(f32, usize)],
+    block: &[ConvChain; WGRAD_CHAINS],
+    terms: &[GradTerm],
     x: &[f32],
     dw: &mut [f32],
+    db: &mut f32,
 ) {
-    let mut chains = *group;
-    for slot in &mut chains[len..] {
-        *slot = ConvChain { lanes: 0, ..group[0] };
-    }
+    let chains: &[ConvChain; N] = block[..N].try_into().expect("block holds N chains");
+    assert!(
+        chains
+            .iter()
+            .all(|ch| ch.lanes <= WGRAD_LANES && ch.out + ch.lanes <= dw.len()),
+        "wgrad chain outputs overrun dw"
+    );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: forwarded caller contract (the unused slots repeat chain
-        // 0's reads); dw is bounds-checked inside.
-        SimdLevel::Avx2 => x86::wgrad4_avx2(&chains, terms, x.as_ptr(), dw),
-        _ => wgrad4_scalar(&chains, terms, x, dw),
+        // SAFETY: forwarded caller contract; the outputs were checked above.
+        SimdLevel::Avx2 => x86::wgrad_block_avx2(chains, terms, x.as_ptr(), dw, db),
+        // SAFETY: as above.
+        _ => wgrad_block_scalar(chains, terms, x.as_ptr(), dw, db),
     }
 }
 
-/// Scalar tier of the weight-gradient chains: one tap per chain.
-fn wgrad4_scalar(chains: &[ConvChain; 4], terms: &[(f32, usize)], x: &[f32], dw: &mut [f32]) {
-    let mut acc = chains.map(|ch| dw[ch.out]);
-    for &(gv, xo) in terms {
-        for (a, ch) in acc.iter_mut().zip(chains) {
-            *a += gv * x[ch.x + xo];
+/// Scalar tier of the weight-gradient block: the same chains of
+/// `WGRAD_LANES` lanes, in portable Rust, windows read through pointers.
+///
+/// # Safety
+///
+/// As [`run_wgrad_block`], and every chain's `lanes` outputs lie in `dw`.
+unsafe fn wgrad_block_scalar<const N: usize>(
+    chains: &[ConvChain; N],
+    terms: &[GradTerm],
+    x: *const f32,
+    dw: &mut [f32],
+    db: &mut f32,
+) {
+    let mut acc = [[0.0f32; WGRAD_LANES]; N];
+    for (a, ch) in acc.iter_mut().zip(chains) {
+        a[..ch.lanes].copy_from_slice(&dw[ch.out..ch.out + ch.lanes]);
+    }
+    let xp = chains.map(|ch| x.add(ch.x));
+    let mut bias = *db;
+    for &GradTerm { g: gv, x: xo } in terms {
+        for (a, p) in acc.iter_mut().zip(xp) {
+            // SAFETY: the caller contract puts this window inside `x`.
+            let xs = &*(p.add(xo as usize) as *const [f32; WGRAD_LANES]);
+            for (av, &xv) in a.iter_mut().zip(xs) {
+                *av += gv * xv;
+            }
         }
+        bias += gv;
     }
     for (a, ch) in acc.iter().zip(chains) {
-        if ch.lanes > 0 {
-            dw[ch.out] = *a;
-        }
+        dw[ch.out..ch.out + ch.lanes].copy_from_slice(&a[..ch.lanes]);
     }
+    *db = bias;
 }
 
 // ---------------------------------------------------------------------------
@@ -657,10 +783,12 @@ impl ConvForward {
     /// `w · x` tap by tap in ascending `(ic, ky, kx)`, a separate multiply
     /// and add per term (never FMA), then the bias: the operation sequence
     /// of the product `W · im2col(x)` plus bias, so the result is
-    /// bit-identical to it at both tiers. Zero weights are skipped: such a
-    /// term adds ±0 to a chain that starts at `+0.0`, and a chain of `+0.0`
-    /// plus products is never `−0.0`, so adding ±0 to it changes no bit. A
-    /// chain's lanes are eight
+    /// bit-identical to it at both tiers. Zero weights are skipped.
+    /// **Finite operands only:** such a term adds `0 · x`, which is `±0` for
+    /// finite `x`, to a chain that starts at `+0.0`; a chain of `+0.0` plus
+    /// products is never `−0.0`, so adding ±0 to it changes no bit. A zero
+    /// weight over an infinite or NaN pixel would add NaN in the product
+    /// and nothing here. A chain's lanes are eight
     /// consecutive `ox` of one output row; the chains run eight at a time,
     /// each group through every filter in turn, and lanes past the row end
     /// are computed but not stored.
@@ -778,6 +906,285 @@ fn forward8_scalar(
             }
         }
         out[ch.out..ch.out + ch.lanes].copy_from_slice(&a[..ch.lanes]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 convolution input-gradient chains
+// ---------------------------------------------------------------------------
+
+/// Input columns one input-gradient accumulator covers, one per lane, at
+/// both tiers: consecutive columns of one stride phase of one input row,
+/// two AVX2 vectors.
+const DX_LANES: usize = 16;
+
+/// Tap contributions one input-gradient block computes at once. Each is a
+/// chain of `f` adds two vectors wide, so four in flight hide the add
+/// latency, and each weight broadcast serves both vectors of its chain.
+const DX_CHAINS: usize = 4;
+
+/// One tap contribution of the input-gradient kernel: the tap's weights
+/// `wt[w..w + f]`, the origin `g` of its window in each filter plane of the
+/// bordered gradient copy, and the accumulator `acc` it is added to.
+#[derive(Debug, Clone, Copy)]
+struct DxSlot {
+    w: usize,
+    g: usize,
+    acc: usize,
+}
+
+/// A convolution input gradient prepared once per call and shared by all
+/// its images: the weights tap-major, the layout of the bordered gradient
+/// copy it reads, and the program of tap contributions every image runs.
+///
+/// The copy is `[f, oh, gw]`: gradient row `oy` of filter `fi` sits at
+/// columns `border ..< border + ow` of its row, with `border = (k − 1) div s`
+/// zero columns on its left and zeros up to `gw` on its right. Padded input
+/// column `X = φ + j·s` (stride phase `φ`) takes tap `kx = φ + t·s` from
+/// output column `ox = j − t`, so `DX_LANES` consecutive `j` of one phase
+/// read as many adjacent gradient columns, and `ox` outside `[0, ow)` reads
+/// zero.
+pub(crate) struct ConvInputGrad {
+    geom: ConvGeom,
+    /// Filter count.
+    f: usize,
+    /// `Wᵀ` `[c·k² + 1, f]`: each tap's filter weights side by side, then
+    /// a zero row for the padding slots.
+    wt: Vec<f32>,
+    /// Zero columns left of each gradient row.
+    border: usize,
+    /// Row width of the bordered copy.
+    gw: usize,
+    /// Every accumulator's contributions in descending `(ky, kx)`, padded
+    /// with zero-weight slots into a spare accumulator to a whole number of
+    /// blocks.
+    slots: Vec<DxSlot>,
+    /// Per accumulator: its first `dx` index and live lanes (`s` apart).
+    stores: Vec<(usize, usize)>,
+}
+
+impl ConvInputGrad {
+    /// Prepares the input gradient of the `f` filters `weights`
+    /// `[f, c, k, k]` over images padded by `pad` to `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` disagrees with `geom` or a window overruns the
+    /// padded image.
+    pub(crate) fn new(geom: ConvGeom, pad: usize, f: usize, weights: &[f32]) -> Self {
+        let ConvGeom {
+            c,
+            k,
+            hp,
+            wp,
+            oh,
+            ow,
+            stride: s,
+        } = geom;
+        assert!(
+            (oh - 1) * s + k <= hp && (ow - 1) * s + k <= wp && hp >= 2 * pad && wp >= 2 * pad,
+            "conv input gradient window overruns the padded image"
+        );
+        let ckk = c * k * k;
+        assert_eq!(weights.len(), f * ckk, "conv weight length mismatch");
+        let mut wt = vec![0.0f32; (ckk + 1) * f];
+        for (r, taps) in wt.chunks_exact_mut(f).take(ckk).enumerate() {
+            for (fi, t) in taps.iter_mut().enumerate() {
+                *t = weights[fi * ckk + r];
+            }
+        }
+        // The last lane of the last accumulator of a row reads column
+        // `border + j + DX_LANES − 1` with `j < ⌈wp/s⌉`.
+        let border = (k - 1) / s;
+        let gw = border + wp.div_ceil(s) + DX_LANES - 1;
+        let (h, w) = (hp - 2 * pad, wp - 2 * pad);
+        let mut slots = Vec::new();
+        let mut stores = Vec::new();
+        for ic in 0..c {
+            for y in 0..h {
+                let (jy, row_phase) = ((y + pad) / s, (y + pad) % s);
+                for phase in 0..s {
+                    // Interior columns of this phase: `x0, x0 + s, …`, the
+                    // first at phase index `j0`.
+                    let j0 = pad.saturating_sub(phase).div_ceil(s);
+                    let x0 = phase + j0 * s - pad;
+                    if x0 >= w {
+                        continue;
+                    }
+                    let cols = (w - x0).div_ceil(s);
+                    let first = stores.len();
+                    for q in 0..cols.div_ceil(DX_LANES) {
+                        let out = (ic * h + y) * w + x0 + q * DX_LANES * s;
+                        stores.push((out, DX_LANES.min(cols - q * DX_LANES)));
+                    }
+                    for ky in (row_phase..k).step_by(s).rev() {
+                        let Some(oy) = jy.checked_sub(ky / s).filter(|&oy| oy < oh) else {
+                            continue;
+                        };
+                        for kx in (phase..k).step_by(s).rev() {
+                            let origin = oy * gw + border + j0 - kx / s;
+                            for (q, acc) in (first..stores.len()).enumerate() {
+                                let w = ((ic * k + ky) * k + kx) * f;
+                                slots.push(DxSlot {
+                                    w,
+                                    g: origin + q * DX_LANES,
+                                    acc,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let spare = DxSlot {
+            w: ckk * f,
+            g: 0,
+            acc: stores.len(),
+        };
+        slots.resize(slots.len().next_multiple_of(DX_CHAINS), spare);
+        ConvInputGrad {
+            geom,
+            f,
+            wt,
+            border,
+            gw,
+            slots,
+            stores,
+        }
+    }
+
+    /// Length of the bordered gradient copy.
+    pub(crate) fn grad_len(&self) -> usize {
+        self.f * self.geom.oh * self.gw
+    }
+
+    /// Copies one image's `[f, oh, ow]` output gradient into `gpad`, the
+    /// bordered copy. The borders are left as they are, so a zeroed buffer
+    /// serves every image of a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` or `gpad` is shorter than the geometry implies.
+    pub(crate) fn load(&self, g: &[f32], gpad: &mut [f32]) {
+        let ow = self.geom.ow;
+        for (row, src) in g.chunks_exact(ow).enumerate() {
+            let dst = row * self.gw + self.border;
+            gpad[dst..dst + ow].copy_from_slice(src);
+        }
+    }
+
+    /// One image of the input gradient: `dx` `[c, h, w]` from the bordered
+    /// gradient `gpad` filled by [`Self::load`], with `acc` workspace.
+    ///
+    /// Element `(ic, y, x)` is the padded element `(Y, X) = (y + pad,
+    /// x + pad)` of `col2im(Wᵀ · g)`. That element starts at `+0.0` and
+    /// receives, in ascending output pixel order, the contribution of each
+    /// output `(oy, ox)` whose window covers it: the tap `(ky, kx) =
+    /// (Y − oy·s, X − ox·s)` row of `Wᵀ · g`, an ascending-`f` chain from
+    /// `+0.0`. Ascending `(oy, ox)` is descending `(ky, kx)`. Here each
+    /// element is one lane of an accumulator that starts at `+0.0` and adds
+    /// the contribution of every tap in its phase (`ky ≡ Y`, `kx ≡ X`
+    /// mod `s`) in descending `(ky, kx)`, each computed as that chain with
+    /// a separate multiply and add per term (never FMA): the product's
+    /// operation sequence, so the result is bit-identical to it at both
+    /// tiers. Taps whose `oy` is outside the map are skipped; taps whose
+    /// `ox` is outside it read the zero border and contribute `+0.0`.
+    /// **Finite operands only:** that contribution is `+0.0` for finite
+    /// weights, and an accumulator that starts at `+0.0` is never `−0.0`,
+    /// so adding it changes no bit.
+    ///
+    /// An accumulator is `DX_LANES` consecutive columns of one phase of one
+    /// input row; the program runs its `(tap, accumulator)` contributions
+    /// `DX_CHAINS` at a time, and lanes past the row end are computed but
+    /// not stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree with the geometry.
+    pub(crate) fn run(
+        &self,
+        level: SimdLevel,
+        gpad: &[f32],
+        dx: &mut [f32],
+        acc: &mut Vec<[f32; DX_LANES]>,
+    ) {
+        let ConvGeom { oh, stride: s, .. } = self.geom;
+        let level = level.min(detected_simd());
+        assert_eq!(
+            gpad.len(),
+            self.grad_len(),
+            "conv input gradient copy length mismatch"
+        );
+        acc.clear();
+        acc.resize(self.stores.len() + 1, [0.0; DX_LANES]);
+        let plane = oh * self.gw;
+        // SAFETY: `new` builds every slot with `w + f ≤ wt.len()`, a
+        // gradient window `fi·plane + g + DX_LANES ≤ f·plane` for every
+        // `fi < f` (`oy < oh`, `kx div s ≤ border`, and the last lane of a
+        // row stays below `gw`; the spare slot reads the first window), and
+        // `acc` below `stores.len() + 1`; `level` is clamped to detection.
+        unsafe {
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx2 => {
+                    x86::dx_blocks_avx2(&self.slots, self.f, plane, &self.wt, gpad, acc)
+                }
+                _ => dx_blocks_scalar(&self.slots, self.f, plane, &self.wt, gpad, acc),
+            }
+        }
+        for (a, &(out, lanes)) in acc.iter().zip(&self.stores) {
+            for (d, &v) in dx[out..].iter_mut().step_by(s).zip(&a[..lanes]) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// Scalar tier of the input-gradient program: each block of `DX_CHAINS`
+/// slots computes its contributions, the ascending-`fi` chains of
+/// `wt[w + fi] · g[fi·plane + slot.g ..][lane]` from `+0.0`, then adds them
+/// to their accumulators in slot order; in portable Rust, read through
+/// pointers. The contributions are independent, so the block runs them two
+/// at a time, which keeps them in the sixteen SSE registers.
+///
+/// # Safety
+///
+/// `slots.len()` must be a multiple of `DX_CHAINS`, and for every slot `wt`
+/// must hold `f` floats from `w`, `g` must hold `DX_LANES` floats from
+/// `fi·plane + slot.g` for every `fi < f`, and `slot.acc` must index `acc`.
+unsafe fn dx_blocks_scalar(
+    slots: &[DxSlot],
+    f: usize,
+    plane: usize,
+    wt: &[f32],
+    g: &[f32],
+    acc: &mut [[f32; DX_LANES]],
+) {
+    let (wt, g) = (wt.as_ptr(), g.as_ptr());
+    assert_eq!(
+        slots.len() % DX_CHAINS,
+        0,
+        "input gradient program ends in a partial block"
+    );
+    for pair in slots.chunks_exact(2) {
+        let mut sums = [[0.0f32; DX_LANES]; 2];
+        for fi in 0..f {
+            let gf = g.add(fi * plane);
+            for (sum, slot) in sums.iter_mut().zip(pair) {
+                let wv = *wt.add(slot.w + fi);
+                // SAFETY: the caller contract puts this window inside `g`.
+                let gs = &*(gf.add(slot.g) as *const [f32; DX_LANES]);
+                for (s, &gv) in sum.iter_mut().zip(gs) {
+                    *s += wv * gv;
+                }
+            }
+        }
+        for (sum, slot) in sums.iter().zip(pair) {
+            let a = &mut *acc.as_mut_ptr().add(slot.acc);
+            for (av, &v) in a.iter_mut().zip(sum) {
+                *av += v;
+            }
+        }
     }
 }
 
@@ -1155,43 +1562,159 @@ mod x86 {
         }
     }
 
-    /// AVX2 weight-gradient chains: four chains of
-    /// [`super::conv_weight_grad_image`] over the same gradient terms, one
-    /// 8-lane vector each. Lane `l` of chain `j` accumulates
-    /// `gv · x[x_j + xo + l]` for each term `(gv, xo)`.
+    /// Lane `l` of a masked load or store is live when `l < lanes`: the
+    /// mask is the window `[8 − lanes, 16 − lanes)` of eight all-ones words
+    /// then eight zeros.
+    const MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// The lane mask for a chain with `lanes` (at most 8) live lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `lanes ≤ 8`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        _mm256_loadu_si256(MASKS.as_ptr().add(8 - lanes) as *const __m256i)
+    }
+
+    /// For each 4-bit mask of kept pixels, the 32-bit lanes that move each
+    /// kept `(g, offset)` pair to the front, in order.
+    const PACK_PAIRS: [[u32; 8]; 16] = {
+        let mut table = [[0u32; 8]; 16];
+        let mut mask = 0;
+        while mask < 16 {
+            let (mut kept, mut j) = (0, 0);
+            while j < 4 {
+                if mask >> j & 1 == 1 {
+                    table[mask][2 * kept] = 2 * j as u32;
+                    table[mask][2 * kept + 1] = 2 * j as u32 + 1;
+                    kept += 1;
+                }
+                j += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    /// AVX2 [`super::compact_terms`]: four pixels per step, their
+    /// `(g, offset)` pairs interleaved into one vector, the kept pairs
+    /// permuted to the front and stored whole, the end advanced by the
+    /// kept count; the last `len mod 4` pixels run the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// `g`, `offsets` and `terms` must have the same length; the CPU must
+    /// support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn compact_terms_avx2(
+        g: &[f32],
+        offsets: &[u32],
+        terms: &mut [super::GradTerm],
+    ) -> usize {
+        assert!(
+            g.len() == offsets.len() && g.len() == terms.len(),
+            "compaction length mismatch"
+        );
+        let out = terms.as_mut_ptr() as *mut f32;
+        let mut live = 0;
+        let quads = g.len() / 4;
+        for q in 0..quads {
+            let gv = _mm_loadu_ps(g.as_ptr().add(4 * q));
+            let xv = _mm_castsi128_ps(_mm_loadu_si128(
+                offsets.as_ptr().add(4 * q) as *const __m128i
+            ));
+            let pairs = _mm256_set_m128(_mm_unpackhi_ps(gv, xv), _mm_unpacklo_ps(gv, xv));
+            let mask = _mm_movemask_ps(_mm_cmp_ps::<_CMP_NEQ_UQ>(gv, _mm_setzero_ps())) as usize;
+            let perm = _mm256_loadu_si256(PACK_PAIRS[mask].as_ptr() as *const __m256i);
+            // `live ≤ 4q`, so the four pairs stored end by `4q + 4 ≤ len`.
+            _mm256_storeu_ps(out.add(2 * live), _mm256_permutevar8x32_ps(pairs, perm));
+            live += mask.count_ones() as usize;
+        }
+        let tail = 4 * quads;
+        live + super::compact_terms(&g[tail..], &offsets[tail..], &mut terms[live..])
+    }
+
+    /// AVX2 weight-gradient block: the `N` row chains of
+    /// [`super::conv_weight_grad_image`] over one filter's terms, one
+    /// 8-lane vector each, and the bias chain. Lane `l` of chain `j`
+    /// accumulates `gv · x[x_j + xo + l]` for each term `(gv, xo)`; the
+    /// bias chain accumulates `gv`.
     ///
     /// # Safety
     ///
     /// For every chain and term, `x` must be readable 8 floats wide at
-    /// `x_j + xo`, and the chain's first `lanes` outputs must lie inside
-    /// `dw`; the CPU must support AVX2.
+    /// `x_j + xo`, and the chain's first `lanes` (at most 8) outputs must
+    /// lie inside `dw`; the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn wgrad4_avx2(
-        chains: &[super::ConvChain; 4],
-        terms: &[(f32, usize)],
+    pub(super) unsafe fn wgrad_block_avx2<const N: usize>(
+        chains: &[super::ConvChain; N],
+        terms: &[super::GradTerm],
         x: *const f32,
         dw: &mut [f32],
+        db: &mut f32,
     ) {
-        let mut bufs = [[0.0f32; 8]; 4];
-        for (buf, ch) in bufs.iter_mut().zip(chains) {
-            buf[..ch.lanes].copy_from_slice(&dw[ch.out..ch.out + ch.lanes]);
+        let outs = chains.map(|ch| dw.as_mut_ptr().add(ch.out));
+        let xp = chains.map(|ch| x.add(ch.x));
+        let mut masks = [_mm256_setzero_si256(); N];
+        let mut acc = [_mm256_setzero_ps(); N];
+        for (((m, a), ch), &out) in masks.iter_mut().zip(&mut acc).zip(chains).zip(&outs) {
+            *m = lane_mask(ch.lanes);
+            *a = _mm256_maskload_ps(out, *m);
         }
-        let mut a0 = _mm256_loadu_ps(bufs[0].as_ptr());
-        let mut a1 = _mm256_loadu_ps(bufs[1].as_ptr());
-        let mut a2 = _mm256_loadu_ps(bufs[2].as_ptr());
-        let mut a3 = _mm256_loadu_ps(bufs[3].as_ptr());
-        let [c0, c1, c2, c3] = *chains;
-        for &(gv, xo) in terms {
+        let mut bias = *db;
+        for &super::GradTerm { g: gv, x: xo } in terms {
             let gb = _mm256_set1_ps(gv);
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c0.x + xo))));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c1.x + xo))));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c2.x + xo))));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(gb, _mm256_loadu_ps(x.add(c3.x + xo))));
+            for (a, p) in acc.iter_mut().zip(xp) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(gb, _mm256_loadu_ps(p.add(xo as usize))));
+            }
+            bias += gv;
         }
-        for (acc, ch) in [a0, a1, a2, a3].into_iter().zip(chains) {
-            let mut buf = [0.0f32; 8];
-            _mm256_storeu_ps(buf.as_mut_ptr(), acc);
-            dw[ch.out..ch.out + ch.lanes].copy_from_slice(&buf[..ch.lanes]);
+        for ((a, m), out) in acc.into_iter().zip(masks).zip(outs) {
+            _mm256_maskstore_ps(out, m, a);
+        }
+        *db = bias;
+    }
+
+    /// AVX2 input-gradient program: [`super::dx_blocks_scalar`] with each
+    /// block's four contributions in two vectors each, both multiplied by
+    /// one weight broadcast. Lane `l` of contribution `j` accumulates
+    /// `wt[w_j + fi] · g[fi·plane + g_j + l]` for `fi` ascending from
+    /// `+0.0`.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::dx_blocks_scalar`]; the CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dx_blocks_avx2(
+        slots: &[super::DxSlot],
+        f: usize,
+        plane: usize,
+        wt: &[f32],
+        g: &[f32],
+        acc: &mut [[f32; super::DX_LANES]],
+    ) {
+        const N: usize = super::DX_CHAINS;
+        let (wt, g) = (wt.as_ptr(), g.as_ptr());
+        for block in slots.chunks_exact(N) {
+            let block: &[super::DxSlot; N] = block.try_into().expect("whole block");
+            let wp = block.map(|sl| wt.add(sl.w));
+            let gp = block.map(|sl| g.add(sl.g));
+            let mut lo = [_mm256_setzero_ps(); N];
+            let mut hi = [_mm256_setzero_ps(); N];
+            for fi in 0..f {
+                let off = fi * plane;
+                for (((l, h), w), p) in lo.iter_mut().zip(&mut hi).zip(wp).zip(gp) {
+                    let wb = _mm256_set1_ps(*w.add(fi));
+                    *l = _mm256_add_ps(*l, _mm256_mul_ps(wb, _mm256_loadu_ps(p.add(off))));
+                    *h = _mm256_add_ps(*h, _mm256_mul_ps(wb, _mm256_loadu_ps(p.add(off + 8))));
+                }
+            }
+            for ((l, h), slot) in lo.into_iter().zip(hi).zip(block) {
+                let a = acc.as_mut_ptr().add(slot.acc) as *mut f32;
+                _mm256_storeu_ps(a, _mm256_add_ps(_mm256_loadu_ps(a), l));
+                _mm256_storeu_ps(a.add(8), _mm256_add_ps(_mm256_loadu_ps(a.add(8)), h));
+            }
         }
     }
 
@@ -1221,9 +1744,6 @@ mod x86 {
                 *a = _mm256_add_ps(*a, _mm256_mul_ps(wb, _mm256_loadu_ps(p.add(t))));
             }
         }
-        // Lane `l` is stored when `l < lanes`: the mask is the window
-        // `[8 − lanes, 16 − lanes)` of eight all-ones words then eight zeros.
-        const MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
         for (a, ch) in acc.into_iter().zip(chains) {
             let a = match bias {
                 Some(b) => _mm256_add_ps(a, _mm256_set1_ps(b)),
@@ -1233,8 +1753,7 @@ mod x86 {
             if ch.lanes == 8 {
                 _mm256_storeu_ps(out.as_mut_ptr().add(ch.out), a);
             } else {
-                let mask = _mm256_loadu_si256(MASKS.as_ptr().add(8 - ch.lanes) as *const __m256i);
-                _mm256_maskstore_ps(out.as_mut_ptr().add(ch.out), mask, a);
+                _mm256_maskstore_ps(out.as_mut_ptr().add(ch.out), lane_mask(ch.lanes), a);
             }
         }
     }

@@ -161,12 +161,15 @@ proptest! {
 
     #[test]
     fn conv_grad_kernels_match_column_oracles(
-        n in 1usize..3, c in 1usize..4, f in 1usize..5, hw in 1usize..10,
+        n in 1usize..3, c in 1usize..5, f in 1usize..10, hw in 1usize..10,
         k in 1usize..6, stride in 1usize..3, pad in 0usize..3,
         seed in 0u64..1000,
     ) {
         // The column-free gradient kernels against the products they
-        // replace, bit for bit: dW = g·im2col(x)ᵀ and dx = col2im(Wᵀ·g).
+        // replace, bit for bit: dW = g·im2col(x)ᵀ, db = the row sums of g
+        // added to zero, and dx = col2im(Wᵀ·g). Up to 9 filters and 4
+        // channels (up to 100 row chains of a filter), so the filter and
+        // row blocks of the kernels split and end partial.
         prop_assume!(hw + 2 * pad >= k);
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -184,19 +187,31 @@ proptest! {
         let g_cols = to_columns(&g);
         let w_mat = w.reshape([f, c * k * k]);
         let want_dw = matmul(&g_cols, &transpose(&im2col(&x, spec)));
+        let want_db: Vec<f32> = g_cols
+            .as_slice()
+            .chunks_exact(n * o * o)
+            .map(|row| 0.0 + row.iter().sum::<f32>())
+            .collect();
         let want_dx = col2im(&matmul(&transpose(&w_mat), &g_cols), n, c, hw, hw, spec);
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let level = level.min(detected_simd());
-            let (dw, dx) = with_simd_level(level, || {
-                (conv2d_weight_grad(&x, &g, spec), conv2d_input_grad(&g, &w, (hw, hw), spec))
-            });
-            prop_assert_eq!(dw.dims(), w.dims());
-            prop_assert_eq!(dx.dims(), x.dims());
-            for (a, b) in dw.iter().zip(want_dw.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "dW at {:?}: {} vs {}", level, a, b);
-            }
-            for (a, b) in dx.iter().zip(want_dx.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "dx at {:?}: {} vs {}", level, a, b);
+            for threads in [1, 3] {
+                let ((dw, db), dx) = with_simd_level(level, || {
+                    parallel::with_num_threads(threads, || {
+                        (conv2d_weight_grad(&x, &g, spec), conv2d_input_grad(&g, &w, (hw, hw), spec))
+                    })
+                });
+                prop_assert_eq!(dw.dims(), w.dims());
+                prop_assert_eq!(dx.dims(), x.dims());
+                for (a, b) in dw.iter().zip(want_dw.iter()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "dW at {:?}, {}t: {} vs {}", level, threads, a, b);
+                }
+                for (a, b) in db.iter().zip(&want_db) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "db at {:?}, {}t: {} vs {}", level, threads, a, b);
+                }
+                for (a, b) in dx.iter().zip(want_dx.iter()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "dx at {:?}, {}t: {} vs {}", level, threads, a, b);
+                }
             }
         }
     }

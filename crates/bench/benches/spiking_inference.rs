@@ -7,7 +7,7 @@ use qsnc_quant::{
     insert_signal_stages, quantize_network_weights, ActivationQuantizer, ActivationRegularizer,
     QuantSwitch, WeightQuantMethod,
 };
-use qsnc_tensor::{init, TensorRng};
+use qsnc_tensor::{init, simd, SimdLevel, TensorRng};
 
 fn quantized_lenet(rng: &mut TensorRng) -> (Sequential, QuantSwitch) {
     let mut net = models::lenet(0.5, 10, rng);
@@ -93,11 +93,51 @@ fn bench_compile_time(c: &mut Criterion) {
     group.finish();
 }
 
+/// The integer engine's epilogue at LeNet ×0.5's conv1, per SIMD level at
+/// batch 1: the IFC count kernel over 3 filters of 28 × 28 accumulators
+/// (15 thresholds each), then the 2 × 2 max-pool of the counts.
+fn bench_engine_epilogue_simd_levels(c: &mut Criterion) {
+    let (filters, side, max_level) = (3usize, 28usize, 15usize);
+    let pix = side * side;
+    let mut rng = TensorRng::seed(5);
+    let acc: Vec<i32> = init::uniform([filters * pix], -300.0, 300.0, &mut rng)
+        .as_slice()
+        .iter()
+        .map(|&v| v as i32)
+        .collect();
+    // Ascending per filter, so the counts spread over the whole range.
+    let thresholds: Vec<i32> = (0..filters * max_level)
+        .map(|i| (i % max_level) as i32 * 25 - 20 + (i / max_level) as i32)
+        .collect();
+    let mut counts = vec![0i32; filters * pix];
+    let mut pooled = vec![0i32; filters * (side / 2) * (side / 2)];
+    let levels: Vec<(&str, SimdLevel)> = [("scalar", SimdLevel::Scalar), ("avx2", SimdLevel::Avx2)]
+        .into_iter()
+        .filter(|&(_, l)| l <= qsnc_tensor::detected_simd())
+        .collect();
+
+    let mut group = c.benchmark_group("engine_epilogue_simd_levels");
+    for &(label, level) in &levels {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let rows = acc.chunks_exact(pix).zip(counts.chunks_exact_mut(pix));
+                for ((arow, crow), t) in rows.zip(thresholds.chunks_exact(max_level)) {
+                    std::hint::black_box(simd::ifc_counts(level, arow, t, crow));
+                }
+                simd::max_pool(level, &counts, filters, (side, side), 2, 2, &mut pooled);
+                std::hint::black_box(&pooled);
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_spiking_vs_software,
     bench_int_engine_vs_float,
     bench_spiking_with_read_noise,
-    bench_compile_time
+    bench_compile_time,
+    bench_engine_epilogue_simd_levels
 );
 criterion_main!(benches);

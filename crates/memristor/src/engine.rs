@@ -10,6 +10,15 @@
 //! [`qsnc_tensor::scratch`] arena, so steady-state inference performs zero
 //! heap allocations (measured by the allocation-count benchmarks).
 //!
+//! **Epilogue.** Each counter stage turns its accumulators into counts with
+//! [`qsnc_tensor::simd::ifc_counts`], the paper's IFC and counter as a
+//! branch-free compare chain over one filter's thresholds, which also
+//! tallies the stage's spikes and saturated counters in the same pass. A
+//! max-pool stage then runs [`qsnc_tensor::simd::max_pool`] on the counts.
+//! Counting comes first, so the telemetry tally covers every pre-pool
+//! neuron, as the float pipeline's does, and the IFC and pool stage
+//! timings stay separate.
+//!
 //! **Bit-exactness.** The engine is bit-identical to the float pipeline
 //! with exact synaptic sums ([`crate::SpikingNetwork::infer_reference`]):
 //! every accumulator is an integer bounded below `2^24`, so the float
@@ -29,7 +38,7 @@
 
 use crate::pipeline::{Readout, Stage, SynKind};
 use qsnc_quant::ActivationQuantizer;
-use qsnc_tensor::{igemm, igemm_conv, scratch, PackedCodes, Tensor};
+use qsnc_tensor::{igemm, igemm_conv, scratch, simd, PackedCodes, Tensor};
 use std::time::Instant;
 
 /// Records `elapsed` since `t0` (µs) into the named quantile sketch; the
@@ -61,7 +70,10 @@ pub(crate) enum EngineOut {
     /// per-neuron thresholds. `thresholds[f · max_level + (c−1)]` is the
     /// smallest accumulator for which neuron `f` counts at least `c`
     /// (`i32::MAX` when unreachable), so the count for accumulator `y` is
-    /// the number of thresholds `≤ y`.
+    /// the number of thresholds `≤ y`. [`qsnc_tensor::simd::ifc_counts`]
+    /// computes it for a whole accumulator row of filter `f`, comparing
+    /// every threshold without a branch, and returns the row's spike and
+    /// saturation tallies with it.
     Counts {
         max_level: u32,
         out_scale: f32,
@@ -256,9 +268,7 @@ impl IntEngine {
         // Rate-code the input: same integer levels the float path's input
         // quantization produces.
         let mut cur = scratch::take_i32(batch * shape.len());
-        for (count, &v) in cur.iter_mut().zip(xs.as_slice()) {
-            *count = self.input_quant.spike_count(v) as i32;
-        }
+        self.input_quant.spike_counts(xs.as_slice(), &mut cur);
 
         for stage in &self.stages {
             match stage {
@@ -276,28 +286,17 @@ impl IntEngine {
                     let t0 = tele.then(Instant::now);
                     let spec = qsnc_tensor::Conv2dSpec::new(*window, *stride, 0);
                     let (oh, ow) = (spec.output_size(shape.h), spec.output_size(shape.w));
-                    let (in_len, out_len) = (shape.len(), shape.c * oh * ow);
-                    let mut next = scratch::take_i32(batch * out_len);
-                    for b in 0..batch {
-                        let image = &cur[b * in_len..(b + 1) * in_len];
-                        let pooled = &mut next[b * out_len..(b + 1) * out_len];
-                        for ch in 0..shape.c {
-                            let src = &image[ch * shape.h * shape.w..(ch + 1) * shape.h * shape.w];
-                            let dst = &mut pooled[ch * oh * ow..(ch + 1) * oh * ow];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = i32::MIN;
-                                    for ky in 0..*window {
-                                        let row = &src[(oy * stride + ky) * shape.w..];
-                                        for kx in 0..*window {
-                                            best = best.max(row[ox * stride + kx]);
-                                        }
-                                    }
-                                    dst[oy * ow + ox] = best;
-                                }
-                            }
-                        }
-                    }
+                    let mut next = scratch::take_i32(batch * shape.c * oh * ow);
+                    // The examples' channel planes lie back to back.
+                    simd::max_pool(
+                        simd::simd_level(),
+                        &cur,
+                        batch * shape.c,
+                        (shape.h, shape.w),
+                        *window,
+                        *stride,
+                        &mut next,
+                    );
                     scratch::put_i32(cur);
                     cur = next;
                     shape.h = oh;
@@ -394,30 +393,21 @@ impl IntEngine {
         match &syn.out {
             EngineOut::Counts { max_level, thresholds, record, .. } => {
                 let max = *max_level as usize;
+                let level = simd::simd_level();
                 let mut next = scratch::take_i32(batch * stride);
-                let mut spikes = 0u64;
-                let mut saturated = 0u64;
-                let tally = *record && qsnc_telemetry::enabled();
-                for b in 0..batch {
-                    let abase = &acc[b * stride..(b + 1) * stride];
-                    let nbase = &mut next[b * stride..(b + 1) * stride];
-                    for f in 0..out_dim {
-                        let t = &thresholds[f * max..(f + 1) * max];
-                        let arow = &abase[f * pix..(f + 1) * pix];
-                        let nrow = &mut nbase[f * pix..(f + 1) * pix];
-                        for (nv, &y) in nrow.iter_mut().zip(arow.iter()) {
-                            let count = t.partition_point(|&t| t <= y) as i32;
-                            *nv = count;
-                            if tally {
-                                spikes += count as u64;
-                                if count as u32 >= *max_level {
-                                    saturated += 1;
-                                }
-                            }
-                        }
-                    }
+                let (mut spikes, mut saturated) = (0u64, 0u64);
+                // Row `r` of the `[batch · out_dim, pix]` accumulators is
+                // filter `r mod out_dim` of example `r / out_dim`.
+                for (r, (arow, nrow)) in
+                    acc.chunks_exact(pix).zip(next.chunks_exact_mut(pix)).enumerate()
+                {
+                    let f = r % out_dim;
+                    let t = &thresholds[f * max..(f + 1) * max];
+                    let (s, z) = simd::ifc_counts(level, arow, t, nrow);
+                    spikes += s;
+                    saturated += z;
                 }
-                if tally {
+                if *record && qsnc_telemetry::enabled() {
                     qsnc_telemetry::counter_add("snc.spikes", spikes);
                     qsnc_telemetry::counter_add("snc.ifc.conversions", (batch * stride) as u64);
                     qsnc_telemetry::counter_add("snc.ifc.saturated", saturated);

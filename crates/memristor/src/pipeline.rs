@@ -441,9 +441,7 @@ impl SynapticStage {
                 }
             }
         }
-        if matches!(read, SynapseRead::Crossbar(_)) {
-            self.record_output_telemetry(&out);
-        }
+        self.record_output_telemetry(&out);
         Tensor::from_vec(out, dims)
     }
 
@@ -483,7 +481,7 @@ enum SynapseRead<'a, 'r> {
     /// The exact integer dot product over the codes. Every partial sum is an
     /// integer below `2^24` on deployable networks, so the `f32` sums are
     /// exact: this is the oracle the integer fast-path engine is
-    /// bit-identical to.
+    /// bit-identical to, spike telemetry included.
     Exact,
 }
 
@@ -766,7 +764,9 @@ impl SpikingNetwork {
     /// products instead of simulated conductance reads. The integer fast
     /// path is bit-identical to this on every network it compiles for;
     /// the conductance simulation differs from it only by the analog read
-    /// approximation.
+    /// approximation. Like both, it records the `snc.spikes` and
+    /// `snc.ifc.{conversions,saturated}` tallies of every counter stage,
+    /// before any pooling.
     ///
     /// # Panics
     ///

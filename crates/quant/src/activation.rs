@@ -104,7 +104,32 @@ impl ActivationQuantizer {
         let (scale, max) = (self.scale, self.max_level() as f32);
         x.map(|v| round_clamp(v * scale, max) / scale)
     }
+
+    /// Rate-codes `x` into `counts`: `counts[i] = spike_count(x[i])`, in a
+    /// loop that vectorizes. This is the integer engine's input coding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn spike_counts(&self, x: &[f32], counts: &mut [i32]) {
+        assert_eq!(x.len(), counts.len(), "spike_counts length mismatch");
+        // Copied out of `self` for the reason `quantize` gives.
+        let (scale, max) = (self.scale, self.max_level() as f32);
+        for (c, &v) in counts.iter_mut().zip(x) {
+            // `round_clamp` gives NaN, ±0.0 or an integer in `1..=max`; the
+            // select sends NaN and −0.0 to `+0.0`, as `spike_count`'s `as`
+            // cast does. An integer `r < 2^23` is the low mantissa of
+            // `r + 2^23`, so the bit cast replaces the saturating `as`,
+            // which does not vectorize.
+            let r = round_clamp(v * scale, max);
+            let r = if r > 0.0 { r } else { 0.0 };
+            *c = ((r + SNAP).to_bits() - SNAP.to_bits()) as i32;
+        }
+    }
 }
+
+/// `2^23`: from here up the f32 spacing is 1.
+const SNAP: f32 = 8_388_608.0;
 
 /// `u.round().clamp(0.0, max)`, bit for bit, for an integral `max` in
 /// `1..=2^16 − 1`: ties round away from zero, NaN passes through, and
@@ -117,8 +142,6 @@ impl ActivationQuantizer {
 /// every `u ≥ max` at `max`).
 #[inline(always)]
 fn round_clamp(u: f32, max: f32) -> f32 {
-    /// `2^23`: from here up the f32 spacing is 1.
-    const SNAP: f32 = 8_388_608.0;
     // `max`/`min` drop a NaN `u`; the last line puts it back.
     let c = u.max(-1.0).min(max);
     // Round to nearest, ties to even, exact for `0 ≤ c < 2^23`; `c − even`
@@ -213,6 +236,24 @@ mod tests {
                 let want = libm_round_clamp(x * q.scale(), max);
                 assert!(same_bits(q.quantize_value(x), want / q.scale()), "x={x:e}");
                 assert_eq!(q.spike_count(x), want as u32, "x={x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn spike_counts_match_spike_count() {
+        let mut xs: Vec<f32> =
+            (0..100_000u32).map(|i| f32::from_bits(i.wrapping_mul(2_654_435_761))).collect();
+        xs.extend([f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 0.5, 1.5]);
+        for q in [
+            ActivationQuantizer::new(4),
+            ActivationQuantizer::with_scale(8, 3.7),
+            ActivationQuantizer::with_scale(16, 0.3),
+        ] {
+            let mut counts = vec![-1; xs.len()];
+            q.spike_counts(&xs, &mut counts);
+            for (&x, &c) in xs.iter().zip(&counts) {
+                assert_eq!(c, q.spike_count(x) as i32, "x={x:e} ({:#x})", x.to_bits());
             }
         }
     }

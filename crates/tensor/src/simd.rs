@@ -1257,6 +1257,9 @@ fn ifc_counts_scalar(acc: &[i32], thresholds: &[i32], counts: &mut [i32]) -> (u6
 ///
 /// Panics if `counts` and `acc` differ in length or `thresholds` holds more
 /// than `u16::MAX` entries (a counter has at most 16 bits).
+// Inlined: the engine calls it once per FC neuron, whose row is one
+// neuron long, and a call's setup would cost more than the search.
+#[inline]
 pub fn ifc_counts(
     level: SimdLevel,
     acc: &[i32],

@@ -193,11 +193,51 @@ fn bench_simd_levels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The integer conv at the two LeNet ×0.5 convolutions the served engine
+/// runs — conv1 (1 → 3 filters of 5×5 over a 28×28 image, padding 2) and
+/// conv2 (3 → 8 filters of 5×5 over 14×14, no padding) — one image, one
+/// thread, at each SIMD level. Counts are 4-bit spike counts.
+fn bench_igemm_conv_lenet(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(70);
+    let mut layers = Vec::new();
+    // (in_c, side, out_c, padding) of conv1 and conv2.
+    for (in_c, side, out_c, pad) in [(1usize, 28usize, 3usize, 2usize), (3, 14, 8, 0)] {
+        let spec = Conv2dSpec::new(5, 1, pad);
+        let ckk = in_c * 25;
+        let image: Vec<i32> = (0..in_c * side * side).map(|_| rng.gen_range(0..16)).collect();
+        let codes: Vec<i32> = (0..out_c * ckk).map(|_| rng.gen_range(-8..=8)).collect();
+        let packed = PackedCodes::try_pack(&codes, out_c, ckk).expect("codes fit i8");
+        let pix = spec.output_size(side) * spec.output_size(side);
+        layers.push((in_c, side, spec, packed, image, vec![0i32; out_c * pix]));
+    }
+    let levels: Vec<(&str, SimdLevel)> = [("scalar", SimdLevel::Scalar), ("avx2", SimdLevel::Avx2)]
+        .into_iter()
+        .filter(|&(_, l)| l <= qsnc_tensor::detected_simd())
+        .collect();
+    let mut group = c.benchmark_group("igemm_conv_lenet_simd_levels");
+    for &(label, level) in &levels {
+        group.bench_function(label, |bch| {
+            bch.iter(|| {
+                qsnc_tensor::with_simd_level(level, || {
+                    parallel::with_num_threads(1, || {
+                        for (in_c, side, spec, packed, image, out) in layers.iter_mut() {
+                            out.fill(0);
+                            igemm_conv(image, *in_c, (*side, *side), *spec, packed, out);
+                        }
+                    })
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_serial_vs_parallel,
     bench_thread_scaling,
     bench_igemm_vs_float,
-    bench_simd_levels
+    bench_simd_levels,
+    bench_igemm_conv_lenet
 );
 criterion_main!(benches);

@@ -142,15 +142,6 @@ impl Dataset {
             })
             .collect()
     }
-
-    /// Normalizes images in place to zero mean / unit variance over the
-    /// whole dataset, returning `(mean, std)` used.
-    pub fn normalize(&mut self) -> (f32, f32) {
-        let mean = self.images.mean();
-        let std = self.images.std().max(1e-6);
-        self.images.map_inplace(|x| (x - mean) / std);
-        (mean, std)
-    }
 }
 
 #[cfg(test)]
@@ -217,14 +208,6 @@ mod tests {
         assert_eq!(b1[0].labels, b2[0].labels);
         let plain = d.batches(30, None);
         assert_ne!(b1[0].labels, plain[0].labels);
-    }
-
-    #[test]
-    fn normalize_zero_mean_unit_std() {
-        let mut d = toy(8);
-        d.normalize();
-        assert!(d.images().mean().abs() < 1e-4);
-        assert!((d.images().std() - 1.0).abs() < 1e-4);
     }
 
     #[test]

@@ -359,8 +359,9 @@ impl IntEngine {
                 let in_len = shape.len();
                 let mut acc = scratch::take_i32(batch * out_c * pix);
                 for b in 0..batch {
-                    // igemm_conv lowers each example in the loop order the
-                    // active SIMD level runs fastest (see its docs).
+                    // igemm_conv copies each example once into its conv
+                    // plan's plane and runs the product on this thread, at
+                    // every SIMD level (see its docs).
                     igemm_conv(
                         &cur[b * in_len..(b + 1) * in_len],
                         in_c,

@@ -79,43 +79,6 @@ impl Layer for Relu {
     }
 }
 
-/// Identity layer — useful as a placeholder shortcut in residual blocks.
-#[derive(Debug, Clone, Default)]
-pub struct Identity;
-
-impl Identity {
-    /// Creates an identity layer.
-    pub fn new() -> Self {
-        Identity
-    }
-}
-
-impl Layer for Identity {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        x.clone()
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        grad.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,13 +120,5 @@ mod tests {
         // leave a stale snapshot.
         layer.forward(&x, Mode::Train);
         assert_eq!(layer.output_tap(), None);
-    }
-
-    #[test]
-    fn identity_passes_through() {
-        let mut layer = Identity::new();
-        let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(layer.forward(&x, Mode::Train), x);
-        assert_eq!(layer.backward(&x), x);
     }
 }

@@ -3,16 +3,14 @@
 mod activation;
 mod batchnorm;
 mod conv;
-mod dropout;
 mod flatten;
 mod linear;
 mod pool;
 mod residual;
 
-pub use activation::{Identity, Relu};
+pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, MaxPool2d};

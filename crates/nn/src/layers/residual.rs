@@ -137,13 +137,14 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Identity, Relu};
+    use crate::layers::{Conv2d, Relu};
     use qsnc_tensor::{Conv2dSpec, TensorRng};
 
     #[test]
     fn identity_shortcut_adds_input() {
-        // Body is identity too, so output = 2x.
-        let mut block = Residual::new(vec![Box::new(Identity::new())]);
+        // A ReLU body is the identity on these positive inputs, so
+        // output = 2x.
+        let mut block = Residual::new(vec![Box::new(Relu::new())]);
         let x = Tensor::from_slice(&[1.0, 2.0]).reshape([1, 2]);
         let y = block.forward(&x, Mode::Train);
         assert_eq!(y.as_slice(), &[2.0, 4.0]);

@@ -12,33 +12,40 @@
 //! [`igemm_conv`] runs a convolution on one integer image, lowering the
 //! image itself, so no caller ever builds a column matrix.
 //!
-//! # Two routes per product
+//! # One plan per product, on the calling thread
 //!
-//! At [`crate::SimdLevel::Avx2`], when the counts fit `i16`, the
-//! micro-kernels in [`crate::simd`] take over; integer accumulation is
-//! associative, so the AVX2 route is bit-identical to the scalar loop
-//! (`tests/simd_bit_identity.rs` property-tests this). A network's signals
-//! are `M`-bit spike counts, at most `2^M − 1`, which fits `i16` for every
-//! `M ≤ 15`:
+//! A network's signals are `M`-bit spike counts, at most `2^M − 1`, which
+//! fits `i16` for every `M ≤ 15`; at [`crate::SimdLevel::Avx2`] the
+//! `pmaddwd` micro-kernels in [`crate::simd`] take such counts. Integer
+//! accumulation is associative, so every route is bit-identical
+//! (`tests/simd_bit_identity.rs` property-tests both entry points against
+//! naive loops):
 //!
 //! - [`igemm`] (FC) widens its row-major count operand into the
-//!   `i16 × i16 → i32` `pmaddwd` **dot** kernel.
-//! - [`igemm_conv`] writes the pair operand in one pass straight from a
-//!   zero-padded copy of the image (adjacent taps packed two `i16` per
-//!   word), and the `pmaddwd` **axpy** kernel runs it against the weight
-//!   pair panel built at pack time ([`PackedCodes`]) — 16 MACs per
-//!   multiply, four output rows blocked per sweep, no column matrix.
+//!   `i16 × i16 → i32` **dot** kernel; the scalar tier, and counts past
+//!   `i16`, run the exact row-band loop.
+//! - [`igemm_conv`] has one plan at both tiers (`ConvPlan`): the image is
+//!   copied once into a zero-padded, stride-phase-split plane in which
+//!   every filter tap is a fixed offset from the *wide* pixel index
+//!   `q = oy·wq + ox`, so a run of output pixels is one contiguous load.
+//!   At AVX2, with counts that fit `i16`, one pass pairs each plane word
+//!   with its right-hand neighbour and the **pair** kernel runs the
+//!   horizontally adjacent weight taps `(kx, kx + 1)` against it, 16 MACs
+//!   per multiply. The scalar tier, and counts past `i16` at every level,
+//!   run the same plan tap by tap on an `i32` plane. Either way the wide
+//!   rows' junk columns `ox ≥ ow` are dropped when the result is added
+//!   into the output.
 //!
-//! The scalar tier, and counts past `i16` at either tier, take the scalar
-//! route: the exact row-band loop for [`igemm`], the `i32` column matrix
-//! and the exact weights-times-pixels loop for [`igemm_conv`]. The scalar
-//! route is also the test oracle.
+//! Neither entry point uses the [`crate::parallel`] pool. The integer
+//! products of a served network are small (one LeNet image's conv2 is
+//! 8 × 75 × 100 MACs), and handing them to a second thread cost more than
+//! it saved at every shape measured; a server scales with its event loops
+//! instead.
 
 use crate::conv::Conv2dSpec;
 use crate::linalg::BLOCK;
-use crate::parallel;
 use crate::scratch;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, SimdLevel, CONV_PAIR_LANES};
 
 /// A layer's weight codes packed for the integer fast path: `i8` entries in
 /// `[in, out]` (transposed) layout, prepared once at compile time.
@@ -49,13 +56,9 @@ pub struct PackedCodes {
     /// `data[i · out_dim + j]` = code of output `j` from input `i`.
     data: Vec<i8>,
     /// The same codes pre-widened to `i16` in row-major `[out, in]` layout
-    /// (`rows16[j · in_dim + i]`) — the panel the FC dot kernel streams.
+    /// (`rows16[j · in_dim + i]`) — the panel the FC dot kernel streams and
+    /// the convolution plan reads its taps from.
     rows16: Vec<i16>,
-    /// Adjacent input pairs packed two-`i16`-per-word in `[out, ceil(in/2)]`
-    /// layout (`pairs16[j · kp + kkp]` holds codes `2·kkp` and `2·kkp + 1`
-    /// of output `j`, an odd tail padded with zero) — the broadcast operand
-    /// of the `pmaddwd` axpy kernel.
-    pairs16: Vec<i32>,
 }
 
 impl PackedCodes {
@@ -81,20 +84,7 @@ impl PackedCodes {
             }
         }
         let rows16: Vec<i16> = codes.iter().map(|&c| c as i16).collect();
-        let kp = in_dim.div_ceil(2);
-        let mut pairs16 = vec![0i32; out_dim * kp];
-        for j in 0..out_dim {
-            for kkp in 0..kp {
-                let w0 = codes[j * in_dim + 2 * kkp] as i16 as u16 as u32;
-                let w1 = if 2 * kkp + 1 < in_dim {
-                    codes[j * in_dim + 2 * kkp + 1] as i16 as u16 as u32
-                } else {
-                    0
-                };
-                pairs16[j * kp + kkp] = (w0 | (w1 << 16)) as i32;
-            }
-        }
-        Some(PackedCodes { in_dim, out_dim, data, rows16, pairs16 })
+        Some(PackedCodes { in_dim, out_dim, data, rows16 })
     }
 
     /// Input dimension (`k` of the product).
@@ -177,9 +167,8 @@ fn igemm_band(mb: usize, k: usize, n: usize, a: &[i32], b: &[i8], c: &mut [i32])
 /// Integer GEMM: `c[m×n] += a[m×k] · b` with `i32` accumulation.
 ///
 /// `a` holds spike counts (row-major `[m, k]`), `b` the packed weight codes.
-/// The caller zero-initializes `c` for a pure product. Large products split
-/// across the [`crate::parallel`] workers by output row — integer
-/// accumulation makes banding trivially exact.
+/// The caller zero-initializes `c` for a pure product. The product runs on
+/// the calling thread (see the module docs).
 ///
 /// # Panics
 ///
@@ -197,71 +186,11 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i32], b: &PackedCodes, c: &mut [
         // time; the shared dot kernel streams code rows register-tiled.
         let mut a16 = scratch::take_i16(m * k);
         widen_i16(a, &mut a16);
-        if m < 2 || m * k * n < 32 * 1024 || parallel::num_threads() == 1 {
-            simd::dot_tiles(level, k, &b.rows16, n, &a16, m, c, n);
-        } else {
-            let a16 = &a16;
-            parallel::par_bands_mut(c, m, n, |row0, rows, c_band| {
-                simd::dot_tiles(
-                    level,
-                    k,
-                    &b.rows16,
-                    n,
-                    &a16[row0 * k..(row0 + rows) * k],
-                    rows,
-                    c_band,
-                    n,
-                );
-            });
-        }
+        simd::dot_tiles(level, k, &b.rows16, n, &a16, m, c, n);
         scratch::put_i16(a16);
         return;
     }
-    if m < 2 || m * k * n < 32 * 1024 || parallel::num_threads() == 1 {
-        igemm_band(m, k, n, a, &b.data, c);
-        return;
-    }
-    parallel::par_bands_mut(c, m, n, |row0, rows, c_band| {
-        igemm_band(rows, k, n, &a[row0 * k..(row0 + rows) * k], &b.data, c_band);
-    });
-}
-
-/// One output-channel band of the scalar conv product:
-/// `c[fb×pix] += W[fb×k] · x` on a `[k, pix]` column matrix.
-///
-/// `f0` is the first output channel of the band; weight reads go through the
-/// packed `[in, out]` layout (`w[f, kk] = data[kk · out + f]`), only
-/// `fb · k` scalar loads against `fb · k · pix` streamed MACs.
-#[allow(clippy::too_many_arguments)] // flat scalars keep the hot loop call free of struct plumbing
-fn wx_band(
-    f0: usize,
-    fb: usize,
-    out_dim: usize,
-    k: usize,
-    pix: usize,
-    w: &[i8],
-    x: &[i32],
-    c: &mut [i32],
-) {
-    // Tile pixels and taps so the x tile (BLOCK² · 4 B = 16 KiB) stays in
-    // L1 while every output channel of the band reuses it; without the
-    // tiling each channel would stream the whole column matrix from memory.
-    for p0 in (0..pix).step_by(BLOCK) {
-        let p_end = (p0 + BLOCK).min(pix);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k_end = (k0 + BLOCK).min(k);
-            for f in 0..fb {
-                let crow = &mut c[f * pix + p0..f * pix + p_end];
-                for kk in k0..k_end {
-                    let wk = w[kk * out_dim + f0 + f] as i32;
-                    let xrow = &x[kk * pix + p0..kk * pix + p_end];
-                    for (cv, &xv) in crow.iter_mut().zip(xrow.iter()) {
-                        *cv += wk * xv;
-                    }
-                }
-            }
-        }
-    }
+    igemm_band(m, k, n, a, &b.data, c);
 }
 
 /// Counts one integer GEMM entry-point call (`tensor.igemm.calls`).
@@ -271,167 +200,209 @@ fn count_call() {
     }
 }
 
-/// True when a weights-times-pixels product is too small to be worth
-/// splitting across the [`crate::parallel`] workers.
-fn serial_wx(out_dim: usize, k: usize, pix: usize) -> bool {
-    out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1
-}
-
-/// `c[out×pix] += W · xpk` with `xpk` the pair-packed `[ceil(k/2), pix]`
-/// count operand: the `pmaddwd` axpy kernel, banded across the
-/// [`crate::parallel`] workers by output channel when the product is large.
-fn axpy_pairs(level: SimdLevel, pix: usize, w: &PackedCodes, xpk: &[i32], c: &mut [i32]) {
-    let (out_dim, k) = (w.out_dim, w.in_dim);
-    let kp = k.div_ceil(2);
-    if serial_wx(out_dim, k, pix) {
-        simd::wx_axpy_packed(level, out_dim, kp, pix, &w.pairs16, xpk, c);
-        return;
-    }
-    parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-        simd::wx_axpy_packed(level, fb, kp, pix, &w.pairs16[f0 * kp..(f0 + fb) * kp], xpk, c_band);
-    });
-}
-
-/// Lowers one integer image `[c, h, w]` to the `[c·k·k, oh·ow]` column
-/// matrix of the scalar conv route (one row per filter tap, matching the
-/// `f32` `im2col` layout). Zero padding is folded in: taps that fall
-/// outside the image write 0, so no padded copy is built.
-///
-/// # Panics
-///
-/// Panics if `src` or `cols` disagree with the implied geometry.
-fn im2col_i32(
-    src: &[i32],
-    c: usize,
-    (h, w): (usize, usize),
-    spec: Conv2dSpec,
-    cols: &mut [i32],
-) {
-    let k = spec.kernel;
-    let pad = spec.padding;
-    let oh = spec.output_size(h);
-    let ow = spec.output_size(w);
-    let pix = oh * ow;
-    assert_eq!(src.len(), c * h * w, "im2col_i32 source length mismatch");
-    assert_eq!(cols.len(), c * k * k * pix, "im2col_i32 output length mismatch");
-
-    let mut r = 0;
-    for ic in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let dst = &mut cols[r * pix..(r + 1) * pix];
-                r += 1;
-                for oy in 0..oh {
-                    let iy = oy * spec.stride + ky;
-                    let drow = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < pad || iy >= h + pad {
-                        drow.fill(0);
-                        continue;
-                    }
-                    let src_row = &src[(ic * h + iy - pad) * w..(ic * h + iy - pad + 1) * w];
-                    for (ox, d) in drow.iter_mut().enumerate() {
-                        let ix = ox * spec.stride + kx;
-                        *d = if ix < pad || ix >= w + pad {
-                            0
-                        } else {
-                            src_row[ix - pad]
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lowers one `[c, h, w]` count image straight into the pair-packed
-/// operand [`simd::wx_axpy_packed`] consumes, with no column matrix in
-/// between: word `kkp·pix + p` holds filter taps `2·kkp` and `2·kkp + 1`
-/// (tap order `(ic, ky, kx)`, as in [`im2col_i32`]) at output pixel `p` in
-/// its low and high 16 bits, the high half zero for the odd last tap.
-///
-/// The counts are first copied once into a zero-padded `i16` plane, so
-/// every tap is a fixed offset from the pixel's window origin and a
-/// stride-1 output row of one pair is two contiguous reads of that plane.
-/// Returns `false`, leaving `xpk` unspecified, when a count does not fit
-/// `i16`; the caller then takes the exact scalar route.
-fn lower_conv_pairs(
-    src: &[i32],
-    c: usize,
-    (h, w): (usize, usize),
-    spec: Conv2dSpec,
-    xpk: &mut [i32],
-) -> bool {
-    let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding);
-    let ow = spec.output_size(w);
-    let pix = spec.output_size(h) * ow;
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    let ckk = c * k * k;
-    let mut plane = scratch::take_i16(c * hp * wp);
-    let mut wide = false;
-    for (row, srow) in src.chunks_exact(w.max(1)).enumerate() {
-        let at = ((row / h) * hp + row % h + pad) * wp + pad;
-        for (d, &v) in plane[at..at + w].iter_mut().zip(srow) {
-            *d = v as i16;
-            wide |= v != v as i16 as i32;
-        }
-    }
-    if !wide {
-        // Offset of tap `r` from a pixel's window origin in the plane.
-        let tap = |r: usize| ((r / (k * k)) * hp + (r / k) % k) * wp + r % k;
-        for (kkp, dst) in xpk[..ckk.div_ceil(2) * pix].chunks_exact_mut(pix).enumerate() {
-            let lo = tap(2 * kkp);
-            let hi = (2 * kkp + 1 < ckk).then(|| tap(2 * kkp + 1));
-            for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
-                let origin = oy * stride * wp;
-                if stride == 1 {
-                    let b = hi.map(|hi| &plane[origin + hi..origin + hi + ow]);
-                    pair_row(&plane[origin + lo..origin + lo + ow], b, drow);
-                    continue;
-                }
-                for (ox, d) in drow.iter_mut().enumerate() {
-                    let at = origin + ox * stride;
-                    *d = pair(plane[at + lo], hi.map_or(0, |hi| plane[at + hi]));
-                }
-            }
-        }
-    }
-    scratch::put_i16(plane);
-    !wide
-}
-
-/// Two `i16` values packed into one `pmaddwd` operand word, `lo` in the low
-/// half.
-fn pair(lo: i16, hi: i16) -> i32 {
+/// Two `i16` values in one `pmaddwd` operand word, `lo` in the low half.
+fn pair_word(lo: i16, hi: i16) -> i32 {
     (lo as u16 as u32 | (hi as u16 as u32) << 16) as i32
 }
 
-/// `dst[i] = pair(lo[i], hi[i])` over equal-length rows, the high halves
-/// zero when `hi` is `None` — plain zips the compiler vectorizes.
-fn pair_row(lo: &[i16], hi: Option<&[i16]>, dst: &mut [i32]) {
-    match hi {
-        Some(hi) => {
-            for ((d, &a), &b) in dst.iter_mut().zip(lo).zip(hi) {
-                *d = pair(a, b);
+/// The one integer convolution plan, shared by both SIMD tiers.
+///
+/// The image is copied once into a zero-padded, stride-phase-split plane
+/// `[c, s, s, hq, wq]` — column phase outermost, then row phase — with
+/// `hq = ⌈hp/s⌉` and `wq = ⌈wp/s⌉` for the padded size `hp × wp`: padded
+/// pixel `(Y, X)` of channel `ic` sits in column phase `X mod s`, row phase
+/// `Y mod s`, at row `Y div s` and column `X div s`. Tap `(ic, ky, kx)` of
+/// output `(oy, ox)` reads padded pixel `(oy·s + ky, ox·s + kx)`, which
+/// sits at [`Self::tap`]`(ic, ky, kx) + oy·wq + ox`: a fixed offset per tap
+/// from the wide pixel index `q = oy·wq + ox`, so a run of output pixels
+/// is one contiguous run of the plane at every stride. Each wide row holds
+/// `wq − ow` junk columns, computed but never added into the output. At
+/// `s = 1` the plane is the plain padded image.
+struct ConvPlan {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    s: usize,
+    pad: usize,
+    hq: usize,
+    wq: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl ConvPlan {
+    fn new(c: usize, (h, w): (usize, usize), spec: Conv2dSpec) -> Self {
+        let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+        let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+        let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+        ConvPlan { c, h, w, k, s, pad, hq, wq, oh, ow }
+    }
+
+    /// Words in the plane: `s²` phase blocks of `hq × wq` per channel.
+    fn plane_len(&self) -> usize {
+        self.c * self.s * self.s * self.hq * self.wq
+    }
+
+    /// Wide pixels that reach an output: up to the last output's `q`.
+    fn wide_len(&self) -> usize {
+        (self.oh - 1) * self.wq + self.ow
+    }
+
+    /// Plane offset of tap `(ic, ky, kx)` from a wide pixel index.
+    fn tap(&self, ic: usize, ky: usize, kx: usize) -> usize {
+        let (s, hq, wq) = (self.s, self.hq, self.wq);
+        (((ic * s + kx % s) * s + ky % s) * hq + ky / s) * wq + kx / s
+    }
+
+    /// Copies the `[c, h, w]` image `src` into the zeroed `plane` through
+    /// `put`, leaving the padding zero. Each source row splits into one run
+    /// per column phase, source columns `s` apart; at `s = 1` that is one
+    /// contiguous run.
+    fn load<T>(&self, src: &[i32], plane: &mut [T], mut put: impl FnMut(i32) -> T) {
+        let (s, pad, hq, wq) = (self.s, self.pad, self.hq, self.wq);
+        for (row, srow) in src.chunks_exact(self.w.max(1)).enumerate() {
+            let (ic, y) = (row / self.h, row % self.h + pad);
+            if s == 1 {
+                let at = (ic * hq + y) * wq + pad;
+                for (d, &v) in plane[at..at + self.w].iter_mut().zip(srow) {
+                    *d = put(v);
+                }
+                continue;
+            }
+            for phase in 0..s {
+                // The first padded column `phase + j0·s` past the padding.
+                let j0 = pad.saturating_sub(phase).div_ceil(s);
+                let col0 = phase + j0 * s - pad;
+                if col0 >= self.w {
+                    continue;
+                }
+                let at = (((ic * s + phase) * s + y % s) * hq + y / s) * wq + j0;
+                for (d, &v) in plane[at..].iter_mut().zip(srow[col0..].iter().step_by(s)) {
+                    *d = put(v);
+                }
             }
         }
-        None => {
-            for (d, &a) in dst.iter_mut().zip(lo) {
-                *d = pair(a, 0);
+    }
+
+    /// `c[f, oy, ox] += wide[f·nqp + oy·wq + ox]` for every output pixel:
+    /// the junk columns `ox ≥ ow` of the wide rows are dropped here.
+    fn add_valid(&self, wide: &[i32], nqp: usize, c: &mut [i32]) {
+        let (ow, wq) = (self.ow, self.wq);
+        for (crow, wrow) in c.chunks_exact_mut(self.oh * ow).zip(wide.chunks_exact(nqp)) {
+            for (oy, cr) in crow.chunks_exact_mut(ow).enumerate() {
+                for (cv, &v) in cr.iter_mut().zip(&wrow[oy * wq..oy * wq + ow]) {
+                    *cv = cv.wrapping_add(v);
+                }
             }
         }
+    }
+
+    /// AVX2 tier: `wide[f·nqp + q] = Σ w · x` through the `pmaddwd` pair
+    /// kernel. The image is loaded as `i16`; the range check rides the
+    /// copy. Returns `false`, leaving `wide` as it was, when a count does
+    /// not fit `i16`.
+    fn run_pairs(
+        &self,
+        level: SimdLevel,
+        src: &[i32],
+        w: &PackedCodes,
+        nqp: usize,
+        wide: &mut [i32],
+    ) -> bool {
+        let len = self.plane_len();
+        // One word of slack: the last word's right-hand neighbour.
+        let mut x = scratch::take_i16(len + 1);
+        // Nonzero once a count changed in the narrowing.
+        let mut lost = 0;
+        self.load(src, &mut x, |v| {
+            lost |= v ^ v as i16 as i32;
+            v as i16
+        });
+        if lost != 0 {
+            scratch::put_i16(x);
+            return false;
+        }
+        // `plane[q] = pair(X(Y, X), X(Y, X + 1))` in the same layout, so tap
+        // pair `(kx, kx + 1)` sits at `tap(ic, ky, kx)`. Within one channel,
+        // column `X + 1` is the next phase block, or for the last phase the
+        // first block one word on. The slack lets a 16-lane block run past
+        // the last wide pixel.
+        let mut plane = scratch::take_i32(len + CONV_PAIR_LANES - 1);
+        let block = self.s * self.hq * self.wq;
+        for (b, dst) in plane[..len].chunks_exact_mut(block.max(1)).enumerate() {
+            let (ic, phase) = (b / self.s, b % self.s);
+            let hi = if phase + 1 < self.s { (b + 1) * block } else { (ic * self.s) * block + 1 };
+            for ((d, &lo), &hi) in dst.iter_mut().zip(&x[b * block..]).zip(&x[hi..]) {
+                *d = pair_word(lo, hi);
+            }
+        }
+        scratch::put_i16(x);
+        let (offsets, wpairs) = self.pair_panel(w);
+        simd::conv_pairs(level, w.out_dim, &offsets, &wpairs, &plane, nqp, wide);
+        scratch::put_i32(wpairs);
+        scratch::put_u32(offsets);
+        scratch::put_i32(plane);
+        true
+    }
+
+    /// The kx-paired weight panel, in scratch buffers: each pair's plane
+    /// offset, and `np` pairs per filter in ascending `(ic, ky, kx)`, an
+    /// odd last tap with a zero high half.
+    fn pair_panel(&self, w: &PackedCodes) -> (Vec<u32>, Vec<i32>) {
+        let (k, ckk) = (self.k, w.in_dim);
+        let np = self.c * k * k.div_ceil(2);
+        let mut offsets = scratch::take_u32(np);
+        let mut wpairs = scratch::take_i32(w.out_dim * np);
+        let mut t = 0;
+        for ic in 0..self.c {
+            for ky in 0..k {
+                for kx in (0..k).step_by(2) {
+                    offsets[t] = self.tap(ic, ky, kx) as u32;
+                    let at = (ic * k + ky) * k + kx;
+                    for (f, row) in w.rows16.chunks_exact(ckk).enumerate() {
+                        let hi = if kx + 1 < k { row[at + 1] } else { 0 };
+                        wpairs[f * np + t] = pair_word(row[at], hi);
+                    }
+                    t += 1;
+                }
+            }
+        }
+        (offsets, wpairs)
+    }
+
+    /// Scalar tier, and counts past `i16` at every level:
+    /// `wide[f·nqp + q] += Σ w · x` tap by tap on an `i32` plane.
+    fn run_taps(&self, src: &[i32], w: &PackedCodes, nqp: usize, wide: &mut [i32]) {
+        let mut x = scratch::take_i32(self.plane_len());
+        self.load(src, &mut x, |v| v);
+        let (k, ckk, nq) = (self.k, w.in_dim, self.wide_len());
+        for (f, wrow) in wide.chunks_exact_mut(nqp).enumerate() {
+            let codes = &w.rows16[f * ckk..(f + 1) * ckk];
+            let mut t = 0;
+            for ic in 0..self.c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let (wv, off) = (codes[t] as i32, self.tap(ic, ky, kx));
+                        t += 1;
+                        for (o, &xv) in wrow[..nq].iter_mut().zip(&x[off..off + nq]) {
+                            *o = o.wrapping_add(wv.wrapping_mul(xv));
+                        }
+                    }
+                }
+            }
+        }
+        scratch::put_i32(x);
     }
 }
 
 /// Integer convolution: `c[out×oh·ow] += W · lower(src)` for one
-/// `[in_c, h, w]` image, with the lowering chosen from the SIMD level.
+/// `[in_c, h, w]` image, through the one [`ConvPlan`] at every SIMD level.
 ///
-/// Both routes compute the same exact integer product:
-///
-/// - **AVX2, counts fit `i16`**: one pass writes the `pmaddwd` pair operand
-///   straight from a zero-padded copy of the image and the packed axpy
-///   kernel runs on it — no `i32` column matrix is built.
-/// - **Scalar, or counts past `i16`**: an `i32` column matrix and the exact
-///   weights-times-pixels loop — the scalar route is the test oracle.
+/// At AVX2, when the counts fit `i16`, the plan runs the `pmaddwd` pair
+/// kernel over a pair plane; otherwise it runs tap by tap on an `i32`
+/// plane. Both compute the same exact integer product, on the calling
+/// thread.
 ///
 /// # Panics
 ///
@@ -453,29 +424,15 @@ pub fn igemm_conv(
 
     let level = simd::simd_level();
     count_call();
-    if level == SimdLevel::Avx2 {
-        let mut xpk = scratch::take_i32(ckk.div_ceil(2) * pix);
-        let lowered = lower_conv_pairs(src, in_c, (h, wd), spec, &mut xpk);
-        if lowered {
-            axpy_pairs(level, pix, w, &xpk, c);
-        }
-        scratch::put_i32(xpk);
-        if lowered {
-            return;
-        }
+    let plan = ConvPlan::new(in_c, (h, wd), spec);
+    assert!(plan.plane_len() < u32::MAX as usize, "igemm_conv image too large");
+    let nqp = plan.wide_len().next_multiple_of(CONV_PAIR_LANES);
+    let mut wide = scratch::take_i32(w.out_dim * nqp);
+    if !(level == SimdLevel::Avx2 && plan.run_pairs(level, src, w, nqp, &mut wide)) {
+        plan.run_taps(src, w, nqp, &mut wide);
     }
-    let out_dim = w.out_dim;
-    let mut cols = scratch::take_i32(ckk * pix);
-    im2col_i32(src, in_c, (h, wd), spec, &mut cols);
-    if serial_wx(out_dim, ckk, pix) {
-        wx_band(0, out_dim, out_dim, ckk, pix, &w.data, &cols, c);
-    } else {
-        let cols = &cols;
-        parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-            wx_band(f0, fb, out_dim, ckk, pix, &w.data, cols, c_band);
-        });
-    }
-    scratch::put_i32(cols);
+    plan.add_valid(&wide, nqp, c);
+    scratch::put_i32(wide);
 }
 
 #[cfg(test)]
@@ -573,60 +530,59 @@ mod tests {
     }
 
     #[test]
-    fn im2col_i32_matches_f32_im2col() {
-        use crate::conv::im2col;
-        use crate::tensor::Tensor;
-        for &(c, h, w, k, stride, pad) in
-            &[(1, 3, 3, 2, 1, 0), (2, 5, 4, 3, 1, 1), (3, 6, 6, 3, 2, 2), (1, 28, 28, 5, 1, 2)]
-        {
-            let spec = Conv2dSpec::new(k, stride, pad);
-            let mut seed = 5u64;
-            let src: Vec<i32> = (0..c * h * w).map(|_| (pseudo(&mut seed) % 9) as i32).collect();
-            let x = Tensor::from_vec(src.iter().map(|&v| v as f32).collect(), [1, c, h, w]);
-            let expect = im2col(&x, spec); // [c·k·k, oh·ow]
-            let mut cols = vec![0i32; expect.as_slice().len()];
-            im2col_i32(&src, c, (h, w), spec, &mut cols);
-            let got: Vec<f32> = cols.iter().map(|&v| v as f32).collect();
-            assert_eq!(got, expect.as_slice(), "c={c} h={h} w={w} k={k} s={stride} pad={pad}");
-        }
-    }
-
-    #[test]
-    fn lowered_pairs_match_packed_im2col() {
-        for &(c, h, w, k, stride, pad) in &[
-            (1, 3, 3, 2, 1, 0),
-            (2, 5, 4, 3, 1, 1),
-            (3, 6, 7, 3, 2, 2),
-            (1, 28, 28, 5, 1, 2),
-            (3, 14, 14, 5, 1, 0),
+    fn junk_columns_never_reach_c_and_c_accumulates() {
+        // (c, h, w, kernel, stride, padding, out_c): every plan has wide
+        // rows longer than the output rows.
+        for &(c, h, w, k, s, pad, out_c) in &[
+            (2, 6, 9, 3, 1, 1, 5),
+            (1, 7, 9, 3, 2, 0, 3),
+            (3, 5, 5, 5, 1, 2, 4),
+            (2, 9, 10, 2, 3, 0, 6),
         ] {
-            let spec = Conv2dSpec::new(k, stride, pad);
-            let mut seed = 9u64;
-            let src: Vec<i32> =
-                (0..c * h * w).map(|_| (pseudo(&mut seed) % 256) as i32).collect();
-            let (ckk, pix) = (c * k * k, spec.output_size(h) * spec.output_size(w));
-            let mut cols = vec![0i32; ckk * pix];
-            im2col_i32(&src, c, (h, w), spec, &mut cols);
-            // Oracle: pair adjacent column-matrix rows into one word per
-            // pixel, `(cols[2kkp, p], cols[2kkp+1, p])` in the low/high
-            // halves, the high half zero past an odd last row.
-            let kp = ckk.div_ceil(2);
-            let mut expect = vec![0i32; kp * pix];
-            for kkp in 0..kp {
-                for p in 0..pix {
-                    let a = cols[2 * kkp * pix + p];
-                    let b = if 2 * kkp + 1 < ckk { cols[(2 * kkp + 1) * pix + p] } else { 0 };
-                    assert!(a == a as i16 as i32 && b == b as i16 as i32, "counts fit i16");
-                    expect[kkp * pix + p] =
-                        ((a as u32 & 0xFFFF) | ((b as u32 & 0xFFFF) << 16)) as i32;
+            let spec = Conv2dSpec::new(k, s, pad);
+            let plan = ConvPlan::new(c, (h, w), spec);
+            assert!(plan.wq > plan.ow, "no junk columns at c={c} h={h} w={w} k={k} s={s}");
+            // Positive counts and codes: any junk read of a pixel is a
+            // nonzero junk sum.
+            let src: Vec<i32> = (0..c * h * w).map(|i| 1 + (i % 13) as i32).collect();
+            let ckk = c * k * k;
+            let codes: Vec<i32> = (0..out_c * ckk).map(|i| 1 + (i % 7) as i32).collect();
+            let packed = PackedCodes::try_pack(&codes, out_c, ckk).unwrap();
+            let (nq, nqp) = (plan.wide_len(), plan.wide_len().next_multiple_of(CONV_PAIR_LANES));
+            let pix = plan.oh * plan.ow;
+
+            let mut levels = vec![SimdLevel::Scalar];
+            if simd::detected_simd() >= SimdLevel::Avx2 {
+                levels.push(SimdLevel::Avx2);
+            }
+            for level in levels {
+                // The wide rows do carry nonzero junk...
+                let mut wide = vec![0i32; out_c * nqp];
+                if level == SimdLevel::Scalar {
+                    plan.run_taps(&src, &packed, nqp, &mut wide);
+                } else {
+                    assert!(plan.run_pairs(level, &src, &packed, nqp, &mut wide));
+                }
+                let is_junk = |i: &usize| i % nqp < nq && i % nqp % plan.wq >= plan.ow;
+                let junk = (0..out_c * nqp).filter(is_junk);
+                assert!(junk.map(|i| wide[i]).any(|v| v != 0), "junk all zero at {level:?}");
+                // ...yet `c` gets exactly the wide rows' output columns,
+                // added onto what it held, call after call.
+                let valid: Vec<i32> = (0..out_c * pix)
+                    .map(|i| wide[i / pix * nqp + i % pix / plan.ow * plan.wq + i % plan.ow])
+                    .collect();
+                let base: Vec<i32> = (0..out_c * pix).map(|i| 3 * i as i32 - 100).collect();
+                let mut c_out = base.clone();
+                for round in 1..=2 {
+                    simd::with_simd_level(level, || {
+                        igemm_conv(&src, c, (h, w), spec, &packed, &mut c_out)
+                    });
+                    let want: Vec<i32> =
+                        base.iter().zip(&valid).map(|(&b, &v)| b + round * v).collect();
+                    let at = format!("c={c} h={h} w={w} k={k} s={s} p={pad}");
+                    assert_eq!(c_out, want, "{level:?} round {round}: {at}");
                 }
             }
-            let mut got = vec![0i32; expect.len()];
-            assert!(lower_conv_pairs(&src, c, (h, w), spec, &mut got));
-            assert_eq!(got, expect, "c={c} h={h} w={w} k={k} s={stride} pad={pad}");
         }
-        let mut got = vec![0i32; 2];
-        let wide = [7, i16::MAX as i32 + 1];
-        assert!(!lower_conv_pairs(&wide, 1, (1, 2), Conv2dSpec::new(1, 1, 0), &mut got));
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,11 +76,6 @@ impl TensorRng {
             let j = self.rng.gen_range(0..=i);
             items.swap(i, j);
         }
-    }
-
-    /// Samples from any `rand` distribution.
-    pub fn sample<D: Distribution<f32>>(&mut self, dist: &D) -> f32 {
-        dist.sample(&mut self.rng)
     }
 
     /// Splits off an independent generator (seeded from this one's stream).

@@ -29,6 +29,7 @@ struct Pool {
     f32s: Vec<Vec<f32>>,
     i32s: Vec<Vec<i32>>,
     i16s: Vec<Vec<i16>>,
+    u32s: Vec<Vec<u32>>,
     u8s: Vec<Vec<u8>>,
     takes: u64,
     allocs: u64,
@@ -40,6 +41,7 @@ impl Pool {
             f32s: Vec::new(),
             i32s: Vec::new(),
             i16s: Vec::new(),
+            u32s: Vec::new(),
             u8s: Vec::new(),
             takes: 0,
             allocs: 0,
@@ -115,9 +117,11 @@ macro_rules! impl_take_put {
 
 impl_take_put!(take_f32, put_f32, f32s, f32, 0.0f32);
 impl_take_put!(take_i32, put_i32, i32s, i32, 0i32);
-// i16 panels: the widened operands the SIMD dot-product kernels consume
-// (spike counts and im2row pixels widened from i32, weight codes from i8).
+// i16 panels: the widened operands the SIMD kernels consume (spike counts
+// widened from i32 for the FC dot kernel, the integer conv's padded plane).
 impl_take_put!(take_i16, put_i16, i16s, i16, 0i16);
+// u32 tables: the integer convolution's per-call tap-pair offsets.
+impl_take_put!(take_u32, put_u32, u32s, u32, 0u32);
 // Byte buffers: wire-frame payloads in the serving layer, whose connection
 // threads are persistent and so amortize the pool exactly like the serial
 // inference path does.

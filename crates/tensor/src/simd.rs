@@ -13,9 +13,13 @@
 //!   `i8`-ranged, and every intermediate stays exact (see the overflow
 //!   analysis on `dot_tiles`), so the SIMD result is **bit-identical** to
 //!   the scalar loop.
-//! - **Integer pair axpy strips** (`wx_axpy_packed`): the conv product,
-//!   `pmaddwd` over two-`i16`-per-word operands with the weight pair
-//!   broadcast across contiguous pixel strips — exact for the same reason.
+//! - **Integer pair-plane convolution** (`conv_pairs`): the conv product at
+//!   AVX2, `pmaddwd` over a plane whose words pair each image pixel with
+//!   its right-hand neighbour, against the horizontally adjacent weight
+//!   taps `(kx, kx + 1)` broadcast across 16 contiguous wide pixels, four
+//!   filters per block and a const-generic block for the remaining one to
+//!   three — exact for the same reason. The scalar tier runs the same
+//!   plan tap by tap in [`crate::igemm`].
 //! - **`f32` GEMM tiles** (`gemm_tile_f32`): a 4-row × 8-lane register tile
 //!   that keeps each output element's accumulation order identical to the
 //!   scalar kernel — ascending `k`, separate multiply then add, never FMA —
@@ -248,48 +252,57 @@ pub(crate) fn dot_tiles(
 }
 
 // ---------------------------------------------------------------------------
-// Weights-times-pixels pair axpy strips
+// Integer convolution over a pair plane
 // ---------------------------------------------------------------------------
 
-/// `pmaddwd` weights-times-pixels strips over pre-packed pair operands:
-/// `c[j·pix + p] += Σ_kkp madd(xpk[kkp·pix + p], wpairs[j·kp + kkp])`,
-/// where both sides hold two `i16` values per `i32` word (the conv pair
-/// lowering in [`crate::igemm`] for the counts,
-/// [`crate::igemm::PackedCodes`]'s pair panel for the weights). One
-/// multiply covers two `k` steps of eight pixels — 16 MACs — and each
-/// output element is loaded and stored once per call.
+/// Wide pixels one [`conv_pairs`] block covers: two AVX2 vectors of eight
+/// `i32` lanes. The wide pixel count handed to the kernel is a multiple of
+/// it.
+pub(crate) const CONV_PAIR_LANES: usize = 16;
+
+/// `pmaddwd` convolution over a pair plane:
+/// `out[f·nqp + q] = Σ_t madd(plane[offsets[t] + q], wpairs[f·np + t])`
+/// for every filter `f < nf` and wide pixel `q < nqp`, with
+/// `np = offsets.len()`. Both sides hold two `i16` values per `i32` word:
+/// `plane` word `q` pairs an image pixel with its right-hand neighbour
+/// (the conv plan in [`crate::igemm`]), and weight pair `t` holds the
+/// horizontally adjacent taps `(kx, kx + 1)` of one kernel row, so tap
+/// pair `t` of a run of output pixels is one contiguous load at
+/// `offsets[t]`. One multiply covers two taps of eight pixels, 16 MACs.
 ///
 /// **Exactness.** Each `pmaddwd` pair sum is exact because the weight side
-/// is `i8`-ranged (`|w| ≤ 127 ⇒ |pair sum| ≤ 2·32767·127 < 2³¹`); lane
+/// is `i8`-ranged (`|w| ≤ 128 ⇒ |pair sum| ≤ 2·32768·128 = 2²³`); lane
 /// accumulation uses wrapping `i32` adds, associative and commutative
-/// mod 2³² — bit-identical to the scalar ascending-`k` loop. All-zero
-/// weight words skip their pass, adding exact zeros.
+/// mod 2³², so the result equals the scalar tap-by-tap loop bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if a slice is shorter than the stated geometry
-/// (`wpairs ≥ out_dim·kp`, `xpk ≥ kp·pix`, `c ≥ out_dim·pix`), or if
-/// `level` is below AVX2: the pair route has no other kernel.
-pub(crate) fn wx_axpy_packed(
+/// Panics if `nqp` is not a multiple of [`CONV_PAIR_LANES`], a slice is
+/// shorter than the stated geometry (`wpairs ≥ nf·np`, `out ≥ nf·nqp`,
+/// `plane ≥ offsets[t] + nqp` for every `t`), or `level` is below AVX2:
+/// below it, [`crate::igemm_conv`] runs the plan tap by tap instead.
+pub(crate) fn conv_pairs(
     level: SimdLevel,
-    out_dim: usize,
-    kp: usize,
-    pix: usize,
+    nf: usize,
+    offsets: &[u32],
     wpairs: &[i32],
-    xpk: &[i32],
-    c: &mut [i32],
+    plane: &[i32],
+    nqp: usize,
+    out: &mut [i32],
 ) {
-    assert!(wpairs.len() >= out_dim * kp, "wx_axpy_packed weight panel too short");
-    assert!(xpk.len() >= kp * pix, "wx_axpy_packed column matrix too short");
-    assert!(c.len() >= out_dim * pix, "wx_axpy_packed output too short");
+    assert_eq!(nqp % CONV_PAIR_LANES, 0, "conv_pairs wide pixels not whole blocks");
+    assert!(wpairs.len() >= nf * offsets.len(), "conv_pairs weight panel too short");
+    assert!(out.len() >= nf * nqp, "conv_pairs output too short");
+    assert!(
+        offsets.iter().all(|&o| o as usize + nqp <= plane.len()),
+        "conv_pairs tap pair reads past the plane"
+    );
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: slice geometry was checked above; AVX2 is guaranteed by
         // `level`, which is always clamped to `detected_simd`.
-        SimdLevel::Avx2 => unsafe { x86::wx_axpy_packed_avx2(out_dim, kp, pix, wpairs, xpk, c) },
-        // `igemm_conv` takes the pair route only at AVX2; the scalar tier
-        // (and every non-x86-64 target) lowers to a column matrix instead.
-        _ => unreachable!("the packed pair axpy runs only at AVX2"),
+        SimdLevel::Avx2 => unsafe { x86::conv_pairs_avx2(nf, offsets, wpairs, plane, nqp, out) },
+        _ => unreachable!("the pair-plane convolution runs only at AVX2"),
     }
 }
 
@@ -1511,179 +1524,76 @@ mod x86 {
         }
     }
 
-    /// Scalar tail of one output row of the packed axpy, decoding the pair
-    /// words, over pixels `[p0, pix)`.
+    /// AVX2 [`super::conv_pairs`]: filters in blocks of four, then one
+    /// block of the remaining one to three.
     ///
     /// # Safety
     ///
-    /// `wrow` must be valid for `kp` reads, `xp` for `kp·pix` and `crow`
-    /// for `pix` elements.
-    unsafe fn wx_axpy_packed_tail(
-        kp: usize,
-        pix: usize,
-        p0: usize,
-        wrow: *const i32,
-        xp: *const i32,
-        crow: *mut i32,
+    /// Requires AVX2 and the slice geometry checked by the safe dispatcher.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_pairs_avx2(
+        nf: usize,
+        offsets: &[u32],
+        wpairs: &[i32],
+        plane: &[i32],
+        nqp: usize,
+        out: &mut [i32],
     ) {
-        for kkp in 0..kp {
-            let wv = *wrow.add(kkp);
-            if wv == 0 {
-                continue;
-            }
-            let w0 = (wv as u32 & 0xFFFF) as u16 as i16 as i32;
-            let w1 = ((wv as u32 >> 16) as u16 as i16) as i32;
-            let xrow = xp.add(kkp * pix);
-            for pp in p0..pix {
-                let xv = *xrow.add(pp);
-                let x0 = (xv as u32 & 0xFFFF) as u16 as i16 as i32;
-                let x1 = ((xv as u32 >> 16) as u16 as i16) as i32;
-                let cv = crow.add(pp);
-                *cv = (*cv)
-                    .wrapping_add(w0.wrapping_mul(x0))
-                    .wrapping_add(w1.wrapping_mul(x1));
-            }
+        let np = offsets.len();
+        let (wp, cp) = (wpairs.as_ptr(), out.as_mut_ptr());
+        let mut f = 0;
+        while f + 4 <= nf {
+            conv_pairs_block::<4>(offsets, wp.add(f * np), plane.as_ptr(), nqp, cp.add(f * nqp));
+            f += 4;
+        }
+        let (w, c) = (wp.add(f * np), cp.add(f * nqp));
+        match nf - f {
+            3 => conv_pairs_block::<3>(offsets, w, plane.as_ptr(), nqp, c),
+            2 => conv_pairs_block::<2>(offsets, w, plane.as_ptr(), nqp, c),
+            1 => conv_pairs_block::<1>(offsets, w, plane.as_ptr(), nqp, c),
+            _ => {}
         }
     }
 
-    /// AVX2 [`super::wx_axpy_packed`]: blocks of **4 output rows** share
-    /// each load of the packed count panel — the panel (often hundreds of
-    /// KiB) streams `out_dim/4` times instead of `out_dim` times, which is
-    /// what makes this kernel cache-bound-proof at conv shapes. Within a
-    /// block, a 16-pixel strip holds 8 accumulators in registers across all
-    /// `kp` pairs; each pair costs two loads plus one broadcast, `pmaddwd`,
-    /// and add per row (16 MACs per multiply). Remaining rows and pixels fall
-    /// to single-row strips and a scalar tail. All-zero weight words skip
-    /// their row's pass, and each `c` element is loaded and stored once.
+    /// `R` filters of [`conv_pairs_avx2`]: each 16-pixel block keeps
+    /// `2·R` accumulators in registers across every tap pair, and each
+    /// pair costs two plane loads shared by the `R` filters plus one
+    /// broadcast, two `pmaddwd` and two adds per filter. Zero weight pairs
+    /// are multiplied like any other: testing them costs more than the
+    /// exact zero they add.
     ///
     /// # Safety
     ///
-    /// Caller must guarantee `wpairs.len() ≥ out_dim·kp`,
-    /// `xpk.len() ≥ kp·pix`, `c.len() ≥ out_dim·pix`, and that the CPU
-    /// supports AVX2.
+    /// Requires AVX2; `w` must be valid for `R·np` reads, `out` for
+    /// `R·nqp` writes, and `plane` for 16 reads from `offsets[t] + q` at
+    /// every block start `q < nqp`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn wx_axpy_packed_avx2(
-        out_dim: usize,
-        kp: usize,
-        pix: usize,
-        wpairs: &[i32],
-        xpk: &[i32],
-        c: &mut [i32],
+    #[inline]
+    unsafe fn conv_pairs_block<const R: usize>(
+        offsets: &[u32],
+        w: *const i32,
+        plane: *const i32,
+        nqp: usize,
+        out: *mut i32,
     ) {
-        let xp = xpk.as_ptr();
-        let wp = wpairs.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut j = 0usize;
-        while j + 4 <= out_dim {
-            let w0r = wp.add(j * kp);
-            let w1r = wp.add((j + 1) * kp);
-            let w2r = wp.add((j + 2) * kp);
-            let w3r = wp.add((j + 3) * kp);
-            let c0 = cp.add(j * pix);
-            let c1 = cp.add((j + 1) * pix);
-            let c2 = cp.add((j + 2) * pix);
-            let c3 = cp.add((j + 3) * pix);
-            let mut p = 0usize;
-            while p + 16 <= pix {
-                let mut a00 = _mm256_loadu_si256(c0.add(p) as *const __m256i);
-                let mut a01 = _mm256_loadu_si256(c0.add(p + 8) as *const __m256i);
-                let mut a10 = _mm256_loadu_si256(c1.add(p) as *const __m256i);
-                let mut a11 = _mm256_loadu_si256(c1.add(p + 8) as *const __m256i);
-                let mut a20 = _mm256_loadu_si256(c2.add(p) as *const __m256i);
-                let mut a21 = _mm256_loadu_si256(c2.add(p + 8) as *const __m256i);
-                let mut a30 = _mm256_loadu_si256(c3.add(p) as *const __m256i);
-                let mut a31 = _mm256_loadu_si256(c3.add(p + 8) as *const __m256i);
-                // Branchless: a zero weight pair contributes a zero `pmaddwd`
-                // result, so testing for it costs more than computing it. The
-                // broadcasts compile to `vpbroadcastd ymm, m32` (one µop, no
-                // scalar detour).
-                for kkp in 0..kp {
-                    let base = xp.add(kkp * pix + p);
-                    let v0 = _mm256_loadu_si256(base as *const __m256i);
-                    let v1 = _mm256_loadu_si256(base.add(8) as *const __m256i);
-                    let p0 = _mm256_set1_epi32(*w0r.add(kkp));
-                    a00 = _mm256_add_epi32(a00, _mm256_madd_epi16(v0, p0));
-                    a01 = _mm256_add_epi32(a01, _mm256_madd_epi16(v1, p0));
-                    let p1 = _mm256_set1_epi32(*w1r.add(kkp));
-                    a10 = _mm256_add_epi32(a10, _mm256_madd_epi16(v0, p1));
-                    a11 = _mm256_add_epi32(a11, _mm256_madd_epi16(v1, p1));
-                    let p2 = _mm256_set1_epi32(*w2r.add(kkp));
-                    a20 = _mm256_add_epi32(a20, _mm256_madd_epi16(v0, p2));
-                    a21 = _mm256_add_epi32(a21, _mm256_madd_epi16(v1, p2));
-                    let p3 = _mm256_set1_epi32(*w3r.add(kkp));
-                    a30 = _mm256_add_epi32(a30, _mm256_madd_epi16(v0, p3));
-                    a31 = _mm256_add_epi32(a31, _mm256_madd_epi16(v1, p3));
+        let np = offsets.len();
+        for q in (0..nqp).step_by(super::CONV_PAIR_LANES) {
+            let mut acc = [[_mm256_setzero_si256(); 2]; R];
+            for (t, &off) in offsets.iter().enumerate() {
+                let base = plane.add(off as usize + q);
+                let v0 = _mm256_loadu_si256(base as *const __m256i);
+                let v1 = _mm256_loadu_si256(base.add(8) as *const __m256i);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let pair = _mm256_set1_epi32(*w.add(r * np + t));
+                    a[0] = _mm256_add_epi32(a[0], _mm256_madd_epi16(v0, pair));
+                    a[1] = _mm256_add_epi32(a[1], _mm256_madd_epi16(v1, pair));
                 }
-                _mm256_storeu_si256(c0.add(p) as *mut __m256i, a00);
-                _mm256_storeu_si256(c0.add(p + 8) as *mut __m256i, a01);
-                _mm256_storeu_si256(c1.add(p) as *mut __m256i, a10);
-                _mm256_storeu_si256(c1.add(p + 8) as *mut __m256i, a11);
-                _mm256_storeu_si256(c2.add(p) as *mut __m256i, a20);
-                _mm256_storeu_si256(c2.add(p + 8) as *mut __m256i, a21);
-                _mm256_storeu_si256(c3.add(p) as *mut __m256i, a30);
-                _mm256_storeu_si256(c3.add(p + 8) as *mut __m256i, a31);
-                p += 16;
             }
-            while p + 8 <= pix {
-                let mut a0 = _mm256_loadu_si256(c0.add(p) as *const __m256i);
-                let mut a1 = _mm256_loadu_si256(c1.add(p) as *const __m256i);
-                let mut a2 = _mm256_loadu_si256(c2.add(p) as *const __m256i);
-                let mut a3 = _mm256_loadu_si256(c3.add(p) as *const __m256i);
-                for kkp in 0..kp {
-                    let v = _mm256_loadu_si256(xp.add(kkp * pix + p) as *const __m256i);
-                    let wv0 = *w0r.add(kkp);
-                    if wv0 != 0 {
-                        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(v, _mm256_set1_epi32(wv0)));
-                    }
-                    let wv1 = *w1r.add(kkp);
-                    if wv1 != 0 {
-                        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(v, _mm256_set1_epi32(wv1)));
-                    }
-                    let wv2 = *w2r.add(kkp);
-                    if wv2 != 0 {
-                        a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(v, _mm256_set1_epi32(wv2)));
-                    }
-                    let wv3 = *w3r.add(kkp);
-                    if wv3 != 0 {
-                        a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(v, _mm256_set1_epi32(wv3)));
-                    }
-                }
-                _mm256_storeu_si256(c0.add(p) as *mut __m256i, a0);
-                _mm256_storeu_si256(c1.add(p) as *mut __m256i, a1);
-                _mm256_storeu_si256(c2.add(p) as *mut __m256i, a2);
-                _mm256_storeu_si256(c3.add(p) as *mut __m256i, a3);
-                p += 8;
+            for (r, a) in acc.iter().enumerate() {
+                let o = out.add(r * nqp + q);
+                _mm256_storeu_si256(o as *mut __m256i, a[0]);
+                _mm256_storeu_si256(o.add(8) as *mut __m256i, a[1]);
             }
-            if p < pix {
-                wx_axpy_packed_tail(kp, pix, p, w0r, xp, c0);
-                wx_axpy_packed_tail(kp, pix, p, w1r, xp, c1);
-                wx_axpy_packed_tail(kp, pix, p, w2r, xp, c2);
-                wx_axpy_packed_tail(kp, pix, p, w3r, xp, c3);
-            }
-            j += 4;
-        }
-        while j < out_dim {
-            let wrow = wp.add(j * kp);
-            let crow = cp.add(j * pix);
-            let mut p = 0usize;
-            while p + 8 <= pix {
-                let mut acc = _mm256_loadu_si256(crow.add(p) as *const __m256i);
-                for kkp in 0..kp {
-                    let wv = *wrow.add(kkp);
-                    if wv == 0 {
-                        continue;
-                    }
-                    let pair = _mm256_set1_epi32(wv);
-                    let xv = _mm256_loadu_si256(xp.add(kkp * pix + p) as *const __m256i);
-                    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, pair));
-                }
-                _mm256_storeu_si256(crow.add(p) as *mut __m256i, acc);
-                p += 8;
-            }
-            if p < pix {
-                wx_axpy_packed_tail(kp, pix, p, wrow, xp, crow);
-            }
-            j += 1;
         }
     }
 

@@ -8,7 +8,9 @@
 //! extremes ±127, spike counts at the saturation ceiling 255, counts past
 //! `i16::MAX` (exercising the widening fallback), and deliberately
 //! unaligned subslices, and pin every available level against a scalar
-//! single-threaded run of the same entry point.
+//! single-threaded run of the same entry point. The integer convolution,
+//! whose tiers share one plan, is pinned against a direct-conv loop
+//! instead.
 
 use proptest::prelude::*;
 use qsnc_tensor::{
@@ -60,6 +62,43 @@ fn offset_copy<T: Copy + Default>(data: &[T]) -> Vec<T> {
     buf
 }
 
+/// The convolution by its definition, independent of every lowering:
+/// `out[f, oy, ox] = Σ w[f, ic, ky, kx] · x[ic, oy·s + ky − p, ox·s + kx − p]`
+/// over the taps inside the image, as `[out_c, oh·ow]`.
+fn direct_conv(
+    src: &[i32],
+    c: usize,
+    (h, w): (usize, usize),
+    spec: Conv2dSpec,
+    codes: &[i32],
+    out_c: usize,
+) -> Vec<i32> {
+    let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let mut out = vec![0i32; out_c * oh * ow];
+    for f in 0..out_c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0;
+                for ic in 0..c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let (y, x) = (oy * s + ky, ox * s + kx);
+                            if y < pad || y >= h + pad || x < pad || x >= w + pad {
+                                continue;
+                            }
+                            let wv = codes[((f * c + ic) * k + ky) * k + kx];
+                            acc += wv * src[(ic * h + y - pad) * w + x - pad];
+                        }
+                    }
+                }
+                out[(f * oh + oy) * ow + ox] = acc;
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -96,31 +135,34 @@ proptest! {
         }
     }
 
+    /// Every level, the scalar tier included, against the direct-conv
+    /// oracle: kernels 1–5, strides 1–3 and padding 0–2 (so the plan's
+    /// stride-phase split meets every phase count it serves), and 1–9
+    /// filters, so every remainder block of the four-filter AVX2 kernel
+    /// runs. Counts reach 255, `i16::MAX`, or one past it, which the plan
+    /// must run tap by tap at every level.
     #[test]
     fn igemm_conv_matches_scalar_at_every_level(
-        in_c in 1usize..3, h in 3usize..9, w in 3usize..9,
-        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..2,
-        out_c in 1usize..9,
+        in_c in 1usize..=4, h in 1usize..=11, w in 1usize..=11,
+        kernel in 1usize..=5, stride in 1usize..=3, padding in 0usize..=2,
+        out_c in 1usize..=9,
+        magnitude in 0usize..3,
         seed in 0u64..10_000,
     ) {
         prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let max_count = [255, i16::MAX as i32, i16::MAX as i32 + 1][magnitude];
         let spec = Conv2dSpec::new(kernel, stride, padding);
         let pix = spec.output_size(h) * spec.output_size(w);
         let ckk = in_c * kernel * kernel;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let src = counts(in_c * h * w, &mut rng);
+        let mut src: Vec<i32> = (0..in_c * h * w).map(|_| rng.gen_range(0..=max_count)).collect();
+        src[0] = max_count;
         let wcodes = codes(out_c * ckk, &mut rng);
         let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
+        let oracle = direct_conv(&src, in_c, (h, w), spec, &wcodes, out_c);
 
-        let mut oracle = vec![0i32; out_c * pix];
-        simd::with_simd_level(SimdLevel::Scalar, || {
-            parallel::with_num_threads(1, || {
-                igemm_conv(&src, in_c, (h, w), spec, &packed, &mut oracle)
-            });
-        });
-
-        for level in hw_levels() {
+        for level in std::iter::once(SimdLevel::Scalar).chain(hw_levels()) {
             for threads in [1usize, 4] {
                 let mut c = vec![0i32; out_c * pix];
                 simd::with_simd_level(level, || {
@@ -130,8 +172,8 @@ proptest! {
                 });
                 prop_assert_eq!(
                     &c, &oracle,
-                    "igemm_conv diverged at {:?} x {} threads ({}x{}x{} k{} s{} p{})",
-                    level, threads, in_c, h, w, kernel, stride, padding
+                    "igemm_conv diverged at {:?} x {} threads ({}x{}x{} k{} s{} p{} max {})",
+                    level, threads, in_c, h, w, kernel, stride, padding, max_count
                 );
             }
         }
@@ -162,7 +204,7 @@ proptest! {
         }
 
         // The same counts as an `[k, 3, 3]` image under a 1×1 conv with
-        // padding 1: the conv lowerings must detect the wide counts too.
+        // padding 1: the conv plan must detect the wide counts too.
         let spec = Conv2dSpec::new(1, 1, 1);
         let img: Vec<i32> = (0..k * 9).map(|i| a[i % a.len()]).collect();
         let pix = spec.output_size(3) * spec.output_size(3);
@@ -310,12 +352,11 @@ fn f32_gemm_on_mostly_zero_lhs_matches_scalar_bitwise() {
     }
 }
 
-/// Deterministic spot check that every SIMD conv route computes the same
-/// arithmetic as the scalar im2col oracle, accumulating into a non-zero
-/// output (the GEMMs add into `c`). The geometries are the served LeNet's
-/// two conv layers — large enough to reach the AVX2 kernel's 16-pixel
-/// strips, which the small proptest planes never do — plus a stride-2 case
-/// for the strided gather of the fused lowering.
+/// Deterministic spot check that every SIMD level computes the direct
+/// convolution, accumulating into a non-zero output (the GEMMs add into
+/// `c`). The geometries are the served LeNet's two conv layers — wide
+/// rows of many 16-pixel blocks, which the small proptest planes reach
+/// only a few of — plus a stride-2 case for the phase-split plane.
 #[test]
 fn conv_simd_accumulates_like_scalar() {
     // (in_c, h, w, out_c, kernel, stride, padding)
@@ -337,11 +378,9 @@ fn conv_simd_accumulates_like_scalar() {
         // Non-zero starting accumulator: both paths must add, not overwrite.
         let bias: Vec<i32> = (0..out_c * pix).map(|i| (i as i32 % 97) - 48).collect();
 
-        let mut oracle = bias.clone();
-        simd::with_simd_level(SimdLevel::Scalar, || {
-            igemm_conv(&src, in_c, (h, w), spec, &packed, &mut oracle)
-        });
-        for level in hw_levels() {
+        let direct = direct_conv(&src, in_c, (h, w), spec, &wcodes, out_c);
+        let oracle: Vec<i32> = bias.iter().zip(&direct).map(|(&b, &d)| b + d).collect();
+        for level in std::iter::once(SimdLevel::Scalar).chain(hw_levels()) {
             let mut c = bias.clone();
             simd::with_simd_level(level, || {
                 igemm_conv(&src, in_c, (h, w), spec, &packed, &mut c)
